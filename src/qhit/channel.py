@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,43 +108,24 @@ def is_completely_positive(S: SuperOp, tol: float = 1e-9) -> bool:
 def fixed_states(S: SuperOp) -> list:
     """Basis of the fixed space ker(S.mat - I), each returned as a matrix.
 
-    When the span contains a density, the first returned element is a
-    normalized positive fixed density (the ergodic projection of the
-    maximally mixed state).
+    The kernel is cut once, by :func:`ginverse.fixed_space` (the rank rule
+    of :func:`ginverse.rank_with_margin`), so the list has
+    ``diagnose(S).fixed_space_dim`` elements.  When the span contains a
+    density, the first element is a unit-trace positive fixed density.
     """
     n = S.dim
-    A = np.eye(n * n) - S.mat
-    sv = np.linalg.svd(A, compute_uv=False)
-    cut = max(sv[0], 1.0) * 1e-10
-    if np.any((sv > cut / 10) & (sv < cut * 10)):
-        warnings.warn(
-            "fixed-space dimension is numerically ambiguous near eigenvalue 1",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    _, _, Vh = np.linalg.svd(A)
-    k = int(np.sum(sv <= cut))
-    if k == 0:
-        return []
-    kernel = Vh[n * n - k:].conj().T  # columns span ker(A)
-
-    cols = [kernel[:, i] for i in range(k)]
-    gi = ginverse.group_inverse(A)
-    cand = unvec(gi.ergodic_projector @ vec(np.eye(n) / n), n, n)
-    cand = hermitize(cand)
-    tr = np.trace(cand).real
-    if tr > 1e-9 and is_positive_semidefinite(cand / tr, tol=1e-8):
-        cand = cand / tr
-        # rebuild a basis that starts with the density
-        basis = [vec(cand) / np.linalg.norm(vec(cand))]
-        for c in cols:
-            r = c - sum(np.vdot(b, c) * b for b in basis)
-            if np.linalg.norm(r) > 1e-8:
-                basis.append(r / np.linalg.norm(r))
-        basis = basis[:k]
-        out = [cand] + [unvec(b, n, n) for b in basis[1:]]
-        return out
-    return [unvec(c, n, n) for c in cols]
+    kernel, x = ginverse.fixed_space(S.mat, vec(np.eye(n)))
+    cols = list(kernel.T)
+    cand = None if x is None else hermitize(unvec(x, n, n))
+    if cand is None or not is_positive_semidefinite(cand, tol=1e-8):
+        return [unvec(c, n, n) for c in cols]
+    # rebuild a basis that starts with the density
+    basis = [vec(cand) / np.linalg.norm(vec(cand))]
+    for c in cols:
+        r = c - sum(np.vdot(b, c) * b for b in basis)
+        if np.linalg.norm(r) > 1e-8:
+            basis.append(r / np.linalg.norm(r))
+    return [cand] + [unvec(b, n, n) for b in basis[1:len(cols)]]
 
 
 @dataclass(frozen=True)
@@ -161,7 +141,13 @@ class ChannelDiagnostics:
 
 
 def diagnose(S: SuperOp, tp_defect: float | None = None) -> ChannelDiagnostics:
-    """Spectral diagnostics of a trace-preserving map given by its representation."""
+    """Spectral diagnostics of a trace-preserving map given by its representation.
+
+    ``fixed_space_dim`` is n^2 - rank(I - S) under the one rank rule of
+    :func:`ginverse.rank_with_margin`, the same cut :func:`fixed_states`
+    applies.  On a one-dimensional fixed space the map is irreducible when
+    the fixed density from :func:`fixed_states` is faithful.
+    """
     n = S.dim
     if tp_defect is None:
         # <vec(I)| S = <vec(I)| characterizes trace preservation

@@ -21,9 +21,9 @@ import sys
 import numpy as np
 
 from . import ginverse as ginv
-from .channel import (GoalSubspace, KrausChannel, assumption_one_holds,
-                      diagnose, is_density, pure_density, randomize,
-                      represent, unitary_superop)
+from .channel import (EIG_ONE_TOL, GoalSubspace, KrausChannel,
+                      assumption_one_holds, diagnose, is_density, pure_density,
+                      randomize, represent, unitary_superop)
 from .errors import (NoGroupInverseError, NumericalError, QhitError,
                      SpectralObstructionError, ValidationError)
 from .ksmh import kernel_limit_study, tau_channel
@@ -224,7 +224,7 @@ def _diagnostics_dict(S: SuperOp, V: GoalSubspace | None) -> dict:
         out["assumption_one"] = {
             "holds": bool(holds),
             "offending_eigenvalues": [_jcomplex(z) for z in eigs
-                                      if abs(z - 1.0) < 1e-9],
+                                      if abs(z - 1.0) < EIG_ONE_TOL],
         }
     return out
 
@@ -352,8 +352,6 @@ def cmd_sweep(args) -> int:
     spec = load_spec(args.spec)
     if spec.get("kind") != "randomization":
         raise SpecError("$.kind", "sweep requires a randomization spec")
-    if args.param != "p":
-        raise SpecError("--param", "only the mixing probability p is sweepable")
     mix = spec.get("mix")
     if not isinstance(mix, dict):
         raise SpecError("$.mix", "expected an object {p, left, right}")
@@ -400,8 +398,6 @@ def _default_rho(V: GoalSubspace) -> np.ndarray:
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="qhit",
                                 description="Hitting times of quantum channels")
-    p.add_argument("--tol", type=float, default=None,
-                   help="override the default comparison tolerance (advisory)")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
@@ -430,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", parents=[common],
                         help="tau over a grid of mixing probabilities")
-    sp.add_argument("--param", default="p")
     sp.add_argument("--values", required=True,
                     help="comma-separated values, e.g. 1,0.5,0.1")
     sp.set_defaults(func=cmd_sweep)

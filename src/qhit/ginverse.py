@@ -22,25 +22,51 @@ ZERO_EIG_TOL = 1e-9
 PAIRING_TOL = 1e-12
 
 
-def rank_with_margin(A, rel_tol: float = RANK_REL_TOL) -> int:
-    """Numerical rank via singular values.
+def _rank_cut(s, rel_tol: float = RANK_REL_TOL) -> int:
+    """Number of singular values (descending) above ``rel_tol * s[0]``.
 
-    Warns when some singular value lies within a factor of 10 of the cut,
-    i.e. when the rank decision is ambiguous.
+    The one rank rule of the package.  Warns when some singular value lies
+    within a factor of 10 of the cut, i.e. when the decision is ambiguous.
     """
-    s = np.linalg.svd(A, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
     cut = rel_tol * s[0]
-    ambiguous = np.sum((s > cut / 10) & (s < cut * 10)) > 0
-    if ambiguous:
+    if np.any((s > cut / 10) & (s < cut * 10)):
         warnings.warn(
             "rank decision is ambiguous: singular value within a factor of 10 "
             "of the threshold",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     return int(np.sum(s > cut))
+
+
+def rank_with_margin(A, rel_tol: float = RANK_REL_TOL) -> int:
+    """Numerical rank via singular values, cut by :func:`_rank_cut`."""
+    return _rank_cut(np.linalg.svd(A, compute_uv=False), rel_tol)
+
+
+def fixed_space(rep, e_I) -> tuple:
+    """Fixed space ker(I - rep) of a map and its fixed vector of unit trace.
+
+    One full SVD of A = I - rep, cut by the rank rule of
+    :func:`rank_with_margin`.  Returns ``(kernel, x)``: the columns of
+    ``kernel`` are an orthonormal basis of ker(A), and x is a fixed vector
+    with <e_I|x> = 1, or None when the kernel holds no vector of nonzero
+    trace.  On a line x is the null vector itself; on a larger kernel it is
+    e_I pushed through the ergodic projector I - A^# A.
+    """
+    A = np.eye(rep.shape[0]) - rep
+    _, s, Vh = np.linalg.svd(A)
+    k = s.size - _rank_cut(s)
+    kernel = Vh[s.size - k:].conj().T
+    if k == 0:
+        return kernel, None
+    x = kernel[:, 0] if k == 1 else group_inverse(A).ergodic_projector @ e_I
+    total = np.vdot(e_I, x)
+    if abs(total) < PAIRING_TOL:
+        return kernel, None
+    return kernel, x / total
 
 
 def index(A) -> int:
@@ -166,11 +192,6 @@ def drazin_limit(A, z_schedule=(1e-4, 1e-5, 1e-6)) -> DrazinLimit:
                 w *= (0.0 - zj) / (zi - zj)
         est = est + w * evals[i]
     return DrazinLimit(estimate=est, z_values=zs, residuals=tuple(residuals))
-
-
-def ergodic_projector(gi: GroupInverse) -> np.ndarray:
-    """I - A^# A: projects onto the fixed space of the map Phi = I - A."""
-    return gi.ergodic_projector
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import GoalSubspace, diagnose, fixed_states, hermitize, \
-    assumption_one_holds, is_density
+from .channel import EIG_ONE_TOL, GoalSubspace, diagnose, fixed_states, \
+    hermitize, assumption_one_holds, is_density
 from .errors import NotIrreducibleError, SpectralObstructionError, ValidationError
 from .matrep import SuperOp, vec
 
@@ -41,15 +41,10 @@ class HittingMaps:
         return self.block(self.K.mat, i, j)
 
 
-@dataclass(frozen=True)
-class FundamentalMap:
-    Z: SuperOp
-
-
 def _resolvent(S: SuperOp, V: GoalSubspace) -> np.ndarray:
     ok, eigvals = assumption_one_holds(S, V)
     if not ok:
-        bad = [lam for lam in eigvals if abs(lam - 1.0) < 1e-9]
+        bad = [lam for lam in eigvals if abs(lam - 1.0) < EIG_ONE_TOL]
         raise SpectralObstructionError(
             "1 lies in the spectrum of Q.T; the hitting maps do not exist "
             "(fall back to the monitoring series)",
@@ -69,7 +64,7 @@ def analytic_HK(S: SuperOp, V: GoalSubspace) -> HittingMaps:
     """
     M = _resolvent(S, V)
     H = SuperOp(S.dim, S.mat @ M)
-    K = SuperOp(S.dim, S.mat @ M @ M)
+    K = SuperOp(S.dim, H.mat @ M)
     return HittingMaps(H=H, K=K, subspace=V)
 
 
@@ -95,7 +90,7 @@ def tau_from_K(maps: HittingMaps, rho, side: str) -> float:
     return t.real
 
 
-def fundamental_map(S: SuperOp) -> FundamentalMap:
+def fundamental_map(S: SuperOp) -> SuperOp:
     """Z = (I - T + Omega_T)^{-1} for an irreducible map.
 
     Omega_T is the rank-one representation |vec(pi)><vec(I)| of rho -> Tr(rho) pi.
@@ -111,10 +106,10 @@ def fundamental_map(S: SuperOp) -> FundamentalMap:
     n = S.dim
     omega = np.outer(vec(pi), vec(np.eye(n)).conj())
     Z = np.linalg.inv(np.eye(n * n) - S.mat + omega)
-    return FundamentalMap(Z=SuperOp(n, Z))
+    return SuperOp(n, Z)
 
 
-def mhtf_tau(S: SuperOp, V: GoalSubspace, Z: FundamentalMap, maps: HittingMaps,
+def mhtf_tau(S: SuperOp, V: GoalSubspace, Z: SuperOp, maps: HittingMaps,
              psi, phi) -> float:
     """Mean hitting time from the fundamental map:
 
@@ -129,8 +124,8 @@ def mhtf_tau(S: SuperOp, V: GoalSubspace, Z: FundamentalMap, maps: HittingMaps,
         raise ValidationError("phi must lie in the complement of V")
     rho_psi = np.outer(psi, psi.conj())
     rho_phi = np.outer(phi, phi.conj())
-    Z11 = maps.block(Z.Z.mat, 1, 1)
-    Z12 = maps.block(Z.Z.mat, 1, 2)
+    Z11 = maps.block(Z.mat, 1, 1)
+    Z12 = maps.block(Z.mat, 1, 2)
     K11 = maps.K_block(1, 1)
     eI = vec(np.eye(V.ambient_dim))
     t = complex(np.vdot(eI, K11 @ (Z11 @ vec(rho_psi) - Z12 @ vec(rho_phi))))

@@ -13,13 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ginverse, monitor
-from .channel import GoalSubspace, diagnose, is_density
-from .errors import (NotIrreducibleError, SpectralObstructionError,
-                     ValidationError)
+from .channel import EIG_ONE_TOL, GoalSubspace, diagnose, is_density
+from .errors import (NoGroupInverseError, NumericalError,
+                     SpectralObstructionError, ValidationError)
 from .matrep import SuperOp, vec
 from .qmc import QMC, VecState, block_constant_E, induce, site_projectors
-
-EIG_ONE_TOL = 1e-9
 
 
 def diag_blocks(M, n_sites: int, k: int) -> np.ndarray:
@@ -69,10 +67,10 @@ class QmcHittingOperators:
         return _block(self.K_ops[i], i, j, self.k)
 
 
-def qmc_hitting_operators(q: QMC, targets=None) -> QmcHittingOperators:
+def qmc_hitting_operators(q: QMC) -> QmcHittingOperators:
     """Analytic site-hitting operators; per-site spectral failures are flagged,
     not fatal."""
-    sites = list(range(q.n_sites)) if targets is None else sorted(set(targets))
+    sites = range(q.n_sites)
     projs = site_projectors(q)
     N = q.dim
     K_ops = {}
@@ -117,7 +115,7 @@ def qmc_hitting_operators(q: QMC, targets=None) -> QmcHittingOperators:
                 availability[i] = (False, availability[i][1])
                 fallback.append((i, "abel-return"))
                 filled = True
-        except Exception:
+        except (NoGroupInverseError, NumericalError, np.linalg.LinAlgError):
             pass
         if not filled and donor is not None:
             D[sl, sl] = K_ops[donor][sl, sl]
@@ -237,16 +235,16 @@ def tau_channel(S: SuperOp, V: GoalSubspace, rho, method: str,
         return TauReport(method=method, tau=series.tau, ok=series.converged,
                          preconditions=pre, artifacts=art)
 
-    from .channel import assumption_one_holds  # local to avoid cycle at import time
-    from .hitting import analytic_HK, tau_from_K
+    from .hitting import analytic_HK, tau_from_K  # local to avoid cycle at import time
 
     if method == "analytic-K":
-        ok, _ = assumption_one_holds(S, V)
-        pre["assumption_one"] = ok
-        if not ok:
+        try:
+            maps = analytic_HK(S, V)
+        except SpectralObstructionError:
+            pre["assumption_one"] = False
             return TauReport(method=method, tau=None, ok=False, preconditions=pre,
                              detail="1 lies in the spectrum of Q.T")
-        maps = analytic_HK(S, V)
+        pre["assumption_one"] = True
         if keep_artifacts:
             art["K"] = maps.K.mat
         return TauReport(method=method, tau=tau_from_K(maps, rho, "in-V-perp"),

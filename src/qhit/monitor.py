@@ -33,10 +33,11 @@ class MonitorSeries:
     partial_tau: float
     truncated_at: int
     converged: bool
+    hit_prob_tol: float  # the run's SeriesConfig.hit_prob_tol
 
     @property
     def tau(self) -> float:
-        if self.cumulative_prob < 1.0 - SeriesConfig.hit_prob_tol:
+        if self.cumulative_prob < 1.0 - self.hit_prob_tol:
             return float("inf")
         return self.partial_tau
 
@@ -78,6 +79,7 @@ def _run_series(step_mat, goal_proj, stay_proj, trace_vec, v0, config: SeriesCon
         partial_tau=tau,
         truncated_at=r,
         converged=converged,
+        hit_prob_tol=config.hit_prob_tol,
     )
 
 

@@ -126,27 +126,16 @@ def induce(S: SuperOp, V: GoalSubspace) -> QMC:
 
 
 def stationary_density(q: QMC) -> VecState:
-    """A fixed density of the chain.
+    """A fixed density of the chain, of unit total trace.
 
-    With a one-dimensional fixed space the eigenvector of the representation
-    at the eigenvalue nearest 1 is taken directly; otherwise the maximally
-    mixed, site-uniform seed is pushed through the ergodic projector
-    I - A^# A (a fixed state by the Cesaro-limit identity).  Either way the
-    result is renormalized to unit total trace.
+    The fixed space is cut once, by :func:`ginverse.fixed_space` (the rank
+    rule of :func:`ginverse.rank_with_margin`): on a line its null vector is
+    taken, otherwise the site-uniform seed |e_I> is pushed through the
+    ergodic projector I - A^# A.
     """
-    N = q.dim
-    if fixed_space_dim(q) == 1:
-        w, vecs = np.linalg.eig(q.rep)
-        fixed = vecs[:, int(np.argmin(np.abs(w - 1.0)))]
-    else:
-        A = np.eye(N) - q.rep
-        gi = ginverse.group_inverse(A)
-        seed = np.tile(vec(np.eye(q.k)), q.n_sites) / (q.n_sites * q.k)
-        fixed = gi.ergodic_projector @ seed
-    total = np.vdot(q.identity_vec(), fixed)
-    if abs(total) < 1e-12:
-        raise ValidationError("fixed-space candidate state has zero trace")
-    fixed = fixed / total
+    _, fixed = ginverse.fixed_space(q.rep, q.identity_vec())
+    if fixed is None:
+        raise ValidationError("fixed space holds no state of nonzero trace")
     # re-hermitize blockwise to absorb roundoff; blocks of an induced chain's
     # fixed vector carry the cross terms P pi Q + Q pi P and need not be PSD
     k2 = q.k * q.k

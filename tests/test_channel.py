@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qhit
 from conftest import ROTATION_U, make_sec6_T, random_tp_channel
@@ -56,6 +58,24 @@ def test_fixed_states_contain_maximally_mixed(hadamard):
     assert np.allclose(rho, np.eye(2) / 2)
     for rho in states:
         assert np.allclose(hadamard["S"](rho), rho)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1),
+       st.sampled_from([1e-2, 1e-4, 1e-6, 1e-8]),
+       st.sampled_from([1.0, 1e-1, 1e-2, 1e-3]))
+def test_diagnose_near_reducible_mixtures(seed, q, p):
+    # p (q T + (1 - q) Hadamard) + (1 - p) id: a fixed line that the
+    # reducible Hadamard part nearly splits; diagnose must not refuse it, and
+    # it and fixed_states must cut the same kernel
+    T = random_tp_channel(np.random.default_rng(seed), 2)
+    H = qhit.unitary_superop(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
+    S = qhit.randomize(qhit.randomize(T, H, q), qhit.identity_superop(2), p)
+    d = qhit.diagnose(S)
+    states = qhit.fixed_states(S)
+    assert len(states) == d.fixed_space_dim
+    for X in states:
+        assert np.allclose(S(X), X, atol=1e-8)
 
 
 def test_choi_positive_for_random_channels():

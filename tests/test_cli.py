@@ -31,6 +31,8 @@ CORPUS_CASES = [
     (["hitting", f"{CORPUS}/sec5.json", "--json"], "hitting_sec5.json"),
     (["hitting", f"{CORPUS}/hadamard.json", "--json"], "hitting_hadamard.json"),
     (["hitting", f"{CORPUS}/order4.json", "--json"], "hitting_order4.json"),
+    (["hitting", f"{CORPUS}/randomization.json", "--json"],
+     "hitting_randomization.json"),
     (["ginverse", f"{CORPUS}/hadamard.json", "--json"], "ginverse_hadamard.json"),
     (["sweep", f"{CORPUS}/randomization.json", "--values", "1,0.5,0.1,0.01",
       "--json"], "sweep_randomization.json"),

@@ -77,7 +77,7 @@ def test_analytic_HK_requires_assumption_one(hadamard):
 
 
 def test_fundamental_map_is_ginverse_of_I_minus_T(sec5):
-    Z = qhit.fundamental_map(sec5["S"]).Z.mat
+    Z = qhit.fundamental_map(sec5["S"]).mat
     A = np.eye(4) - sec5["S"].mat
     assert np.max(np.abs(A @ Z @ A - A)) < 1e-10
 

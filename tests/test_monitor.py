@@ -52,6 +52,20 @@ def test_series_infinite_when_hitting_prob_below_one(hadamard):
     assert ser.tau == np.inf
 
 
+def test_series_tau_uses_the_configured_hit_prob_tol():
+    # mass 0.59 on |1> reaches V = span|0> in one step; 0.41 on |2> never does
+    e = np.eye(3)
+    ch = qhit.KrausChannel(3, (np.outer(e[0], e[1]), np.outer(e[0], e[0]),
+                               np.outer(e[2], e[2])))
+    V = qhit.GoalSubspace.from_vectors([e[0]])
+    rho = np.diag([0.0, 0.59, 0.41])
+    cfg = qhit.SeriesConfig(hit_prob_tol=0.5)
+    ser = qhit.first_visit_series(qhit.represent(ch), V, rho, config=cfg)
+    assert ser.converged
+    assert abs(ser.cumulative_prob - 0.59) < 1e-12
+    assert abs(ser.tau - 0.59) < 1e-12
+
+
 def test_series_respects_max_steps(sec5):
     cfg = qhit.SeriesConfig(max_steps=10)
     ser = qhit.first_visit_series(sec5["S"], sec5["V"], sec5["rho_phi"], config=cfg)

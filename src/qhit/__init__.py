@@ -24,8 +24,7 @@ from .matrep import (SuperOp, add, apply, close, compose, conj_kron,
                      identity_superop, kron, power, scale, unvec, vec)
 from .monitor import (MonitorSeries, SeriesConfig, first_visit_series,
                       generating_function, site_visit_series, step_prob)
-from .qmc import (QMC, FixedMap, VecState, block_constant_E, fixed_map,
-                  fixed_space_dim, from_oqw, induce, site_projectors,
-                  stationary_density)
+from .qmc import (QMC, VecState, fixed_map, fixed_space_dim, from_oqw, induce,
+                  site_projectors, stationary_density)
 
 __version__ = "0.1.0"

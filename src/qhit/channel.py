@@ -162,7 +162,7 @@ def diagnose(S: SuperOp, tp_defect: float | None = None) -> ChannelDiagnostics:
     A = np.eye(n * n) - S.mat
     r1 = ginverse.rank_with_margin(A)
     fixed_dim = n * n - r1
-    jordan_trivial = r1 == ginverse.rank_with_margin(A @ A)
+    jordan_trivial = ginverse.index(A) <= 1
 
     min_eig = float("nan")
     irreducible = False

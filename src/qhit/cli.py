@@ -372,25 +372,16 @@ def cmd_sweep(args) -> int:
     study = kernel_limit_study(left, right, V, values, rho=rho)
     rows = [{"p": _fmt(pt.p), "tau": _fmt(pt.tau), "g_norm": _fmt(pt.g_norm)}
             for pt in study.points]
-    n2 = V.ambient_dim**2
-    rho_eff = rho if rho is not None else _default_rho(V)
-    tau_ext = np.vdot(np.eye(V.ambient_dim).reshape(-1),
-                      study.H0_extrapolated[:n2, n2:] @ rho_eff.reshape(-1)).real
     report = {
         "command": "sweep", "input": args.spec, "param": "p",
         "table": rows,
-        "extrapolated_p0": {"tau": _fmt(tau_ext)},
+        "extrapolated_p0": {"tau": _fmt(study.tau_extrapolated)},
         "direct_p0": {"tau": _fmt(study.tau_direct)},
         "g_norms_diverge": bool(study.g_norms_diverge),
         "kernel_limit_defect": _fmt(study.extrapolation_defect),
     }
     emit(report, args.json)
     return EXIT_OK
-
-
-def _default_rho(V: GoalSubspace) -> np.ndarray:
-    rho = V.Q @ (np.eye(V.ambient_dim) / V.ambient_dim) @ V.Q
-    return rho / np.trace(rho).real
 
 
 # -------------------------------------------------------------------- main

@@ -70,14 +70,31 @@ def fixed_space(rep, e_I) -> tuple:
 
 
 def index(A) -> int:
-    """Smallest m >= 0 with rank(A^m) == rank(A^(m+1))."""
+    """Smallest m >= 0 with rank(A^m) == rank(A^(m+1)).
+
+    m <= 1 is decided from one SVD A = U S V*, cut by :func:`_rank_cut`: m = 0
+    when A has full rank, and m = 1 exactly when ker(A) meets range(A) only
+    in 0.  Range(A) is the orthogonal complement of ker(A*), so that holds
+    when no kernel vector is orthogonal to ker(A*), i.e. when the smallest
+    singular value of U_0* V_0 (the cosines between ker(A*) and ker(A), both
+    spanned by the singular vectors past the cut) exceeds ``RANK_REL_TOL``.
+    Squaring A would square its small singular values and push them under
+    the cut; powers of A are formed only once m >= 2 is known.
+    """
     A = as_complex(A)
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValidationError("index is defined for square matrices only")
-    prev_rank = n  # rank of A^0
-    power = np.eye(n, dtype=np.complex128)
-    for m in range(n + 1):
+    U, s, Vh = np.linalg.svd(A)
+    r = _rank_cut(s)
+    if r == n:
+        return 0
+    cosines = np.linalg.svd(U[:, r:].conj().T @ Vh[r:].conj().T, compute_uv=False)
+    if cosines[-1] > RANK_REL_TOL:
+        return 1
+    power = A @ A
+    prev_rank = rank_with_margin(power)
+    for m in range(2, n + 1):
         power = power @ A
         r = rank_with_margin(power)
         if r == prev_rank:

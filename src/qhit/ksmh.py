@@ -17,28 +17,45 @@ from .channel import EIG_ONE_TOL, GoalSubspace, diagnose, is_density
 from .errors import (NoGroupInverseError, NumericalError,
                      SpectralObstructionError, ValidationError)
 from .matrep import SuperOp, vec
-from .qmc import QMC, VecState, block_constant_E, induce, site_projectors
+from .qmc import QMC, induce, site_slice
 
 
-def diag_blocks(M, n_sites: int, k: int) -> np.ndarray:
-    """Block-diagonal part: zero everywhere except the diagonal k^2 blocks."""
-    M = np.asarray(M, dtype=np.complex128)
+def _diagonal_blocks(M, n_sites: int, k: int) -> list:
+    """The n_sites diagonal k^2 blocks of M, after checking its grid shape."""
     k2 = k * k
     if M.shape != (n_sites * k2, n_sites * k2):
         raise ValidationError(
             f"matrix of shape {M.shape} lacks the {n_sites}x{n_sites} grid of "
             f"order-{k2} blocks"
         )
+    return [M[site_slice(i, k), site_slice(i, k)] for i in range(n_sites)]
+
+
+def diag_blocks(M, n_sites: int, k: int) -> np.ndarray:
+    """Block-diagonal part: zero everywhere except the diagonal k^2 blocks."""
+    M = np.asarray(M, dtype=np.complex128)
     out = np.zeros_like(M)
-    for i in range(n_sites):
-        sl = slice(i * k2, (i + 1) * k2)
-        out[sl, sl] = M[sl, sl]
+    for i, block in enumerate(_diagonal_blocks(M, n_sites, k)):
+        out[site_slice(i, k), site_slice(i, k)] = block
     return out
 
 
+def _diag_blocks_E(M, n_sites: int, k: int) -> np.ndarray:
+    """M_d E, with E the grid of identity blocks: row block i is M_ii repeated
+    across every column block."""
+    return np.vstack([np.tile(block, (1, n_sites))
+                      for block in _diagonal_blocks(M, n_sites, k)])
+
+
 def _block(M, i: int, j: int, k: int) -> np.ndarray:
-    k2 = k * k
-    return M[i * k2:(i + 1) * k2, j * k2:(j + 1) * k2]
+    return M[site_slice(i, k), site_slice(j, k)]
+
+
+def _off_site(q: QMC, i: int) -> np.ndarray:
+    """Q_i Phi: a copy of Phi with row block i zeroed."""
+    out = q.rep.copy()
+    out[site_slice(i, q.k)] = 0.0
+    return out
 
 
 @dataclass(frozen=True)
@@ -69,26 +86,34 @@ class QmcHittingOperators:
 
 def qmc_hitting_operators(q: QMC) -> QmcHittingOperators:
     """Analytic site-hitting operators; per-site spectral failures are flagged,
-    not fatal."""
+    not fatal.
+
+    Site i's operator needs 1 outside the spectrum of Q_i Phi, where Q_i is
+    the projector off site i.  Q_i Phi is Phi with row block i zeroed; with
+    site i ordered first it is block lower triangular, so its spectrum is k^2
+    zeros together with the spectrum of Phi with site i's rows and columns
+    removed.  Availability is decided from that principal block, of order
+    (n_sites - 1) k^2; for the induced chain's site 0 it is Q.Q S, the map
+    :func:`channel.assumption_one_holds` tests.
+    """
     sites = range(q.n_sites)
-    projs = site_projectors(q)
     N = q.dim
+    I = np.eye(N)
     K_ops = {}
     availability = {}
     D = np.zeros((N, N), dtype=np.complex128)
-    k2 = q.k * q.k
     for i in sites:
-        Qi = np.eye(N) - projs[i]
-        eigvals = np.linalg.eigvals(Qi @ q.rep)
+        sl = site_slice(i, q.k)
+        rest = np.delete(np.delete(q.rep, sl, axis=0), sl, axis=1)
+        eigvals = np.linalg.eigvals(rest)
         bad = [lam for lam in eigvals if abs(lam - 1.0) < EIG_ONE_TOL]
         if bad:
             availability[i] = (False, bad)
             continue
-        M = np.linalg.inv(np.eye(N) - Qi @ q.rep)
+        M = np.linalg.inv(I - _off_site(q, i))
         K = q.rep @ M @ M
         K_ops[i] = K
         availability[i] = (True, [])
-        sl = slice(i * k2, (i + 1) * k2)
         D[sl, sl] = K[sl, sl]
     # A spectrally obstructed site has no plain resolvent K^(i).  Two cases:
     # if the Abel-regularized return-probability operator on block (i, i) is
@@ -97,22 +122,22 @@ def qmc_hitting_operators(q: QMC) -> QmcHittingOperators:
     # D_ii.  Otherwise some mass never returns; D_ii never enters any
     # off-diagonal hitting time, so block (i, i) of an available site's
     # operator is borrowed as a finite stand-in (matching the block structure
-    # of the group-inverse kernel).
+    # of the group-inverse kernel).  Only block (i, i) of Phi B^# and of
+    # Phi (B^#)^2 is formed.
     fallback = []
     donor = next((j for j in sites if availability[j][0]), None)
     eIk = vec(np.eye(q.k))
     for i in sites:
         if availability[i][0]:
             continue
-        sl = slice(i * k2, (i + 1) * k2)
+        sl = site_slice(i, q.k)
         filled = False
         try:
-            Bsharp = ginverse.group_inverse(np.eye(N) - (np.eye(N) - projs[i]) @ q.rep).Asharp
-            ret_defect = np.max(np.abs(
-                eIk.conj() @ (q.rep @ Bsharp)[sl, sl] - eIk.conj()))
+            Bsharp = ginverse.group_inverse(I - _off_site(q, i)).Asharp
+            row = q.rep[sl] @ Bsharp  # row block i of Phi B^#
+            ret_defect = np.max(np.abs(eIk.conj() @ row[:, sl] - eIk.conj()))
             if ret_defect < 1e-8:
-                D[sl, sl] = (q.rep @ Bsharp @ Bsharp)[sl, sl]
-                availability[i] = (False, availability[i][1])
+                D[sl, sl] = row @ Bsharp[:, sl]
                 fallback.append((i, "abel-return"))
                 filled = True
         except (NoGroupInverseError, NumericalError, np.linalg.LinAlgError):
@@ -136,28 +161,32 @@ class KsmhKernel:
         return _block(self.kernel, i, j, self.k)
 
 
-def ksmh_kernel(q: QMC, D, G, omega=None, E=None, variant: str | None = None) -> KsmhKernel:
+def ksmh_kernel(q: QMC, D, G, omega=None, variant: str | None = None) -> KsmhKernel:
     """Assemble the hitting-time kernel from a g-inverse G of I - Phi.
 
     Plain form D(I - G + G_d E) is valid when G has the special Hunter shape
     (bra <e_I|) or is the group inverse; the fixed-map-corrected form
     D(Omega G - (Omega G)_d E + I - G + G_d E) is valid for any g-inverse of
-    an irreducible chain.
+    an irreducible chain (``omega`` is Omega = |pi><e_I|, see
+    :func:`qmc.fixed_map`).  E is the grid of identity blocks, so row block i
+    of G_d E is G_ii tiled across the row; D is block diagonal, so row block
+    i of the kernel is D_ii times row block i of the bracket.  Neither E nor
+    the zero blocks of D are formed.
     """
-    E = block_constant_E(q) if E is None else np.asarray(E, dtype=np.complex128)
     D = np.asarray(D, dtype=np.complex128)
     G = np.asarray(G, dtype=np.complex128)
     n, k = q.n_sites, q.k
-    I = np.eye(q.dim)
-    core = I - G + diag_blocks(G, n, k) @ E
+    core = np.eye(q.dim) - G + _diag_blocks_E(G, n, k)
     if omega is not None:
-        om = omega.omega if hasattr(omega, "omega") else np.asarray(omega)
-        OG = om @ G
-        core = OG - diag_blocks(OG, n, k) @ E + core
+        OG = np.asarray(omega) @ G
+        core = OG - _diag_blocks_E(OG, n, k) + core
         tag = "fixed-map-corrected"
     else:
         tag = "plain"
-    return KsmhKernel(kernel=D @ core, variant=variant or tag, n_sites=n, k=k)
+    kernel = np.empty_like(core)
+    for i, D_ii in enumerate(_diagonal_blocks(D, n, k)):
+        kernel[site_slice(i, k)] = D_ii @ core[site_slice(i, k)]
+    return KsmhKernel(kernel=kernel, variant=variant or tag, n_sites=n, k=k)
 
 
 def _trace_block(kernel_block: np.ndarray, rho, k: int) -> float:
@@ -188,10 +217,10 @@ def first_step_operator_L(q: QMC, ops: QmcHittingOperators) -> np.ndarray:
             f"hitting operators unavailable for sites {missing}",
             eigenvalues=sum((ops.availability[i][1] for i in missing), []),
         )
-    k2 = q.k * q.k
     K = np.zeros((q.dim, q.dim), dtype=np.complex128)
     for i in range(q.n_sites):
-        K[i * k2:(i + 1) * k2, :] = ops.K_ops[i][i * k2:(i + 1) * k2, :]
+        sl = site_slice(i, q.k)
+        K[sl] = ops.K_ops[i][sl]
     return K - (K - ops.D) @ q.rep
 
 
@@ -294,6 +323,7 @@ class KernelLimitPoint:
 class KernelLimitReport:
     points: tuple
     H0_extrapolated: np.ndarray
+    tau_extrapolated: float
     H0_direct: np.ndarray
     tau_direct: float
     extrapolation_defect: float
@@ -306,8 +336,10 @@ def kernel_limit_study(T: SuperOp, Mprime: SuperOp, V: GoalSubspace, p_values,
 
     For each p the Hunter g-inverse G_p and kernel H_p are formed; the kernel
     limit H_0 is extrapolated from the three smallest p values and compared
-    with the kernel computed directly at p = 0 from the group inverse.  The
-    divergence of ||G_p|| alongside a convergent H_p is the reported finding.
+    with the kernel computed directly at p = 0 from the group inverse.  Both
+    limits' tau are read from block (0, 1) as in :func:`tau_irreducible_qmc`.
+    The divergence of ||G_p|| alongside a convergent H_p is the reported
+    finding.
     """
     from .channel import randomize
 
@@ -345,6 +377,7 @@ def kernel_limit_study(T: SuperOp, Mprime: SuperOp, V: GoalSubspace, p_values,
     gs = ginverse.group_inverse(np.eye(q0.dim) - q0.rep)
     kern0 = ksmh_kernel(q0, ops0.D, gs.Asharp, variant="group")
     tau0 = tau_irreducible_qmc(q0, kern0, 0, 1, rho)
+    tau_ext = _trace_block(_block(H0_ext, 0, 1, q0.k), rho, q0.k)
 
     norms = [pt.g_norm for pt in points]
     diverges = len(norms) >= 2 and norms[-1] > norms[0] and all(
@@ -353,6 +386,7 @@ def kernel_limit_study(T: SuperOp, Mprime: SuperOp, V: GoalSubspace, p_values,
     return KernelLimitReport(
         points=tuple(points),
         H0_extrapolated=H0_ext,
+        tau_extrapolated=tau_ext,
         H0_direct=kern0.kernel,
         tau_direct=tau0,
         extrapolation_defect=float(np.max(np.abs(H0_ext - kern0.kernel))),

@@ -15,6 +15,16 @@ from .matrep import SuperOp, as_complex, conj_kron, unvec, vec
 TP_TOL = 1e-10
 
 
+def site_slice(i: int, k: int) -> slice:
+    """Rows (or columns) of site i in the stacked layout: i k^2 : (i + 1) k^2.
+
+    Every site block of a chain, a stacked state or a kernel is read through
+    this one slice.
+    """
+    k2 = k * k
+    return slice(i * k2, (i + 1) * k2)
+
+
 class QMC:
     """n_sites x n_sites grid of superoperator blocks on k x k internal matrices.
 
@@ -45,8 +55,7 @@ class QMC:
 
     def block(self, i: int, j: int) -> np.ndarray:
         """k^2 x k^2 representation of the block map Phi_ij."""
-        k2 = self.k * self.k
-        return self.rep[i * k2:(i + 1) * k2, j * k2:(j + 1) * k2]
+        return self.rep[site_slice(i, self.k), site_slice(j, self.k)]
 
     def identity_vec(self) -> np.ndarray:
         """|e_I>: vec(I_k) stacked once per site; <e_I|rho> = Tr(rho)."""
@@ -68,8 +77,7 @@ class VecState:
     data: np.ndarray
 
     def block(self, i: int) -> np.ndarray:
-        k2 = self.k * self.k
-        return unvec(self.data[i * k2:(i + 1) * k2], self.k, self.k)
+        return unvec(self.data[site_slice(i, self.k)], self.k, self.k)
 
     def site_traces(self) -> np.ndarray:
         return np.array([np.trace(self.block(i)).real for i in range(self.n_sites)])
@@ -79,13 +87,6 @@ class VecState:
         mats = [as_complex(b) for b in blocks]
         k = mats[0].shape[0]
         return cls(n_sites=len(mats), k=k, data=np.concatenate([vec(m) for m in mats]))
-
-
-@dataclass(frozen=True)
-class FixedMap:
-    """Rank-one map |pi><e_I| sending every density to the stationary one."""
-
-    omega: np.ndarray
 
 
 def from_oqw(B) -> QMC:
@@ -102,11 +103,10 @@ def from_oqw(B) -> QMC:
             raise ValidationError(
                 f"OQW column {j} violates sum_i B_ij* B_ij = I"
             )
-    k2 = k * k
-    rep = np.zeros((n * k2, n * k2), dtype=np.complex128)
+    rep = np.zeros((n * k * k, n * k * k), dtype=np.complex128)
     for i in range(n):
         for j in range(n):
-            rep[i * k2:(i + 1) * k2, j * k2:(j + 1) * k2] = conj_kron(mats[i][j])
+            rep[site_slice(i, k), site_slice(j, k)] = conj_kron(mats[i][j])
     return QMC(n, k, rep)
 
 
@@ -138,10 +138,9 @@ def stationary_density(q: QMC) -> VecState:
         raise ValidationError("fixed space holds no state of nonzero trace")
     # re-hermitize blockwise to absorb roundoff; blocks of an induced chain's
     # fixed vector carry the cross terms P pi Q + Q pi P and need not be PSD
-    k2 = q.k * q.k
     blocks = []
     for i in range(q.n_sites):
-        X = hermitize(unvec(fixed[i * k2:(i + 1) * k2], q.k, q.k))
+        X = hermitize(unvec(fixed[site_slice(i, q.k)], q.k, q.k))
         if not is_positive_semidefinite(X, tol=1e-8):
             warnings.warn(
                 f"fixed-state block {i} is not positive semidefinite; "
@@ -157,27 +156,23 @@ def fixed_space_dim(q: QMC) -> int:
     return q.dim - ginverse.rank_with_margin(np.eye(q.dim) - q.rep)
 
 
-def fixed_map(q: QMC) -> FixedMap:
-    """Omega = |pi><e_I| for a chain with a unique stationary density."""
+def fixed_map(q: QMC) -> np.ndarray:
+    """Omega = |pi><e_I|, the rank-one map sending every density to the
+    stationary one, for a chain with a unique stationary density."""
     if fixed_space_dim(q) != 1:
         raise NotIrreducibleError(
             "fixed space is not one-dimensional; use the group-inverse route instead"
         )
     pi = q.stationary_vec()
-    return FixedMap(omega=np.outer(pi, q.identity_vec().conj()))
+    return np.outer(pi, q.identity_vec().conj())
 
 
 def site_projectors(q: QMC) -> list:
     """Diagonal 0/1 block projectors P_i selecting site i."""
-    k2 = q.k * q.k
     out = []
     for i in range(q.n_sites):
         P = np.zeros((q.dim, q.dim))
-        P[i * k2:(i + 1) * k2, i * k2:(i + 1) * k2] = np.eye(k2)
+        sl = site_slice(i, q.k)
+        P[sl, sl] = np.eye(q.k * q.k)
         out.append(P)
     return out
-
-
-def block_constant_E(q: QMC) -> np.ndarray:
-    """Grid of identity blocks: E = [I_{k^2}]_{ij}."""
-    return np.tile(np.eye(q.k * q.k), (q.n_sites, q.n_sites))

@@ -74,6 +74,7 @@ def test_diagnose_near_reducible_mixtures(seed, q, p):
     d = qhit.diagnose(S)
     states = qhit.fixed_states(S)
     assert len(states) == d.fixed_space_dim
+    assert d.jordan_trivial_at_1
     for X in states:
         assert np.allclose(S(X), X, atol=1e-8)
 

@@ -24,6 +24,13 @@ def test_index_of_nilpotent_jordan_block_is_two():
     assert qhit.index(A) == 2
 
 
+def test_index_one_is_decided_without_squaring():
+    # rank(A) = 2 under the cut, but the 1e-6 singular value squares to
+    # 1e-12, under it; ker(A) = ker(A*) = span{e_3}, so the index is 1
+    A = np.diag([1.0, 1e-6, 0.0])
+    assert qhit.index(A) == 1
+
+
 def test_group_inverse_of_invertible_is_inverse():
     A = RNG.normal(size=(4, 4)) + np.eye(4) * 5
     gs = qhit.group_inverse(A)

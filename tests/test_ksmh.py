@@ -1,13 +1,20 @@
 """KSMH kernel assembly, route agreement and the kernel-limit study."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import qhit
-from conftest import make_sec6_T, random_goal_qubit, random_irreducible_qubit
+from conftest import (make_sec6_T, random_goal_qubit, random_irreducible_qubit,
+                      random_tp_channel)
 from expected_matrices import D_QMC, H0, HADAMARD_KERNEL, ORDER4_QFORM
+from qhit.channel import EIG_ONE_TOL
+from qhit.cli import load_spec, parse_channel, parse_subspace
 from qhit.errors import SpectralObstructionError, ValidationError
 from qhit.ksmh import diag_blocks
+
+CORPUS = Path(__file__).parent / "corpus"
 
 RNG = np.random.default_rng(99)
 
@@ -25,6 +32,106 @@ def test_qmc_hitting_operators_sec5(sec5):
     assert ops.availability[0][0] and ops.availability[1][0]
     assert ops.fallback_sites == ()
     assert np.max(np.abs(ops.D - D_QMC)) < 1e-10
+
+
+def _random_oqw(rng, n_sites: int, k: int = 2, absorbing=None) -> qhit.QMC:
+    """Random OQW: column j is the Q factor of a Gaussian (n_sites k) x k block
+    column.  An ``absorbing`` site keeps its mass: its column is a unitary on
+    the diagonal, so every other target sees a closed class and is obstructed."""
+    grid = [[None] * n_sites for _ in range(n_sites)]
+    for j in range(n_sites):
+        Z = rng.normal(size=(n_sites * k, k)) + 1j * rng.normal(size=(n_sites * k, k))
+        Q, _ = np.linalg.qr(Z)
+        for i in range(n_sites):
+            grid[i][j] = Q[i * k:(i + 1) * k]
+        if j == absorbing:
+            for i in range(n_sites):
+                grid[i][j] = np.zeros((k, k))
+            grid[j][j] = np.linalg.qr(Z[:k])[0]
+    return qhit.from_oqw(grid)
+
+
+def _dense_hitting_operator(q: qhit.QMC, i: int):
+    """Reference K^(i) = Phi (I - Q_i Phi)^{-2} with a dense projector Q_i."""
+    Qi = np.eye(q.dim) - qhit.site_projectors(q)[i]
+    eigvals = np.linalg.eigvals(Qi @ q.rep)
+    if any(abs(lam - 1.0) < EIG_ONE_TOL for lam in eigvals):
+        return None
+    M = np.linalg.inv(np.eye(q.dim) - Qi @ q.rep)
+    return q.rep @ M @ M
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_principal_block_rule_matches_dense_projectors(seed):
+    rng = np.random.default_rng(seed)
+    n_sites = 2 + seed % 3
+    absorbing = n_sites - 1 if seed % 2 else None
+    q = _random_oqw(rng, n_sites, absorbing=absorbing)
+    ops = qhit.qmc_hitting_operators(q)
+    for i in range(n_sites):
+        ref = _dense_hitting_operator(q, i)
+        assert ops.availability[i][0] == (ref is not None), i
+        if ref is None:
+            assert i not in ops.K_ops
+        else:
+            assert np.max(np.abs(ops.K_ops[i] - ref)) < 1e-10
+    if absorbing is not None:
+        assert [ops.availability[i][0] for i in range(n_sites)] == \
+            [i == absorbing for i in range(n_sites)]
+
+
+def _bad_alpha():
+    spec = load_spec(str(CORPUS / "hadamard_bad_alpha.json"))
+    S = parse_channel(spec)
+    return S, parse_subspace(spec["subspace"], S.dim)
+
+
+def test_site0_availability_is_assumption_one(hadamard):
+    rng = np.random.default_rng(17)
+    cases = [(hadamard["S"], hadamard["V"]), _bad_alpha()]
+    for n in (2, 3):
+        cases.append((random_tp_channel(rng, n),
+                      qhit.GoalSubspace.from_vectors([np.eye(n)[0]])))
+    verdicts = []
+    for S, V in cases:
+        ops = qhit.qmc_hitting_operators(qhit.induce(S, V))
+        holds = qhit.assumption_one_holds(S, V)[0]
+        assert ops.availability[0][0] == holds
+        verdicts.append(holds)
+    assert verdicts == [True, False, True, True]
+
+
+def test_ksmh_kernel_matches_dense_identity_grid(sec5):
+    # the kernel D (I - G + G_d E), plus Omega G - (Omega G)_d E in the
+    # corrected form, against E and D multiplied in densely
+    q = sec5["q"]
+    ops = qhit.qmc_hitting_operators(q)
+    E = np.tile(np.eye(4), (2, 2))
+    rng = np.random.default_rng(3)
+    G = qhit.hunter_ginverse(q, t=rng.normal(size=8), u=rng.normal(size=8),
+                             f=rng.normal(size=8), g=rng.normal(size=8)).G
+    plain = np.eye(8) - G + diag_blocks(G, 2, 2) @ E
+    omega = qhit.fixed_map(q)
+    OG = omega @ G
+    corrected = OG - diag_blocks(OG, 2, 2) @ E + plain
+    for om, core in ((None, plain), (omega, corrected)):
+        kern = qhit.ksmh_kernel(q, ops.D, G, omega=om)
+        assert np.max(np.abs(kern.kernel - ops.D @ core)) < 1e-12
+
+
+def test_group_route_accepts_near_reducible_mixture():
+    # S = p (q T + (1 - q) Hadamard) + (1 - p) id at q = 1e-2, p = 1e-3: the
+    # induced chain's I - Phi has index 1, although squaring it pushes a
+    # singular value under the rank cut
+    T = random_tp_channel(np.random.default_rng(0), 2)
+    H = qhit.unitary_superop(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
+    S = qhit.randomize(qhit.randomize(T, H, 1e-2), qhit.identity_superop(2), 1e-3)
+    V = qhit.GoalSubspace.from_vectors([[1, 0]])
+    rho = np.diag([0.0, 1.0])
+    group = qhit.tau_channel(S, V, rho, "ksmh-group")
+    analytic = qhit.tau_channel(S, V, rho, "analytic-K")
+    assert group.ok and abs(analytic.tau - 1992.816456) < 1e-6
+    assert abs(group.tau - analytic.tau) < 1e-8 * analytic.tau
 
 
 def test_hadamard_site1_obstructed_donor_fallback(hadamard):
@@ -195,6 +302,7 @@ def test_kernel_limit_study(rotation):
     assert abs(report.tau_direct - 4.0) < 1e-9
     assert np.max(np.abs(report.H0_direct - H0)) < 1e-9
     assert np.max(np.abs(report.H0_extrapolated - H0)) < 1e-5
+    assert abs(report.tau_extrapolated - 4.0) < 1e-5
     assert report.extrapolation_defect < 1e-5
 
 

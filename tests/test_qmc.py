@@ -79,7 +79,7 @@ def test_fixed_space_dim(sec5, hadamard):
 
 def test_fixed_map_rank_one(sec5):
     q = sec5["q"]
-    om = qhit.fixed_map(q).omega
+    om = qhit.fixed_map(q)
     assert np.linalg.matrix_rank(om, tol=1e-9) == 1
     # idempotent on trace-one states: Omega rho = pi
     state = qhit.VecState.from_blocks([np.eye(2) / 4, np.eye(2) / 4])
@@ -96,8 +96,3 @@ def test_site_projectors_resolve_identity(sec5):
     assert np.allclose(sum(projs), np.eye(8))
     assert np.allclose(projs[0] @ projs[1], 0)
 
-
-def test_block_constant_E(sec5):
-    E = qhit.block_constant_E(sec5["q"])
-    assert E.shape == (8, 8)
-    assert np.allclose(E[:4, 4:], np.eye(4))

@@ -25,6 +25,6 @@ from .matrep import (SuperOp, add, apply, close, compose, conj_kron,
 from .monitor import (MonitorSeries, SeriesConfig, first_visit_series,
                       generating_function, site_visit_series, step_prob)
 from .qmc import (QMC, VecState, fixed_map, fixed_space_dim, from_oqw, induce,
-                  site_projectors, stationary_density)
+                  induced_group_inverse, site_projectors, stationary_density)
 
 __version__ = "0.1.0"

@@ -81,26 +81,32 @@ def index(A) -> int:
     Squaring A would square its small singular values and push them under
     the cut; powers of A are formed only once m >= 2 is known.
     """
+    return _index_and_rank(A)[0]
+
+
+def _index_and_rank(A) -> tuple:
+    """``(index(A), rank(A))``, both from the one SVD of :func:`index`."""
     A = as_complex(A)
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValidationError("index is defined for square matrices only")
     U, s, Vh = np.linalg.svd(A)
-    r = _rank_cut(s)
-    if r == n:
-        return 0
-    cosines = np.linalg.svd(U[:, r:].conj().T @ Vh[r:].conj().T, compute_uv=False)
+    rank = _rank_cut(s)
+    if rank == n:
+        return 0, rank
+    cosines = np.linalg.svd(U[:, rank:].conj().T @ Vh[rank:].conj().T,
+                            compute_uv=False)
     if cosines[-1] > RANK_REL_TOL:
-        return 1
+        return 1, rank
     power = A @ A
     prev_rank = rank_with_margin(power)
     for m in range(2, n + 1):
         power = power @ A
         r = rank_with_margin(power)
         if r == prev_rank:
-            return m
+            return m, rank
         prev_rank = r
-    return n  # unreachable for sane inputs; ranks strictly decrease at most n times
+    return n, rank  # unreachable: ranks strictly decrease at most n times
 
 
 @dataclass(frozen=True)
@@ -114,26 +120,34 @@ class GroupInverse:
 def group_inverse(A) -> GroupInverse:
     """Group inverse via an ordered (complex) Schur split.
 
-    Eigenvalues within ``ZERO_EIG_TOL`` of zero are sorted first; the
-    off-diagonal coupling is removed with a Sylvester solve so that
-    ``A = X diag(0, C) X^{-1}`` with C invertible, and the inverse is
-    ``X diag(0, C^{-1}) X^{-1}``.
+    The kernel dimension k = n - rank(A) comes from the SVD of :func:`index`,
+    i.e. from the relative rank rule, so the split does not depend on the
+    scale of A.  The k eigenvalues of smallest modulus in one unsorted Schur
+    form are moved to the front (LAPACK ``ztrsen``, the reordering ``zgees``
+    itself applies when asked to sort); the off-diagonal coupling is removed
+    with a Sylvester solve so that ``A = X diag(0, C) X^{-1}`` with C
+    invertible, and the inverse is ``X diag(0, C^{-1}) X^{-1}``.
     """
     A = as_complex(A)
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValidationError("group inverse is defined for square matrices only")
-    ind = index(A)
+    ind, rank = _index_and_rank(A)
     if ind > 1:
         raise NoGroupInverseError(f"matrix has index {ind} > 1, no group inverse")
 
-    T, Zs, sdim = sla.schur(A, output="complex", sort=lambda lam: abs(lam) < ZERO_EIG_TOL)
-    k = int(sdim)
+    k = n - rank
     if k == 0:
         Asharp = np.linalg.inv(A)
     elif k == n:
         Asharp = np.zeros_like(A)
     else:
+        T, Zs = sla.schur(A, output="complex")
+        select = np.zeros(n, dtype=np.int32)
+        select[np.argsort(np.abs(np.diag(T)), kind="stable")[:k]] = 1
+        T, Zs, _, _, _, _, info = sla.lapack.ztrsen(select, T, Zs, job="N")
+        if info != 0:
+            raise NumericalError("reordering the Schur form failed")
         T11 = T[:k, :k]
         T12 = T[:k, k:]
         T22 = T[k:, k:]
@@ -155,21 +169,24 @@ def group_inverse(A) -> GroupInverse:
         M[k:, k:] = C_inv
         Asharp = Zs @ (W @ M @ W_inv) @ Zs.conj().T
 
-    _check_group_axioms(A, Asharp)
-    return GroupInverse(
-        A=A, Asharp=Asharp, index=ind, ergodic_projector=np.eye(n) - Asharp @ A
-    )
+    GA = check_group_axioms(A, Asharp)
+    return GroupInverse(A=A, Asharp=Asharp, index=ind, ergodic_projector=np.eye(n) - GA)
 
 
-def _check_group_axioms(A, G, rel_tol: float = AXIOM_REL_TOL):
+def check_group_axioms(A, G, rel_tol: float = AXIOM_REL_TOL) -> np.ndarray:
+    """Raise unless A G A = A, G A G = G and A G = G A hold to ``rel_tol``
+    relative to max|A|; return the product G A."""
     scale = max(np.max(np.abs(A)), 1e-30)
     tol = rel_tol * scale
-    if np.max(np.abs(A @ G @ A - A)) > tol:
+    AG = A @ G
+    GA = G @ A
+    if np.max(np.abs(AG @ A - A)) > tol:
         raise NumericalError("group inverse candidate violates A G A = A")
-    if np.max(np.abs(G @ A @ G - G)) > tol * max(1.0, np.max(np.abs(G)) / scale):
+    if np.max(np.abs(GA @ G - G)) > tol * max(1.0, np.max(np.abs(G)) / scale):
         raise NumericalError("group inverse candidate violates G A G = G")
-    if np.max(np.abs(A @ G - G @ A)) > tol * max(1.0, np.max(np.abs(G)) / scale):
+    if np.max(np.abs(AG - GA)) > tol * max(1.0, np.max(np.abs(G)) / scale):
         raise NumericalError("group inverse candidate violates A G = G A")
+    return GA
 
 
 @dataclass(frozen=True)

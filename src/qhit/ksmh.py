@@ -17,7 +17,7 @@ from .channel import EIG_ONE_TOL, GoalSubspace, diagnose, is_density
 from .errors import (NoGroupInverseError, NumericalError,
                      SpectralObstructionError, ValidationError)
 from .matrep import SuperOp, vec
-from .qmc import QMC, induce, site_slice
+from .qmc import QMC, induce, induced_group_inverse, site_slice
 
 
 def _diagonal_blocks(M, n_sites: int, k: int) -> list:
@@ -243,7 +243,8 @@ def tau_channel(S: SuperOp, V: GoalSubspace, rho, method: str,
 
     Routes: direct monitoring series; analytic mean-hitting-time map K;
     KSMH kernel with a Hunter g-inverse of the induced chain (irreducible
-    channels); KSMH kernel with the group inverse (spectral condition only).
+    channels); KSMH kernel with the group inverse (spectral condition only),
+    lifted from the channel's (I - S)^# by :func:`qmc.induced_group_inverse`.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -298,9 +299,7 @@ def tau_channel(S: SuperOp, V: GoalSubspace, rho, method: str,
         G = gi.G
         variant = "plain"
     else:  # ksmh-group
-        A = np.eye(q.dim) - q.rep
-        gsharp = ginverse.group_inverse(A)
-        G = gsharp.Asharp
+        G = induced_group_inverse(S, q)
         variant = "group"
 
     kern = ksmh_kernel(q, ops.D, G, variant=variant)
@@ -336,8 +335,10 @@ def kernel_limit_study(T: SuperOp, Mprime: SuperOp, V: GoalSubspace, p_values,
 
     For each p the Hunter g-inverse G_p and kernel H_p are formed; the kernel
     limit H_0 is extrapolated from the three smallest p values and compared
-    with the kernel computed directly at p = 0 from the group inverse.  Both
-    limits' tau are read from block (0, 1) as in :func:`tau_irreducible_qmc`.
+    with the kernel computed directly at p = 0 from the group inverse of the
+    induced chain, lifted from (I - M')^# by :func:`qmc.induced_group_inverse`.
+    Both limits' tau are read from block (0, 1) as in
+    :func:`tau_irreducible_qmc`.
     The divergence of ||G_p|| alongside a convergent H_p is the reported
     finding.
     """
@@ -374,8 +375,7 @@ def kernel_limit_study(T: SuperOp, Mprime: SuperOp, V: GoalSubspace, p_values,
 
     q0 = induce(Mprime, V)
     ops0 = qmc_hitting_operators(q0)
-    gs = ginverse.group_inverse(np.eye(q0.dim) - q0.rep)
-    kern0 = ksmh_kernel(q0, ops0.D, gs.Asharp, variant="group")
+    kern0 = ksmh_kernel(q0, ops0.D, induced_group_inverse(Mprime, q0), variant="group")
     tau0 = tau_irreducible_qmc(q0, kern0, 0, 1, rho)
     tau_ext = _trace_block(_block(H0_ext, 0, 1, q0.k), rho, q0.k)
 

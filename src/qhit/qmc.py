@@ -125,6 +125,32 @@ def induce(S: SuperOp, V: GoalSubspace) -> QMC:
     return QMC(n_sites=2, k=S.dim, rep=rep)
 
 
+def induced_group_inverse(S: SuperOp, q: QMC) -> np.ndarray:
+    """Group inverse of A = I - Phi for the induced chain q = induce(S, V),
+    lifted from the channel's (I - S)^#: one Schur split of order n^2, not 2n^2.
+
+    Phi = C R, with C = column block 0 of Phi, i.e. [(I - Q.Q) S; Q.Q S], and
+    R = [I I]; then R C = S.  Let Z = I - S, E = I - Z^# Z its ergodic
+    projector and W = Z^# - E.  Then W Z = Z W = I - E, E Z = 0, W E = -E, and
+    X = I + C W R is A^#:
+
+        A X = I - C R + C (I - S) W R = I - C E R, and X A likewise;
+        A X A = (I - C E R)(I - C R) = A - C E (I - S) R = A - C E Z R = A;
+        X A X = (I + C W R)(I - C E R) = X - C (E + W S E) R = X - C (E + W E) R = X,
+
+    using S E = E - Z E = E.  The nonzero Jordan blocks of C R and R C agree,
+    so index(A) = index(Z) and the lift exists exactly when (I - S)^# does;
+    :func:`ginverse.group_inverse` raises otherwise.  The group axioms are
+    checked on (A, X) itself.
+    """
+    n2 = S.dim**2
+    gs = ginverse.group_inverse(np.eye(n2) - S.mat)
+    CW = q.rep[:, site_slice(0, q.k)] @ (gs.Asharp - gs.ergodic_projector)
+    X = np.eye(q.dim) + np.hstack([CW, CW])
+    ginverse.check_group_axioms(np.eye(q.dim) - q.rep, X)
+    return X
+
+
 def stationary_density(q: QMC) -> VecState:
     """A fixed density of the chain, of unit total trace.
 

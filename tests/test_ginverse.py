@@ -52,6 +52,22 @@ def test_group_inverse_axioms_random_channels():
             assert np.max(np.abs(A @ G - G @ A)) < 1e-9 * max(scale, np.max(np.abs(G)))
 
 
+def test_group_inverse_splits_schur_form_by_rank():
+    # Z = I - S of a lazy channel has max|Z| ~ 2e-3 and a nonzero eigenvalue
+    # of 8e-10; an absolute 1e-9 sort would put it into the kernel block
+    T = random_tp_channel(np.random.default_rng(0), 2)
+    H = qhit.unitary_superop(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
+    S = qhit.randomize(qhit.randomize(T, H, 1e-6), qhit.identity_superop(2), 1e-3)
+    A = np.eye(4) - S.mat
+    gs = qhit.group_inverse(A)
+    assert gs.index == 1
+    G = gs.Asharp
+    scale = np.max(np.abs(A))
+    assert np.max(np.abs(A @ G @ A - A)) < 1e-9 * scale
+    assert np.max(np.abs(G @ A @ G - G)) < 1e-9 * np.max(np.abs(G))
+    assert np.max(np.abs(A @ G - G @ A)) < 1e-9 * np.max(np.abs(G))
+
+
 def test_group_inverse_rejects_index_two():
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(NoGroupInverseError):

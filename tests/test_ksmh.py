@@ -120,18 +120,40 @@ def test_ksmh_kernel_matches_dense_identity_grid(sec5):
 
 
 def test_group_route_accepts_near_reducible_mixture():
-    # S = p (q T + (1 - q) Hadamard) + (1 - p) id at q = 1e-2, p = 1e-3: the
-    # induced chain's I - Phi has index 1, although squaring it pushes a
-    # singular value under the rank cut
+    # S = p (q T + (1 - q) Hadamard) + (1 - p) id at p = 1e-3.  At q = 1e-2
+    # the induced chain's I - Phi has index 1, although squaring it pushes a
+    # singular value under the rank cut; at q = 1e-6, I - S has a nonzero
+    # eigenvalue of 8e-10 that an absolute Schur sort would call zero
     T = random_tp_channel(np.random.default_rng(0), 2)
     H = qhit.unitary_superop(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
-    S = qhit.randomize(qhit.randomize(T, H, 1e-2), qhit.identity_superop(2), 1e-3)
     V = qhit.GoalSubspace.from_vectors([[1, 0]])
     rho = np.diag([0.0, 1.0])
-    group = qhit.tau_channel(S, V, rho, "ksmh-group")
-    analytic = qhit.tau_channel(S, V, rho, "analytic-K")
-    assert group.ok and abs(analytic.tau - 1992.816456) < 1e-6
-    assert abs(group.tau - analytic.tau) < 1e-8 * analytic.tau
+    for q, tau in ((1e-2, 1992.816456), (1e-6, 1999.999279)):
+        S = qhit.randomize(qhit.randomize(T, H, q), qhit.identity_superop(2), 1e-3)
+        group = qhit.tau_channel(S, V, rho, "ksmh-group")
+        analytic = qhit.tau_channel(S, V, rho, "analytic-K")
+        assert group.ok and abs(analytic.tau - tau) < 1e-6, q
+        assert abs(group.tau - analytic.tau) < 1e-8 * analytic.tau, q
+
+
+def test_group_route_factors_only_the_channel(monkeypatch):
+    # the group route lifts A^# from (I - S)^#: Schur factorisations of
+    # order n^2 only, never of the induced chain's order 2n^2
+    orders = []
+    schur = qhit.ginverse.sla.schur
+
+    def recording_schur(a, *args, **kwargs):
+        orders.append(a.shape[0])
+        return schur(a, *args, **kwargs)
+
+    monkeypatch.setattr(qhit.ginverse.sla, "schur", recording_schur)
+    rng = np.random.default_rng(4)
+    S = random_tp_channel(rng, 3)
+    V = qhit.GoalSubspace.from_vectors([np.eye(3)[0]])
+    rho = np.diag([0.0, 0.5, 0.5])
+    rep = qhit.tau_channel(S, V, rho, "ksmh-group")
+    assert rep.ok
+    assert orders and set(orders) == {9}
 
 
 def test_hadamard_site1_obstructed_donor_fallback(hadamard):

@@ -5,7 +5,7 @@ import pytest
 
 import qhit
 from conftest import random_tp_channel
-from expected_matrices import PHI_QMC, PI_QMC
+from expected_matrices import A0_SHARP, HADAMARD_ASHARP, PHI_QMC, PI_QMC
 from qhit.errors import NotIrreducibleError, ValidationError
 
 RNG = np.random.default_rng(5)
@@ -96,3 +96,25 @@ def test_site_projectors_resolve_identity(sec5):
     assert np.allclose(sum(projs), np.eye(8))
     assert np.allclose(projs[0] @ projs[1], 0)
 
+
+
+PRINTED_ASHARP = {"hadamard": HADAMARD_ASHARP, "rotation": A0_SHARP}
+
+
+@pytest.mark.parametrize("case", ["hadamard", "rotation", "sec5", "order4", 2, 3, 4, 5])
+def test_induced_group_inverse_matches_chain_group_inverse(case, request):
+    if isinstance(case, str):
+        fx = request.getfixturevalue(case)
+        S, V = fx["S"], fx["V"]
+    else:
+        rng = np.random.default_rng(23 + case)
+        S = random_tp_channel(rng, case)
+        v = rng.normal(size=case) + 1j * rng.normal(size=case)
+        V = qhit.GoalSubspace.from_vectors([v / np.linalg.norm(v)])
+    q = qhit.induce(S, V)
+    A = np.eye(q.dim) - q.rep
+    lifted = qhit.induced_group_inverse(S, q)
+    assert np.max(np.abs(lifted - qhit.group_inverse(A).Asharp)) < 1e-10
+    if case in PRINTED_ASHARP:
+        assert np.max(np.abs(lifted - PRINTED_ASHARP[case])) < 1e-10
+    assert qhit.index(A) == qhit.index(np.eye(S.dim**2) - S.mat)

@@ -1,8 +1,9 @@
 """Generalized, Drazin and group inverses of A = I - (map representation).
 
-Two independent constructions of the group inverse are provided: an ordered
-Schur split separating ker(A) from its complementary invariant subspace, and
-the resolvent limit (A^2 + zI)^{-1} A as z -> 0.  They cross-check each other.
+Two independent constructions of the group inverse are provided: the
+spectral-projector form (A + cE)^{-1} - E/c, with E the projector onto ker(A)
+along range(A) taken from the kernel pair of one SVD, and the resolvent limit
+(A^2 + zI)^{-1} A as z -> 0.  They cross-check each other.
 """
 
 from __future__ import annotations
@@ -11,14 +12,12 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import NoGroupInverseError, NumericalError, ValidationError
 from .matrep import as_complex
 
 RANK_REL_TOL = 1e-10
 AXIOM_REL_TOL = 1e-9
-ZERO_EIG_TOL = 1e-9
 PAIRING_TOL = 1e-12
 
 
@@ -51,22 +50,25 @@ def fixed_space(rep, e_I) -> tuple:
 
     One full SVD of A = I - rep, cut by the rank rule of
     :func:`rank_with_margin`.  Returns ``(kernel, x)``: the columns of
-    ``kernel`` are an orthonormal basis of ker(A), and x is a fixed vector
+    ``kernel`` are an orthonormal basis X of ker(A), and x is a fixed vector
     with <e_I|x> = 1, or None when the kernel holds no vector of nonzero
     trace.  On a line x is the null vector itself; on a larger kernel it is
-    e_I pushed through the ergodic projector I - A^# A.
+    E e_I, where E = X (Y* X)^{-1} Y* is the ergodic projector I - A^# A
+    (see :func:`group_inverse`) and Y the basis of ker(A*) from the same
+    SVD.  Raises :class:`NoGroupInverseError` when index(A) > 1.
     """
-    A = np.eye(rep.shape[0]) - rep
-    _, s, Vh = np.linalg.svd(A)
-    k = s.size - _rank_cut(s)
-    kernel = Vh[s.size - k:].conj().T
+    ind, _, Y, X = _index_and_rank(np.eye(rep.shape[0]) - rep)
+    if ind > 1:
+        raise NoGroupInverseError(f"matrix has index {ind} > 1, no group inverse")
+    k = X.shape[1]
     if k == 0:
-        return kernel, None
-    x = kernel[:, 0] if k == 1 else group_inverse(A).ergodic_projector @ e_I
+        return X, None
+    Yh = Y.conj().T
+    x = X[:, 0] if k == 1 else X @ np.linalg.solve(Yh @ X, Yh @ e_I)
     total = np.vdot(e_I, x)
     if abs(total) < PAIRING_TOL:
-        return kernel, None
-    return kernel, x / total
+        return X, None
+    return X, x / total
 
 
 def index(A) -> int:
@@ -85,28 +87,31 @@ def index(A) -> int:
 
 
 def _index_and_rank(A) -> tuple:
-    """``(index(A), rank(A))``, both from the one SVD of :func:`index`."""
+    """``(index(A), rank(A), Y, X)``, all from the one SVD A = U S V* of
+    :func:`index`: Y = U_0 and X = V_0, the singular vectors past the rank
+    cut, are orthonormal bases of ker(A*) and ker(A)."""
     A = as_complex(A)
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValidationError("index is defined for square matrices only")
     U, s, Vh = np.linalg.svd(A)
     rank = _rank_cut(s)
+    Y = U[:, rank:]
+    X = Vh[rank:].conj().T
     if rank == n:
-        return 0, rank
-    cosines = np.linalg.svd(U[:, rank:].conj().T @ Vh[rank:].conj().T,
-                            compute_uv=False)
+        return 0, rank, Y, X
+    cosines = np.linalg.svd(Y.conj().T @ X, compute_uv=False)
     if cosines[-1] > RANK_REL_TOL:
-        return 1, rank
+        return 1, rank, Y, X
     power = A @ A
     prev_rank = rank_with_margin(power)
     for m in range(2, n + 1):
         power = power @ A
         r = rank_with_margin(power)
         if r == prev_rank:
-            return m, rank
+            return m, rank, Y, X
         prev_rank = r
-    return n, rank  # unreachable: ranks strictly decrease at most n times
+    return n, rank, Y, X  # unreachable: ranks strictly decrease at most n times
 
 
 @dataclass(frozen=True)
@@ -118,56 +123,41 @@ class GroupInverse:
 
 
 def group_inverse(A) -> GroupInverse:
-    """Group inverse via an ordered (complex) Schur split.
+    """Group inverse A^# = (A + cE)^{-1} - E/c, from the kernel pair of one SVD.
 
-    The kernel dimension k = n - rank(A) comes from the SVD of :func:`index`,
-    i.e. from the relative rank rule, so the split does not depend on the
-    scale of A.  The k eigenvalues of smallest modulus in one unsorted Schur
-    form are moved to the front (LAPACK ``ztrsen``, the reordering ``zgees``
-    itself applies when asked to sort); the off-diagonal coupling is removed
-    with a Sylvester solve so that ``A = X diag(0, C) X^{-1}`` with C
-    invertible, and the inverse is ``X diag(0, C^{-1}) X^{-1}``.
+    The SVD of :func:`index`, cut by the relative rank rule, gives orthonormal
+    bases Y of ker(A*) and X of ker(A).  Index <= 1 means that ker(A) and
+    range(A) = ker(A*)^perp are complementary, i.e. that Y* X is invertible,
+    and then E = X (Y* X)^{-1} Y* is the projector onto ker(A) along range(A).
+    With A = P diag(0, C) P^{-1}, C invertible, E = P diag(I, 0) P^{-1} and
+
+        A + cE = P diag(cI, C) P^{-1},
+
+    whose inverse minus E/c is P diag(0, C^{-1}) P^{-1} = A^#.  The scale
+    c = max|A| keeps the kernel block cI level with C, so the one LU does
+    not depend on the scale of A.
     """
     A = as_complex(A)
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValidationError("group inverse is defined for square matrices only")
-    ind, rank = _index_and_rank(A)
+    ind, rank, Y, X = _index_and_rank(A)
     if ind > 1:
         raise NoGroupInverseError(f"matrix has index {ind} > 1, no group inverse")
 
-    k = n - rank
-    if k == 0:
+    if rank == n:
         Asharp = np.linalg.inv(A)
-    elif k == n:
+    elif rank == 0:
         Asharp = np.zeros_like(A)
     else:
-        T, Zs = sla.schur(A, output="complex")
-        select = np.zeros(n, dtype=np.int32)
-        select[np.argsort(np.abs(np.diag(T)), kind="stable")[:k]] = 1
-        T, Zs, _, _, _, _, info = sla.lapack.ztrsen(select, T, Zs, job="N")
-        if info != 0:
-            raise NumericalError("reordering the Schur form failed")
-        T11 = T[:k, :k]
-        T12 = T[:k, k:]
-        T22 = T[k:, k:]
-        if np.max(np.abs(T11)) > ZERO_EIG_TOL * max(1.0, np.max(np.abs(A))):
-            raise NumericalError("kernel block of the Schur split is not negligible")
-        # decouple: [[0, T12], [0, T22]] = W diag(0, T22) W^{-1}, W = [[I, R], [0, I]]
-        # with 0*R - R*T22 = -T12, i.e. R = T12 T22^{-1}
-        R = np.linalg.solve(T22.conj().T, T12.conj().T).conj().T
-        if np.max(np.abs(R)) > 1e8:
+        YX_inv = np.linalg.inv(Y.conj().T @ X)
+        if np.linalg.norm(YX_inv, 2) > 1e8:  # ||E|| = 1 / sigma_min(Y* X)
             warnings.warn(
                 "kernel/range split is badly conditioned", RuntimeWarning, stacklevel=2
             )
-        C_inv = np.linalg.inv(T22)
-        W = np.eye(n, dtype=np.complex128)
-        W[:k, k:] = R
-        W_inv = np.eye(n, dtype=np.complex128)
-        W_inv[:k, k:] = -R
-        M = np.zeros_like(T)
-        M[k:, k:] = C_inv
-        Asharp = Zs @ (W @ M @ W_inv) @ Zs.conj().T
+        E = X @ YX_inv @ Y.conj().T
+        c = np.max(np.abs(A))
+        Asharp = np.linalg.inv(A + c * E) - E / c
 
     GA = check_group_axioms(A, Asharp)
     return GroupInverse(A=A, Asharp=Asharp, index=ind, ergodic_projector=np.eye(n) - GA)

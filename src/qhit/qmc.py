@@ -127,7 +127,7 @@ def induce(S: SuperOp, V: GoalSubspace) -> QMC:
 
 def induced_group_inverse(S: SuperOp, q: QMC) -> np.ndarray:
     """Group inverse of A = I - Phi for the induced chain q = induce(S, V),
-    lifted from the channel's (I - S)^#: one Schur split of order n^2, not 2n^2.
+    lifted from the channel's (I - S)^#: one group inverse of order n^2, not 2n^2.
 
     Phi = C R, with C = column block 0 of Phi, i.e. [(I - Q.Q) S; Q.Q S], and
     R = [I I]; then R C = S.  Let Z = I - S, E = I - Z^# Z its ergodic

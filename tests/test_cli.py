@@ -1,6 +1,8 @@
 """Command-line interface: corpus regressions, determinism and exit codes."""
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -118,3 +120,22 @@ def test_hitting_dump_intermediates(capsys):
     doc = json.loads(out)
     assert "intermediates" in doc["methods"]["analytic"]
     assert "K" in doc["methods"]["analytic"]["intermediates"]
+
+
+def test_cli_runs_without_scipy():
+    # numpy is the only runtime dependency: a fresh process that runs the
+    # corpus commands must never load a scipy module
+    runs = [["hitting", f"{CORPUS}/{name}.json", "--json"]
+            for name in ("sec5", "hadamard", "order4", "randomization")]
+    runs.append(["ginverse", f"{CORPUS}/hadamard.json", "--json"])
+    code = "\n".join([
+        "import contextlib, io, sys",
+        f"sys.path.insert(0, {str(ROOT / 'src')!r})",
+        "from qhit.cli import main",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        f"    codes = [main(argv) for argv in {runs!r}]",
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    out = subprocess.run([sys.executable, "-c", code], cwd=ROOT, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[0, 0, 0, 0, 0] []"

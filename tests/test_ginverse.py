@@ -52,9 +52,9 @@ def test_group_inverse_axioms_random_channels():
             assert np.max(np.abs(A @ G - G @ A)) < 1e-9 * max(scale, np.max(np.abs(G)))
 
 
-def test_group_inverse_splits_schur_form_by_rank():
+def test_group_inverse_splits_kernel_by_rank():
     # Z = I - S of a lazy channel has max|Z| ~ 2e-3 and a nonzero eigenvalue
-    # of 8e-10; an absolute 1e-9 sort would put it into the kernel block
+    # of 8e-10; an absolute 1e-9 cut would put it into the kernel
     T = random_tp_channel(np.random.default_rng(0), 2)
     H = qhit.unitary_superop(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
     S = qhit.randomize(qhit.randomize(T, H, 1e-6), qhit.identity_superop(2), 1e-3)
@@ -88,12 +88,24 @@ def test_rotation_group_inverse_matches_printed():
     assert np.max(np.abs(qhit.group_inverse(A).Asharp - A0_SHARP)) < 1e-10
 
 
-def test_drazin_limit_agrees_with_schur_construction():
+def test_drazin_limit_agrees_with_group_inverse():
     S = random_tp_channel(RNG, 3)
     A = np.eye(9) - S.mat
     gs = qhit.group_inverse(A)
     dl = qhit.drazin_limit(A)
     assert np.max(np.abs(dl.estimate - gs.Asharp)) < 1e-6
+
+
+def test_group_inverse_on_a_two_dimensional_kernel(hadamard):
+    # I - S of the Hadamard channel has a kernel of dimension 2; the eighths
+    # are the values the ordered Schur split gave, to 2e-16
+    A = np.eye(4) - hadamard["S"].mat
+    assert rank_with_margin(A) == 2
+    Asharp = qhit.group_inverse(A).Asharp
+    schur = np.array([[1, -1, -1, -1], [-1, 3, -1, 1],
+                      [-1, -1, 3, 1], [-1, 1, 1, 1]]) / 8
+    assert np.max(np.abs(Asharp - schur)) < 1e-12
+    assert np.max(np.abs(qhit.drazin_limit(A).estimate - Asharp)) < 1e-6
 
 
 def test_ergodic_projector_matches_cesaro_mean(sec5):

@@ -7,23 +7,21 @@ two-site chain.
 """
 
 from .channel import (ChannelDiagnostics, GoalSubspace, KrausChannel,
-                      assumption_one_holds, choi_matrix, diagnose,
-                      fixed_states, is_completely_positive, is_density,
+                      assumption_one_holds, diagnose, fixed_states, is_density,
                       pure_density, randomize, represent, unitary_superop,
                       validate)
 from .errors import (DimensionError, NoGroupInverseError, NotIrreducibleError,
                      NumericalError, QhitError, SpectralObstructionError,
                      ValidationError)
-from .ginverse import (GInverse, GroupInverse, drazin_limit, group_inverse,
+from .ginverse import (GroupInverse, drazin_limit, group_inverse,
                        hunter_ginverse, hunter_special, index)
 from .hitting import HittingMaps, analytic_HK, fundamental_map, mhtf_tau, tau_from_K
 from .ksmh import (KsmhKernel, QmcHittingOperators, first_step_operator_L,
                    kernel_limit_study, ksmh_kernel, qmc_hitting_operators,
                    tau_channel, tau_irreducible_qmc)
-from .matrep import (SuperOp, add, apply, close, compose, conj_kron,
-                     identity_superop, kron, power, scale, unvec, vec)
+from .matrep import SuperOp, apply, conj_kron, identity_superop, unvec, vec
 from .monitor import (MonitorSeries, SeriesConfig, first_visit_series,
-                      generating_function, site_visit_series, step_prob)
+                      site_visit_series)
 from .qmc import (QMC, VecState, fixed_map, fixed_space_dim, from_oqw, induce,
                   induced_group_inverse, site_projectors, stationary_density)
 

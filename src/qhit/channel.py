@@ -8,8 +8,9 @@ import numpy as np
 
 from . import ginverse
 from .errors import DimensionError, ValidationError
-from .matrep import DEFAULT_ATOL, SuperOp, as_complex, conj_kron, unvec, vec
+from .matrep import SuperOp, as_complex, conj_kron, unvec, vec
 
+DEFAULT_ATOL = 1e-10
 EIG_ONE_TOL = 1e-9
 PSD_TOL = 1e-10
 TP_TOL = 1e-9
@@ -86,23 +87,6 @@ def pure_density(phi) -> np.ndarray:
         raise ValidationError("zero vector is not a state")
     phi = phi / nrm
     return np.outer(phi, phi.conj())
-
-
-def choi_matrix(S: SuperOp) -> np.ndarray:
-    """Choi matrix of the map, C = sum_ij |i><j| kron T(|i><j|)."""
-    n = S.dim
-    C = np.zeros((n * n, n * n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            Eij = np.zeros((n, n), dtype=np.complex128)
-            Eij[i, j] = 1.0
-            C[i * n:(i + 1) * n, j * n:(j + 1) * n] = S(Eij)
-    return C
-
-
-def is_completely_positive(S: SuperOp, tol: float = 1e-9) -> bool:
-    """Choi-matrix PSD test; mainly for maps loaded as raw representations."""
-    return is_positive_semidefinite(choi_matrix(S), tol=tol)
 
 
 def fixed_states(S: SuperOp) -> list:
@@ -193,18 +177,14 @@ def validate(ch: KrausChannel) -> ChannelDiagnostics:
 
 @dataclass(frozen=True)
 class GoalSubspace:
-    """Goal subspace V with projectors P, Q = I - P and their representations.
-
-    PP, QQ, RR are the n^2 x n^2 representations of P.P, Q.Q and PQ.+QP..
-    """
+    """Goal subspace V with projectors P, Q = I - P; QQ is the n^2 x n^2
+    representation of X -> Q X Q."""
 
     ambient_dim: int
     basis: np.ndarray  # n x d, orthonormal columns
     P: np.ndarray = field(init=False)
     Q: np.ndarray = field(init=False)
-    PP: np.ndarray = field(init=False)
     QQ: np.ndarray = field(init=False)
-    RR: np.ndarray = field(init=False)
 
     def __post_init__(self):
         B = as_complex(self.basis)
@@ -217,9 +197,7 @@ class GoalSubspace:
         Q = np.eye(self.ambient_dim) - P
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "PP", conj_kron(P))
         object.__setattr__(self, "QQ", conj_kron(Q))
-        object.__setattr__(self, "RR", np.kron(P, Q.conj()) + np.kron(Q, P.conj()))
 
     @property
     def dim(self) -> int:
@@ -240,13 +218,17 @@ class GoalSubspace:
         return cls(ambient_dim=n, basis=Qmat[:, keep])
 
     def contains(self, rho, tol: float = 1e-8) -> bool:
-        """Whether a density is supported in V."""
-        v = vec(rho)
-        return bool(np.max(np.abs(self.PP @ v - v)) <= tol)
+        """Whether a density is supported in V: P rho P = rho."""
+        return _sandwich_fixes(self.P, rho, tol)
 
     def contains_perp(self, rho, tol: float = 1e-8) -> bool:
-        v = vec(rho)
-        return bool(np.max(np.abs(self.QQ @ v - v)) <= tol)
+        """Whether a density is supported in V-perp: Q rho Q = rho."""
+        return _sandwich_fixes(self.Q, rho, tol)
+
+
+def _sandwich_fixes(P, rho, tol: float) -> bool:
+    rho = as_complex(rho)
+    return bool(np.max(np.abs(P @ rho @ P - rho)) <= tol)
 
 
 def assumption_one_holds(S: SuperOp, V: GoalSubspace, tol: float = EIG_ONE_TOL):

@@ -338,10 +338,9 @@ def cmd_ginverse(args) -> int:
             if val is not None:
                 kw[name] = _parse_cli_vector(val, name)
         if "t" in kw or "g" in kw:
-            gi = ginv.hunter_ginverse(q, **kw)
+            G = ginv.hunter_ginverse(q, **kw)
         else:
-            gi = ginv.hunter_special(q, u=kw.get("u"), f=kw.get("f"))
-        G = gi.G
+            G = ginv.hunter_special(q, u=kw.get("u"), f=kw.get("f"))
         report["residuals"] = {"AGA-A": _fmt(np.max(np.abs(A @ G @ A - A)))}
         report["G"] = _jmatrix(G)
     emit(report, args.json)

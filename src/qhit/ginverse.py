@@ -9,7 +9,7 @@ along range(A) taken from the kernel pair of one SVD, and the resolvent limit
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -218,14 +218,6 @@ def drazin_limit(A, z_schedule=(1e-4, 1e-5, 1e-6)) -> DrazinLimit:
     return DrazinLimit(estimate=est, z_values=zs, residuals=tuple(residuals))
 
 
-@dataclass(frozen=True)
-class GInverse:
-    A: np.ndarray
-    G: np.ndarray
-    kind: str  # hunter-family | group | fundamental | external
-    params: dict = field(default_factory=dict)
-
-
 def verify_ginverse(A, G, rel_tol: float = AXIOM_REL_TOL) -> float:
     """Return the defect max|AGA - A|; raise if it exceeds rel_tol * max|A|."""
     defect = float(np.max(np.abs(A @ G @ A - A)))
@@ -234,7 +226,7 @@ def verify_ginverse(A, G, rel_tol: float = AXIOM_REL_TOL) -> float:
     return defect
 
 
-def hunter_ginverse(q, t=None, u=None, f=None, g=None) -> GInverse:
+def hunter_ginverse(q, t=None, u=None, f=None, g=None) -> np.ndarray:
     """Parametric g-inverse family of I - Phi for an irreducible QMC.
 
     G = (I - Phi + |t><u|)^{-1} + |pi><f| + |g><e_I|, requiring <e_I|t> != 0
@@ -270,16 +262,13 @@ def hunter_ginverse(q, t=None, u=None, f=None, g=None) -> GInverse:
     G = np.linalg.inv(A + np.outer(t, u.conj()))
     G = G + np.outer(pi, f.conj()) + np.outer(g, e_I.conj())
     verify_ginverse(A, G)
-    return GInverse(A=A, G=G, kind="hunter-family", params={"t": t, "u": u, "f": f, "g": g})
+    return G
 
 
-def hunter_special(q, u=None, f=None) -> GInverse:
+def hunter_special(q, u=None, f=None) -> np.ndarray:
     """The KSMH-ready special form G = (I - Phi + |u><e_I|)^{-1} + |f><e_I|.
 
     This is the Hunter family at t = u, bra fixed to <e_I|, which makes the
     plain kernel D(I - G + G_d E) valid without the fixed-map correction.
     """
-    e_I = q.identity_vec()
-    gi = hunter_ginverse(q, t=u, u=e_I, f=None, g=f)
-    return GInverse(A=gi.A, G=gi.G, kind="hunter-family",
-                    params={"u": gi.params["t"], "f": gi.params["g"], "special": True})
+    return hunter_ginverse(q, t=u, u=q.identity_vec(), f=None, g=f)

@@ -28,6 +28,8 @@ class HittingMaps:
 
         Index 1 selects I - QQ (the V side), index 2 selects QQ.
         """
+        if i not in (1, 2) or j not in (1, 2):
+            raise ValueError(f"block indices must be 1 or 2, got ({i}, {j})")
         V = self.subspace
         n2 = V.ambient_dim**2
         left = (np.eye(n2) - V.QQ) if i == 1 else V.QQ

@@ -31,15 +31,6 @@ def _diagonal_blocks(M, n_sites: int, k: int) -> list:
     return [M[site_slice(i, k), site_slice(i, k)] for i in range(n_sites)]
 
 
-def diag_blocks(M, n_sites: int, k: int) -> np.ndarray:
-    """Block-diagonal part: zero everywhere except the diagonal k^2 blocks."""
-    M = np.asarray(M, dtype=np.complex128)
-    out = np.zeros_like(M)
-    for i, block in enumerate(_diagonal_blocks(M, n_sites, k)):
-        out[site_slice(i, k), site_slice(i, k)] = block
-    return out
-
-
 def _diag_blocks_E(M, n_sites: int, k: int) -> np.ndarray:
     """M_d E, with E the grid of identity blocks: row block i is M_ii repeated
     across every column block."""
@@ -295,8 +286,7 @@ def tau_channel(S: SuperOp, V: GoalSubspace, rho, method: str,
         if not diag.is_irreducible:
             return TauReport(method=method, tau=None, ok=False, preconditions=pre,
                              detail="channel is not irreducible; use ksmh-group")
-        gi = ginverse.hunter_special(q)
-        G = gi.G
+        G = ginverse.hunter_special(q)
         variant = "plain"
     else:  # ksmh-group
         G = induced_group_inverse(S, q)
@@ -356,11 +346,11 @@ def kernel_limit_study(T: SuperOp, Mprime: SuperOp, V: GoalSubspace, p_values,
     for p in ps:
         q = induce(randomize(T, Mprime, p), V)
         ops = qmc_hitting_operators(q)
-        gi = ginverse.hunter_special(q, u=t, f=f)
-        kern = ksmh_kernel(q, ops.D, gi.G)
+        G = ginverse.hunter_special(q, u=t, f=f)
+        kern = ksmh_kernel(q, ops.D, G)
         tau = tau_irreducible_qmc(q, kern, 0, 1, rho)
         points.append(KernelLimitPoint(p=p, tau=tau,
-                                       g_norm=float(np.linalg.norm(gi.G, 2)),
+                                       g_norm=float(np.linalg.norm(G, 2)),
                                        kernel=kern.kernel))
 
     # polynomial (Lagrange) extrapolation to p = 0 from the three smallest p

@@ -14,13 +14,11 @@ import numpy as np
 
 from .errors import DimensionError, ValidationError
 
-DEFAULT_ATOL = 1e-10
-
 
 def as_complex(A) -> np.ndarray:
     """Coerce input to a complex128 ndarray and reject non-finite entries."""
     M = np.asarray(A, dtype=np.complex128)
-    if not np.all(np.isfinite(M.view(np.float64))):
+    if not np.all(np.isfinite(M.real) & np.isfinite(M.imag)):
         raise ValidationError("matrix contains NaN or Inf entries")
     return M
 
@@ -38,11 +36,6 @@ def unvec(v, rows: int, cols: int) -> np.ndarray:
             f"vector of length {v.size} cannot fill a {rows}x{cols} matrix"
         )
     return v.reshape(rows, cols)
-
-
-def kron(A, B) -> np.ndarray:
-    """Kronecker product."""
-    return np.kron(as_complex(A), as_complex(B))
 
 
 def conj_kron(B) -> np.ndarray:
@@ -81,36 +74,3 @@ def apply(S: SuperOp, X) -> np.ndarray:
     if X.shape != (S.dim, S.dim):
         raise DimensionError(f"expected a {S.dim}x{S.dim} matrix, got {X.shape}")
     return unvec(S.mat @ vec(X), S.dim, S.dim)
-
-
-def _same_dim(S1: SuperOp, S2: SuperOp):
-    if S1.dim != S2.dim:
-        raise DimensionError(f"superoperator dims differ: {S1.dim} vs {S2.dim}")
-
-
-def compose(S1: SuperOp, S2: SuperOp) -> SuperOp:
-    """Composition S1 after S2."""
-    _same_dim(S1, S2)
-    return SuperOp(S1.dim, S1.mat @ S2.mat)
-
-
-def add(S1: SuperOp, S2: SuperOp) -> SuperOp:
-    _same_dim(S1, S2)
-    return SuperOp(S1.dim, S1.mat + S2.mat)
-
-
-def scale(S: SuperOp, c: complex) -> SuperOp:
-    return SuperOp(S.dim, c * S.mat)
-
-
-def power(S: SuperOp, m: int) -> SuperOp:
-    if m < 0:
-        raise ValueError("negative powers are not defined for general maps")
-    return SuperOp(S.dim, np.linalg.matrix_power(S.mat, m))
-
-
-def close(A, B, atol: float = DEFAULT_ATOL) -> bool:
-    """Entrywise absolute comparison with the package default tolerance."""
-    A = np.asarray(A, dtype=np.complex128)
-    B = np.asarray(B, dtype=np.complex128)
-    return A.shape == B.shape and bool(np.max(np.abs(A - B), initial=0.0) <= atol)

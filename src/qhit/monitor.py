@@ -1,4 +1,4 @@
-"""Monitoring formalism: first-visit series and the generating function.
+"""Monitoring formalism: first-visit series to a goal subspace or a site.
 
 This module is the brute-force oracle: probabilities come from summing
 Tr(P T (Q T)^{r-1} rho) term by term, with no analytic shortcuts.
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import GoalSubspace, is_density
-from .errors import SpectralObstructionError, ValidationError
+from .errors import ValidationError
 from .matrep import SuperOp, vec
 from .qmc import QMC, VecState, site_projectors
 
@@ -83,18 +83,6 @@ def _run_series(step_mat, goal_proj, stay_proj, trace_vec, v0, config: SeriesCon
     )
 
 
-def step_prob(S: SuperOp, V: GoalSubspace, rho, r: int) -> float:
-    """p_r = Tr(P T^r rho): probability of being in V after r steps."""
-    if r < 1:
-        raise ValidationError("step index must be at least 1")
-    if not is_density(rho):
-        raise ValidationError("initial state must be a density matrix")
-    eI = vec(np.eye(S.dim))
-    x = np.linalg.matrix_power(S.mat, r) @ vec(rho)
-    p = _real_trace(complex(np.vdot(eI, V.PP @ x)))
-    return min(max(p, 0.0), 1.0)
-
-
 def first_visit_series(S: SuperOp, V: GoalSubspace, rho,
                        config: SeriesConfig | None = None) -> MonitorSeries:
     """Direct summation of the first-visit series for subspace V.
@@ -108,7 +96,9 @@ def first_visit_series(S: SuperOp, V: GoalSubspace, rho,
     config = config or SeriesConfig()
     n = S.dim
     eI = vec(np.eye(n))
-    goal = np.eye(n * n) - V.QQ  # same trace as PP: RR projects onto traceless matrices
+    # I - Q.Q keeps P X P and the traceless cross terms P X Q + Q X P, so its
+    # trace is Tr(P X P)
+    goal = np.eye(n * n) - V.QQ
     return _run_series(S.mat, goal, V.QQ, eI, vec(rho), config)
 
 
@@ -120,15 +110,3 @@ def site_visit_series(q: QMC, target: int, state: VecState,
     Q = np.eye(q.dim) - P
     return _run_series(q.rep, P, Q, q.identity_vec(), state.data, config)
 
-
-def generating_function(S: SuperOp, V: GoalSubspace, z: complex) -> SuperOp:
-    """G(z) = z T (I - z QT)^{-1}; the hitting series in resolvent form."""
-    n2 = S.dim**2
-    M = np.eye(n2) - z * (V.QQ @ S.mat)
-    if np.linalg.cond(M) > 1e14:
-        eigvals = np.linalg.eigvals(V.QQ @ S.mat)
-        bad = [lam for lam in eigvals if abs(z * lam - 1.0) < 1e-6]
-        raise SpectralObstructionError(
-            f"resolvent singular at z={z}: z*lambda = 1", eigenvalues=bad
-        )
-    return SuperOp(S.dim, z * S.mat @ np.linalg.inv(M))

@@ -2,17 +2,14 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import ginverse
-from .channel import GoalSubspace, hermitize, is_positive_semidefinite
+from .channel import TP_TOL, GoalSubspace, hermitize
 from .errors import DimensionError, NotIrreducibleError, ValidationError
 from .matrep import SuperOp, as_complex, conj_kron, unvec, vec
-
-TP_TOL = 1e-10
 
 
 def site_slice(i: int, k: int) -> slice:
@@ -99,7 +96,7 @@ def from_oqw(B) -> QMC:
     k = mats[0][0].shape[0]
     for j in range(n):
         acc = sum(mats[i][j].conj().T @ mats[i][j] for i in range(n))
-        if np.max(np.abs(acc - np.eye(k))) > 1e-10:
+        if np.max(np.abs(acc - np.eye(k))) > TP_TOL:
             raise ValidationError(
                 f"OQW column {j} violates sum_i B_ij* B_ij = I"
             )
@@ -164,18 +161,9 @@ def stationary_density(q: QMC) -> VecState:
         raise ValidationError("fixed space holds no state of nonzero trace")
     # re-hermitize blockwise to absorb roundoff; blocks of an induced chain's
     # fixed vector carry the cross terms P pi Q + Q pi P and need not be PSD
-    blocks = []
-    for i in range(q.n_sites):
-        X = hermitize(unvec(fixed[site_slice(i, q.k)], q.k, q.k))
-        if not is_positive_semidefinite(X, tol=1e-8):
-            warnings.warn(
-                f"fixed-state block {i} is not positive semidefinite; "
-                "this is expected for induced chains of generic channels",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        blocks.append(X)
-    return VecState.from_blocks(blocks)
+    return VecState.from_blocks(
+        [hermitize(unvec(fixed[site_slice(i, q.k)], q.k, q.k))
+         for i in range(q.n_sites)])
 
 
 def fixed_space_dim(q: QMC) -> int:

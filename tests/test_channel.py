@@ -79,22 +79,6 @@ def test_diagnose_near_reducible_mixtures(seed, q, p):
         assert np.allclose(S(X), X, atol=1e-8)
 
 
-def test_choi_positive_for_random_channels():
-    for _ in range(5):
-        S = random_tp_channel(RNG, 3)
-        assert qhit.is_completely_positive(S)
-
-
-def test_choi_negative_for_transpose_map():
-    # the transpose map is positive but not completely positive
-    n = 2
-    M = np.zeros((4, 4))
-    for i in range(n):
-        for j in range(n):
-            M[(i * n + j), (j * n + i)] = 1.0
-    assert not qhit.is_completely_positive(qhit.SuperOp(2, M))
-
-
 def test_is_density_and_pure_density():
     phi = np.array([1, 1j]) / np.sqrt(2)
     rho = qhit.pure_density(phi)
@@ -107,9 +91,9 @@ def test_goal_subspace_projectors(sec5):
     P, Q = V.P, V.Q
     assert np.allclose(P @ P, P)
     assert np.allclose(P + Q, np.eye(2))
-    # superoperator projectors resolve the identity
-    assert np.allclose(V.PP + V.QQ + V.RR, np.eye(4))
-    assert np.allclose(V.PP @ V.QQ, 0)
+    # QQ represents the sandwich X -> Q X Q
+    assert np.allclose(V.QQ, np.kron(Q, Q.conj()))
+    assert np.allclose(V.QQ @ V.QQ, V.QQ)
 
 
 def test_goal_subspace_contains(sec5):
@@ -117,6 +101,16 @@ def test_goal_subspace_contains(sec5):
     assert V.contains(np.outer(psi, psi))
     assert not V.contains(np.outer(phi, phi))
     assert V.contains_perp(np.outer(phi, phi))
+
+
+def test_goal_subspace_from_two_vectors():
+    # the kept columns of the QR factor are a non-contiguous view
+    V = qhit.GoalSubspace.from_vectors([[1, 0, 0], [1, 1, 0]])
+    assert V.dim == 2
+    assert np.allclose(V.P, np.diag([1.0, 1.0, 0.0]))
+    assert V.contains(np.diag([0.5, 0.5, 0.0]))
+    assert V.contains_perp(np.diag([0.0, 0.0, 1.0]))
+    assert not V.contains(np.eye(3) / 3)
 
 
 def test_assumption_one_hadamard_cases(hadamard):

@@ -35,6 +35,7 @@ CORPUS_CASES = [
     (["hitting", f"{CORPUS}/order4.json", "--json"], "hitting_order4.json"),
     (["hitting", f"{CORPUS}/randomization.json", "--json"],
      "hitting_randomization.json"),
+    (["hitting", f"{CORPUS}/goal2.json", "--json"], "hitting_goal2.json"),
     (["ginverse", f"{CORPUS}/hadamard.json", "--json"], "ginverse_hadamard.json"),
     (["sweep", f"{CORPUS}/randomization.json", "--values", "1,0.5,0.1,0.01",
       "--json"], "sweep_randomization.json"),
@@ -126,7 +127,7 @@ def test_cli_runs_without_scipy():
     # numpy is the only runtime dependency: a fresh process that runs the
     # corpus commands must never load a scipy module
     runs = [["hitting", f"{CORPUS}/{name}.json", "--json"]
-            for name in ("sec5", "hadamard", "order4", "randomization")]
+            for name in ("sec5", "hadamard", "order4", "randomization", "goal2")]
     runs.append(["ginverse", f"{CORPUS}/hadamard.json", "--json"])
     code = "\n".join([
         "import contextlib, io, sys",
@@ -138,4 +139,4 @@ def test_cli_runs_without_scipy():
     ])
     out = subprocess.run([sys.executable, "-c", code], cwd=ROOT, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[0, 0, 0, 0, 0] []"
+    assert out.strip() == "[0, 0, 0, 0, 0, 0] []"

@@ -64,9 +64,12 @@ def test_tau_from_K_matches_series_on_random_channels():
 
 def test_blocks_resolve_K(sec5):
     maps = qhit.analytic_HK(sec5["S"], sec5["V"])
-    total = (maps.K_block(0, 0) + maps.K_block(0, 1)
-             + maps.K_block(1, 0) + maps.K_block(1, 1))
+    total = (maps.K_block(1, 1) + maps.K_block(1, 2)
+             + maps.K_block(2, 1) + maps.K_block(2, 2))
     assert np.allclose(total, maps.K.mat)
+    for i, j in ((0, 1), (1, 0), (2, 3)):
+        with pytest.raises(ValueError):
+            maps.K_block(i, j)
 
 
 def test_analytic_HK_requires_assumption_one(hadamard):

@@ -1,33 +1,19 @@
 """Monitored-evolution series: first-visit probabilities and their sums."""
 
 import numpy as np
-import pytest
 
 import qhit
-from qhit.errors import SpectralObstructionError
 
 RNG = np.random.default_rng(11)
 
 
-def test_step_prob_hadamard_first_step(hadamard):
-    # |<e1|U e2>|^2 = 1/2
-    p1 = qhit.step_prob(hadamard["S"], hadamard["V"], hadamard["rho_phi"], 1)
-    assert abs(p1 - 0.5) < 1e-12
-
-
 def test_step_prob_matches_first_series_term(sec5):
-    # before any monitoring has occurred the two notions coincide at r = 1
-    ser = qhit.first_visit_series(sec5["S"], sec5["V"], sec5["rho_phi"])
-    p1 = qhit.step_prob(sec5["S"], sec5["V"], sec5["rho_phi"], 1)
+    # before any monitoring has occurred the first term is Tr(P T rho)
+    S, V, rho = sec5["S"], sec5["V"], sec5["rho_phi"]
+    ser = qhit.first_visit_series(S, V, rho)
+    p1 = np.trace(V.P @ S(rho)).real
     assert ser.terms[0][0] == 1
     assert abs(ser.terms[0][1] - p1) < 1e-12
-
-
-def test_step_prob_identity_channel_state_in_V(sec5):
-    S_id = qhit.identity_superop(2)
-    psi = sec5["psi"]
-    for r in (1, 3, 7):
-        assert abs(qhit.step_prob(S_id, sec5["V"], np.outer(psi, psi), r) - 1.0) < 1e-12
 
 
 def test_series_tau_six(sec5):
@@ -83,21 +69,3 @@ def test_site_visit_series_matches_channel_series(sec5):
     ser_c = qhit.first_visit_series(sec5["S"], V, rho)
     assert abs(ser_q.tau - ser_c.tau) < 1e-8
 
-
-def test_generating_function_at_one_matches_resolvent(sec5):
-    G1 = qhit.generating_function(sec5["S"], sec5["V"], 1.0)
-    QQ = sec5["V"].QQ
-    expected = sec5["S"].mat @ np.linalg.inv(np.eye(4) - QQ @ sec5["S"].mat)
-    assert np.allclose(G1.mat, expected)
-
-
-def test_generating_function_at_zero_is_zero(sec5):
-    G0 = qhit.generating_function(sec5["S"], sec5["V"], 0.0)
-    assert np.max(np.abs(G0.mat)) == 0.0
-
-
-def test_generating_function_obstruction(hadamard):
-    alpha = 0.5 * np.sqrt(2 + np.sqrt(2))
-    Vbad = qhit.GoalSubspace.from_vectors([[alpha, np.sqrt(1 - alpha**2)]])
-    with pytest.raises(SpectralObstructionError):
-        qhit.generating_function(hadamard["S"], Vbad, 1.0)

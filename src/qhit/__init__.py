@@ -23,6 +23,6 @@ from .matrep import SuperOp, apply, conj_kron, identity_superop, unvec, vec
 from .monitor import (MonitorSeries, SeriesConfig, first_visit_series,
                       site_visit_series)
 from .qmc import (QMC, VecState, fixed_map, fixed_space_dim, from_oqw, induce,
-                  induced_group_inverse, site_projectors, stationary_density)
+                  induced_group_inverse, stationary_density)
 
 __version__ = "0.1.0"

@@ -179,14 +179,3 @@ def fixed_map(q: QMC) -> np.ndarray:
         )
     pi = q.stationary_vec()
     return np.outer(pi, q.identity_vec().conj())
-
-
-def site_projectors(q: QMC) -> list:
-    """Diagonal 0/1 block projectors P_i selecting site i."""
-    out = []
-    for i in range(q.n_sites):
-        P = np.zeros((q.dim, q.dim))
-        sl = site_slice(i, q.k)
-        P[sl, sl] = np.eye(q.k * q.k)
-        out.append(P)
-    return out

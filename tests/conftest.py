@@ -1,9 +1,11 @@
-"""Shared fixtures: worked-example channels and random-channel factories."""
+"""Shared fixtures: worked-example channels, random-channel factories and
+dense reference helpers."""
 
 import numpy as np
 import pytest
 
 import qhit
+from qhit.qmc import site_slice
 
 
 @pytest.fixture
@@ -85,3 +87,11 @@ def random_irreducible_qubit(rng) -> qhit.SuperOp:
 def random_goal_qubit(rng) -> qhit.GoalSubspace:
     v = rng.normal(size=2) + 1j * rng.normal(size=2)
     return qhit.GoalSubspace.from_vectors([v / np.linalg.norm(v)])
+
+
+def site_projector(q: qhit.QMC, i: int) -> np.ndarray:
+    """Dense 0/1 projector onto site i's block, for reference computations."""
+    P = np.zeros((q.dim, q.dim))
+    sl = site_slice(i, q.k)
+    P[sl, sl] = np.eye(q.k * q.k)
+    return P

@@ -7,7 +7,7 @@ import pytest
 
 import qhit
 from conftest import (make_sec6_T, random_goal_qubit, random_irreducible_qubit,
-                      random_tp_channel)
+                      random_tp_channel, site_projector)
 from expected_matrices import D_QMC, H0, HADAMARD_KERNEL, ORDER4_QFORM
 from qhit.channel import EIG_ONE_TOL
 from qhit.cli import load_spec, parse_channel, parse_subspace
@@ -44,7 +44,7 @@ def _random_oqw(rng, n_sites: int, k: int = 2, absorbing=None) -> qhit.QMC:
 
 def _dense_hitting_operator(q: qhit.QMC, i: int):
     """Reference K^(i) = Phi (I - Q_i Phi)^{-2} with a dense projector Q_i."""
-    Qi = np.eye(q.dim) - qhit.site_projectors(q)[i]
+    Qi = np.eye(q.dim) - site_projector(q, i)
     eigvals = np.linalg.eigvals(Qi @ q.rep)
     if any(abs(lam - 1.0) < EIG_ONE_TOL for lam in eigvals):
         return None

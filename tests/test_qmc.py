@@ -91,13 +91,6 @@ def test_fixed_map_requires_unique_fixed_state(hadamard):
         qhit.fixed_map(hadamard["q"])
 
 
-def test_site_projectors_resolve_identity(sec5):
-    projs = qhit.site_projectors(sec5["q"])
-    assert np.allclose(sum(projs), np.eye(8))
-    assert np.allclose(projs[0] @ projs[1], 0)
-
-
-
 PRINTED_ASHARP = {"hadamard": HADAMARD_ASHARP, "rotation": A0_SHARP}
 
 

@@ -8,8 +8,7 @@ two-site chain.
 
 from .channel import (ChannelDiagnostics, GoalSubspace, KrausChannel,
                       assumption_one_holds, diagnose, fixed_states, is_density,
-                      pure_density, randomize, represent, unitary_superop,
-                      validate)
+                      pure_density, randomize, represent, unitary_superop)
 from .errors import (DimensionError, NoGroupInverseError, NotIrreducibleError,
                      NumericalError, QhitError, SpectralObstructionError,
                      ValidationError)

@@ -9,11 +9,8 @@ import numpy as np
 from . import ginverse
 from .errors import DimensionError, ValidationError
 from .matrep import SuperOp, as_complex, conj_kron, unvec, vec
-
-DEFAULT_ATOL = 1e-10
-EIG_ONE_TOL = 1e-9
-PSD_TOL = 1e-10
-TP_TOL = 1e-9
+from .tolerances import (EIG_ONE_TOL, FAITHFUL_TOL, PSD_TOL, RANK_REL_TOL,
+                         STATE_TOL, TP_TOL, ZERO_TOL, near_one)
 
 
 @dataclass(frozen=True)
@@ -68,13 +65,14 @@ def is_positive_semidefinite(X, tol: float = PSD_TOL) -> bool:
     return bool(w.min() >= -tol)
 
 
-def is_density(rho, tol: float = DEFAULT_ATOL) -> bool:
+def is_density(rho, tol: float = STATE_TOL) -> bool:
+    """Square, hermitian and of unit trace to ``tol``, and PSD to ``PSD_TOL``."""
     rho = as_complex(rho)
-    if rho.shape[0] != rho.shape[1]:
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         return False
-    if np.max(np.abs(rho - rho.conj().T)) > 1e2 * tol:
+    if np.max(np.abs(rho - rho.conj().T)) > tol:
         return False
-    if abs(np.trace(rho) - 1.0) > 1e2 * tol:
+    if abs(np.trace(rho) - 1.0) > tol:
         return False
     return is_positive_semidefinite(rho)
 
@@ -101,13 +99,13 @@ def fixed_states(S: SuperOp) -> list:
     kernel, x = ginverse.fixed_space(S.mat, vec(np.eye(n)))
     cols = list(kernel.T)
     cand = None if x is None else hermitize(unvec(x, n, n))
-    if cand is None or not is_positive_semidefinite(cand, tol=1e-8):
+    if cand is None or not is_positive_semidefinite(cand, tol=STATE_TOL):
         return [unvec(c, n, n) for c in cols]
     # rebuild a basis that starts with the density
     basis = [vec(cand) / np.linalg.norm(vec(cand))]
     for c in cols:
         r = c - sum(np.vdot(b, c) * b for b in basis)
-        if np.linalg.norm(r) > 1e-8:
+        if np.linalg.norm(r) > STATE_TOL:
             basis.append(r / np.linalg.norm(r))
     return [cand] + [unvec(b, n, n) for b in basis[1:len(cols)]]
 
@@ -124,7 +122,7 @@ class ChannelDiagnostics:
     fixed_density_min_eig: float = float("nan")
 
 
-def diagnose(S: SuperOp, tp_defect: float | None = None) -> ChannelDiagnostics:
+def diagnose(S: SuperOp) -> ChannelDiagnostics:
     """Spectral diagnostics of a trace-preserving map given by its representation.
 
     ``fixed_space_dim`` is n^2 - rank(I - S) under the one rank rule of
@@ -133,12 +131,11 @@ def diagnose(S: SuperOp, tp_defect: float | None = None) -> ChannelDiagnostics:
     the fixed density from :func:`fixed_states` is faithful.
     """
     n = S.dim
-    if tp_defect is None:
-        # <vec(I)| S = <vec(I)| characterizes trace preservation
-        eI = vec(np.eye(n))
-        tp_defect = float(np.max(np.abs(eI.conj() @ S.mat - eI.conj())))
+    # <vec(I)| S = <vec(I)| characterizes trace preservation
+    eI = vec(np.eye(n))
+    tp_defect = float(np.max(np.abs(eI.conj() @ S.mat - eI.conj())))
     is_tp = tp_defect <= TP_TOL
-    is_unital = bool(np.max(np.abs(S(np.eye(n)) - np.eye(n))) <= 1e-9)
+    is_unital = bool(np.max(np.abs(S(np.eye(n)) - np.eye(n))) <= TP_TOL)
 
     eigvals = np.linalg.eigvals(S.mat)
     peripheral = tuple(lam for lam in eigvals if abs(abs(lam) - 1.0) < EIG_ONE_TOL)
@@ -155,10 +152,10 @@ def diagnose(S: SuperOp, tp_defect: float | None = None) -> ChannelDiagnostics:
         if fs:
             pi = hermitize(fs[0])
             tr = np.trace(pi).real
-            if abs(tr) > 1e-12:
+            if abs(tr) > ZERO_TOL:
                 pi = pi / tr
                 min_eig = float(np.linalg.eigvalsh(pi).min())
-                irreducible = min_eig > EIG_ONE_TOL
+                irreducible = min_eig > FAITHFUL_TOL
     return ChannelDiagnostics(
         is_trace_preserving=is_tp,
         is_unital=is_unital,
@@ -169,10 +166,6 @@ def diagnose(S: SuperOp, tp_defect: float | None = None) -> ChannelDiagnostics:
         tp_defect=tp_defect,
         fixed_density_min_eig=min_eig,
     )
-
-
-def validate(ch: KrausChannel) -> ChannelDiagnostics:
-    return diagnose(represent(ch), tp_defect=ch.tp_defect())
 
 
 @dataclass(frozen=True)
@@ -190,7 +183,7 @@ class GoalSubspace:
         B = as_complex(self.basis)
         if B.ndim != 2 or B.shape[0] != self.ambient_dim:
             raise DimensionError("basis must be an n x d matrix of column vectors")
-        if np.max(np.abs(B.conj().T @ B - np.eye(B.shape[1]))) > 1e-8:
+        if np.max(np.abs(B.conj().T @ B - np.eye(B.shape[1]))) > STATE_TOL:
             raise ValidationError("basis columns are not orthonormal")
         object.__setattr__(self, "basis", B)
         P = B @ B.conj().T
@@ -212,34 +205,46 @@ class GoalSubspace:
         if V.shape[0] != n:
             raise DimensionError("subspace vectors have wrong length")
         Qmat, Rmat = np.linalg.qr(V)
-        keep = np.abs(np.diag(Rmat)) > 1e-10 * max(1.0, np.abs(Rmat).max())
+        keep = np.abs(np.diag(Rmat)) > RANK_REL_TOL * max(1.0, np.abs(Rmat).max())
         if not np.any(keep):
             raise ValidationError("subspace vectors are linearly dependent to zero")
         return cls(ambient_dim=n, basis=Qmat[:, keep])
 
-    def contains(self, rho, tol: float = 1e-8) -> bool:
+    def contains(self, rho) -> bool:
         """Whether a density is supported in V: P rho P = rho."""
-        return _sandwich_fixes(self.P, rho, tol)
+        return _sandwich_fixes(self.P, rho)
 
-    def contains_perp(self, rho, tol: float = 1e-8) -> bool:
+    def contains_perp(self, rho) -> bool:
         """Whether a density is supported in V-perp: Q rho Q = rho."""
-        return _sandwich_fixes(self.Q, rho, tol)
+        return _sandwich_fixes(self.Q, rho)
 
 
-def _sandwich_fixes(P, rho, tol: float) -> bool:
+def _sandwich_fixes(P, rho) -> bool:
     rho = as_complex(rho)
-    return bool(np.max(np.abs(P @ rho @ P - rho)) <= tol)
+    if rho.shape != P.shape:
+        raise ValidationError(f"expected a {P.shape[0]}x{P.shape[1]} matrix, "
+                              f"got shape {rho.shape}")
+    return bool(np.max(np.abs(P @ rho @ P - rho)) <= STATE_TOL)
 
 
-def assumption_one_holds(S: SuperOp, V: GoalSubspace, tol: float = EIG_ONE_TOL):
+def check_shapes(S: SuperOp, V: GoalSubspace, rho) -> None:
+    """Raise unless the goal subspace and the state live in S's dimension."""
+    n = S.dim
+    if V.ambient_dim != n:
+        raise ValidationError(f"goal subspace lives in dimension {V.ambient_dim}, "
+                              f"the channel in {n}")
+    if np.shape(rho) != (n, n):
+        raise ValidationError(f"initial state must be {n}x{n}, got {np.shape(rho)}")
+
+
+def assumption_one_holds(S: SuperOp, V: GoalSubspace):
     """True iff 1 is not an eigenvalue of QQ * S; also returns the spectrum.
 
     This spectral condition makes the hitting generating function analytic at
     z = 1 and all mean hitting times to V finite.
     """
     eigvals = np.linalg.eigvals(V.QQ @ S.mat)
-    offending = [lam for lam in eigvals if abs(lam - 1.0) < tol]
-    return len(offending) == 0, eigvals
+    return not near_one(eigvals), eigvals
 
 
 def randomize(S1: SuperOp, S2: SuperOp, p: float) -> SuperOp:

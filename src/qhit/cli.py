@@ -21,14 +21,15 @@ import sys
 import numpy as np
 
 from . import ginverse as ginv
-from .channel import (EIG_ONE_TOL, GoalSubspace, KrausChannel,
-                      assumption_one_holds, diagnose, is_density, pure_density,
-                      randomize, represent, unitary_superop)
-from .errors import (NoGroupInverseError, NumericalError, QhitError,
-                     SpectralObstructionError, ValidationError)
+from .channel import (GoalSubspace, KrausChannel, assumption_one_holds,
+                      diagnose, is_density, pure_density, randomize, represent,
+                      unitary_superop)
+from .errors import (DimensionError, NoGroupInverseError, NumericalError,
+                     QhitError, SpectralObstructionError, ValidationError)
 from .ksmh import kernel_limit_study, tau_channel
 from .matrep import SuperOp
 from .qmc import induce
+from .tolerances import SPEC_STATE_TOL, near_one
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -134,7 +135,7 @@ def parse_state(node, dim: int, path: str = "$.initial_state") -> np.ndarray:
         rho = pure_density(parse_vector(node, path))
     if rho.shape != (dim, dim):
         raise SpecError(path, f"state must act on dimension {dim}")
-    if not is_density(rho, tol=1e-8):
+    if not is_density(rho, tol=SPEC_STATE_TOL):
         raise SpecError(path, "not a density matrix")
     return rho
 
@@ -223,8 +224,7 @@ def _diagnostics_dict(S: SuperOp, V: GoalSubspace | None) -> dict:
         holds, eigs = assumption_one_holds(S, V)
         out["assumption_one"] = {
             "holds": bool(holds),
-            "offending_eigenvalues": [_jcomplex(z) for z in eigs
-                                      if abs(z - 1.0) < EIG_ONE_TOL],
+            "offending_eigenvalues": [_jcomplex(z) for z in near_one(eigs)],
         }
     return out
 
@@ -426,7 +426,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SpecError, ValidationError) as exc:
+    except (ValidationError, DimensionError) as exc:
         sys.stderr.write(f"validation error: {exc}\n")
         return EXIT_VALIDATION
     except (SpectralObstructionError, NoGroupInverseError) as exc:

@@ -15,21 +15,19 @@ import numpy as np
 
 from .errors import NoGroupInverseError, NumericalError, ValidationError
 from .matrep import as_complex
-
-RANK_REL_TOL = 1e-10
-AXIOM_REL_TOL = 1e-9
-PAIRING_TOL = 1e-12
+from .tolerances import (AXIOM_REL_TOL, DRAZIN_Z, RANK_REL_TOL, SCALE_FLOOR,
+                         SPLIT_COND_WARN, ZERO_TOL)
 
 
-def _rank_cut(s, rel_tol: float = RANK_REL_TOL) -> int:
-    """Number of singular values (descending) above ``rel_tol * s[0]``.
+def _rank_cut(s) -> int:
+    """Number of singular values (descending) above ``RANK_REL_TOL * s[0]``.
 
     The one rank rule of the package.  Warns when some singular value lies
     within a factor of 10 of the cut, i.e. when the decision is ambiguous.
     """
     if s.size == 0 or s[0] == 0.0:
         return 0
-    cut = rel_tol * s[0]
+    cut = RANK_REL_TOL * s[0]
     if np.any((s > cut / 10) & (s < cut * 10)):
         warnings.warn(
             "rank decision is ambiguous: singular value within a factor of 10 "
@@ -40,9 +38,9 @@ def _rank_cut(s, rel_tol: float = RANK_REL_TOL) -> int:
     return int(np.sum(s > cut))
 
 
-def rank_with_margin(A, rel_tol: float = RANK_REL_TOL) -> int:
+def rank_with_margin(A) -> int:
     """Numerical rank via singular values, cut by :func:`_rank_cut`."""
-    return _rank_cut(np.linalg.svd(A, compute_uv=False), rel_tol)
+    return _rank_cut(np.linalg.svd(A, compute_uv=False))
 
 
 def fixed_space(rep, e_I) -> tuple:
@@ -66,7 +64,7 @@ def fixed_space(rep, e_I) -> tuple:
     Yh = Y.conj().T
     x = X[:, 0] if k == 1 else X @ np.linalg.solve(Yh @ X, Yh @ e_I)
     total = np.vdot(e_I, x)
-    if abs(total) < PAIRING_TOL:
+    if abs(total) < ZERO_TOL:
         return X, None
     return X, x / total
 
@@ -151,7 +149,7 @@ def group_inverse(A) -> GroupInverse:
         Asharp = np.zeros_like(A)
     else:
         YX_inv = np.linalg.inv(Y.conj().T @ X)
-        if np.linalg.norm(YX_inv, 2) > 1e8:  # ||E|| = 1 / sigma_min(Y* X)
+        if np.linalg.norm(YX_inv, 2) > SPLIT_COND_WARN:  # ||E|| = 1 / sigma_min(Y* X)
             warnings.warn(
                 "kernel/range split is badly conditioned", RuntimeWarning, stacklevel=2
             )
@@ -163,11 +161,11 @@ def group_inverse(A) -> GroupInverse:
     return GroupInverse(A=A, Asharp=Asharp, index=ind, ergodic_projector=np.eye(n) - GA)
 
 
-def check_group_axioms(A, G, rel_tol: float = AXIOM_REL_TOL) -> np.ndarray:
-    """Raise unless A G A = A, G A G = G and A G = G A hold to ``rel_tol``
-    relative to max|A|; return the product G A."""
-    scale = max(np.max(np.abs(A)), 1e-30)
-    tol = rel_tol * scale
+def check_group_axioms(A, G) -> np.ndarray:
+    """Raise unless A G A = A, G A G = G and A G = G A hold to
+    ``AXIOM_REL_TOL`` relative to max|A|; return the product G A."""
+    scale = max(np.max(np.abs(A)), SCALE_FLOOR)
+    tol = AXIOM_REL_TOL * scale
     AG = A @ G
     GA = G @ A
     if np.max(np.abs(AG @ A - A)) > tol:
@@ -186,42 +184,40 @@ class DrazinLimit:
     residuals: tuple  # per-z residual of A G A = A for G = (A^2 + zI)^{-1} A
 
 
-def drazin_limit(A, z_schedule=(1e-4, 1e-5, 1e-6)) -> DrazinLimit:
-    """Group inverse via the limit (A^2 + zI)^{-1} A, Richardson-extrapolated.
+def drazin_limit(A) -> DrazinLimit:
+    """Group inverse via the limit (A^2 + zI)^{-1} A, Richardson-extrapolated
+    over the decreasing ``DRAZIN_Z``.
 
     Independent cross-check of :func:`group_inverse`; requires index(A) <= 1.
     """
     A = as_complex(A)
-    n = A.shape[0]
-    zs = tuple(sorted(z_schedule, reverse=True))
-    if len(zs) < 2:
-        raise ValidationError("z schedule needs at least two points")
     evals = []
     residuals = []
-    I = np.eye(n)
-    for z in zs:
+    I = np.eye(A.shape[0])
+    for z in DRAZIN_Z:
         G = np.linalg.solve(A @ A + z * I, A)
         evals.append(G)
         residuals.append(float(np.max(np.abs(A @ G @ A - A))))
-    if len(residuals) >= 2 and residuals[-1] > 10 * residuals[0] + 1e-12:
+    if residuals[-1] > 10 * residuals[0] + ZERO_TOL:
         raise NumericalError(
             "resolvent-limit residuals are not decreasing; extrapolation unreliable"
         )
     # Lagrange extrapolation of the analytic family G(z) to z = 0
     est = np.zeros_like(A)
-    for i, zi in enumerate(zs):
+    for i, zi in enumerate(DRAZIN_Z):
         w = 1.0
-        for j, zj in enumerate(zs):
+        for j, zj in enumerate(DRAZIN_Z):
             if i != j:
                 w *= (0.0 - zj) / (zi - zj)
         est = est + w * evals[i]
-    return DrazinLimit(estimate=est, z_values=zs, residuals=tuple(residuals))
+    return DrazinLimit(estimate=est, z_values=DRAZIN_Z, residuals=tuple(residuals))
 
 
-def verify_ginverse(A, G, rel_tol: float = AXIOM_REL_TOL) -> float:
-    """Return the defect max|AGA - A|; raise if it exceeds rel_tol * max|A|."""
+def verify_ginverse(A, G) -> float:
+    """Return the defect max|AGA - A|; raise if it exceeds
+    ``AXIOM_REL_TOL * max|A|``."""
     defect = float(np.max(np.abs(A @ G @ A - A)))
-    if defect > rel_tol * max(np.max(np.abs(A)), 1e-30):
+    if defect > AXIOM_REL_TOL * max(np.max(np.abs(A)), SCALE_FLOOR):
         raise NumericalError(f"A G A = A fails with defect {defect:.3e}")
     return defect
 
@@ -253,9 +249,9 @@ def hunter_ginverse(q, t=None, u=None, f=None, g=None) -> np.ndarray:
     f = _vec(f, zero)
     g = _vec(g, zero)
 
-    if abs(np.vdot(e_I, t)) < PAIRING_TOL:
+    if abs(np.vdot(e_I, t)) < ZERO_TOL:
         raise ValidationError("<e_I|t> vanishes; inner matrix would be singular")
-    if abs(np.vdot(u, pi)) < PAIRING_TOL:
+    if abs(np.vdot(u, pi)) < ZERO_TOL:
         raise ValidationError("<u|pi> vanishes; inner matrix would be singular")
 
     A = np.eye(N) - rep

@@ -7,12 +7,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import EIG_ONE_TOL, GoalSubspace, diagnose, fixed_states, \
-    hermitize, assumption_one_holds, is_density
+from .channel import (GoalSubspace, assumption_one_holds, diagnose,
+                      fixed_states, hermitize, is_density)
 from .errors import NotIrreducibleError, SpectralObstructionError, ValidationError
 from .matrep import SuperOp, vec
-
-COND_WARN = 1e10
+from .tolerances import RESOLVENT_COND_WARN, STATE_TOL, near_one, real_trace
 
 
 @dataclass(frozen=True)
@@ -46,14 +45,13 @@ class HittingMaps:
 def _resolvent(S: SuperOp, V: GoalSubspace) -> np.ndarray:
     ok, eigvals = assumption_one_holds(S, V)
     if not ok:
-        bad = [lam for lam in eigvals if abs(lam - 1.0) < EIG_ONE_TOL]
         raise SpectralObstructionError(
             "1 lies in the spectrum of Q.T; the hitting maps do not exist "
             "(fall back to the monitoring series)",
-            eigenvalues=bad,
+            eigenvalues=near_one(eigvals),
         )
     M = np.eye(S.dim**2) - V.QQ @ S.mat
-    if np.linalg.cond(M) > COND_WARN:
+    if np.linalg.cond(M) > RESOLVENT_COND_WARN:
         warnings.warn("resolvent I - QT is badly conditioned", RuntimeWarning,
                       stacklevel=2)
     return np.linalg.inv(M)
@@ -86,10 +84,7 @@ def tau_from_K(maps: HittingMaps, rho, side: str) -> float:
     else:
         raise ValueError("side must be 'in-V' or 'in-V-perp'")
     eI = vec(np.eye(V.ambient_dim))
-    t = complex(np.vdot(eI, blk @ vec(rho)))
-    if abs(t.imag) > 1e-9:
-        raise ValidationError(f"hitting time has imaginary part {t.imag:.3e}")
-    return t.real
+    return real_trace(complex(np.vdot(eI, blk @ vec(rho))))
 
 
 def fundamental_map(S: SuperOp) -> SuperOp:
@@ -120,9 +115,11 @@ def mhtf_tau(S: SuperOp, V: GoalSubspace, Z: SuperOp, maps: HittingMaps,
     """
     psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
     phi = np.asarray(phi, dtype=np.complex128).reshape(-1)
-    if np.max(np.abs(V.P @ psi - psi)) > 1e-8:
+    if psi.size != V.ambient_dim or phi.size != V.ambient_dim:
+        raise ValidationError(f"psi and phi must have length {V.ambient_dim}")
+    if np.max(np.abs(V.P @ psi - psi)) > STATE_TOL:
         raise ValidationError("psi must lie in V")
-    if np.max(np.abs(V.Q @ phi - phi)) > 1e-8:
+    if np.max(np.abs(V.Q @ phi - phi)) > STATE_TOL:
         raise ValidationError("phi must lie in the complement of V")
     rho_psi = np.outer(psi, psi.conj())
     rho_phi = np.outer(phi, phi.conj())
@@ -130,7 +127,5 @@ def mhtf_tau(S: SuperOp, V: GoalSubspace, Z: SuperOp, maps: HittingMaps,
     Z12 = maps.block(Z.mat, 1, 2)
     K11 = maps.K_block(1, 1)
     eI = vec(np.eye(V.ambient_dim))
-    t = complex(np.vdot(eI, K11 @ (Z11 @ vec(rho_psi) - Z12 @ vec(rho_phi))))
-    if abs(t.imag) > 1e-8:
-        raise ValidationError(f"hitting time has imaginary part {t.imag:.3e}")
-    return t.real
+    x = K11 @ (Z11 @ vec(rho_psi) - Z12 @ vec(rho_phi))
+    return real_trace(complex(np.vdot(eI, x)))

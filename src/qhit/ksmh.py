@@ -13,11 +13,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ginverse, monitor
-from .channel import EIG_ONE_TOL, GoalSubspace, diagnose, is_density
+from .channel import GoalSubspace, check_shapes, diagnose, is_density
 from .errors import (NoGroupInverseError, NumericalError,
                      SpectralObstructionError, ValidationError)
 from .matrep import SuperOp, vec
 from .qmc import QMC, induce, induced_group_inverse, site_slice
+from .tolerances import NORM_GROWTH_REL_TOL, STATE_TOL, near_one, real_trace
 
 
 def _diagonal_blocks(M, n_sites: int, k: int) -> list:
@@ -96,8 +97,7 @@ def qmc_hitting_operators(q: QMC) -> QmcHittingOperators:
     for i in sites:
         sl = site_slice(i, q.k)
         rest = np.delete(np.delete(q.rep, sl, axis=0), sl, axis=1)
-        eigvals = np.linalg.eigvals(rest)
-        bad = [lam for lam in eigvals if abs(lam - 1.0) < EIG_ONE_TOL]
+        bad = near_one(np.linalg.eigvals(rest))
         if bad:
             availability[i] = (False, bad)
             continue
@@ -127,7 +127,7 @@ def qmc_hitting_operators(q: QMC) -> QmcHittingOperators:
             Bsharp = ginverse.group_inverse(I - _off_site(q, i)).Asharp
             row = q.rep[sl] @ Bsharp  # row block i of Phi B^#
             ret_defect = np.max(np.abs(eIk.conj() @ row[:, sl] - eIk.conj()))
-            if ret_defect < 1e-8:
+            if ret_defect < STATE_TOL:
                 D[sl, sl] = row @ Bsharp[:, sl]
                 fallback.append((i, "abel-return"))
                 filled = True
@@ -181,11 +181,7 @@ def ksmh_kernel(q: QMC, D, G, omega=None, variant: str | None = None) -> KsmhKer
 
 
 def _trace_block(kernel_block: np.ndarray, rho, k: int) -> float:
-    v = kernel_block @ vec(rho)
-    t = complex(np.vdot(vec(np.eye(k)), v))
-    if abs(t.imag) > 1e-9:
-        raise ValidationError(f"hitting time has imaginary part {t.imag:.3e}")
-    return t.real
+    return real_trace(complex(np.vdot(vec(np.eye(k)), kernel_block @ vec(rho))))
 
 
 def tau_irreducible_qmc(q: QMC, kernel: KsmhKernel, i: int, j: int, rho_j) -> float:
@@ -239,6 +235,7 @@ def tau_channel(S: SuperOp, V: GoalSubspace, rho, method: str,
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    check_shapes(S, V, rho)
     if not is_density(rho):
         raise ValidationError("initial state must be a density matrix")
     if not V.contains_perp(rho):
@@ -371,7 +368,7 @@ def kernel_limit_study(T: SuperOp, Mprime: SuperOp, V: GoalSubspace, p_values,
 
     norms = [pt.g_norm for pt in points]
     diverges = len(norms) >= 2 and norms[-1] > norms[0] and all(
-        norms[i] <= norms[i + 1] * (1 + 1e-9) for i in range(len(norms) - 1)
+        a <= b * (1 + NORM_GROWTH_REL_TOL) for a, b in zip(norms, norms[1:])
     )
     return KernelLimitReport(
         points=tuple(points),

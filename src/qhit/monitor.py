@@ -28,21 +28,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import GoalSubspace, is_density
+from .channel import GoalSubspace, check_shapes, is_density
 from .errors import ValidationError
 from .matrep import SuperOp, vec
 from .qmc import QMC, VecState, site_slice
+from .tolerances import HIT_PROB_TOL, ZERO_TOL, real_trace
 
-IMAG_TOL = 1e-9
 BLOCK = 64  # terms per block; a power of two, so the jump is built by squaring
 
 
 @dataclass
 class SeriesConfig:
-    increment_tol: float = 1e-12
+    increment_tol: float = ZERO_TOL
     patience: int = 64  # consecutive negligible increments before stopping
     max_steps: int = 10**6
-    hit_prob_tol: float = 1e-6  # below 1 - this, tau is reported infinite
+    hit_prob_tol: float = HIT_PROB_TOL  # below 1 - this, tau is reported infinite
 
     def __post_init__(self):
         # the negated comparisons also refuse NaN
@@ -72,12 +72,6 @@ class MonitorSeries:
         if self.cumulative_prob < 1.0 - self.hit_prob_tol:
             return float("inf")
         return self.partial_tau
-
-
-def _real_trace(x: complex) -> float:
-    if abs(x.imag) > IMAG_TOL:
-        raise ValidationError(f"trace has non-negligible imaginary part {x.imag:.3e}")
-    return x.real
 
 
 def _block_rows(step, first):
@@ -110,7 +104,7 @@ def _run_series(step, first, v0, config: SeriesConfig):
         # terms past max_steps or the stop are never read, so never checked
         for x in (rows @ v)[: config.max_steps - r].tolist():
             r += 1
-            pi_r = _real_trace(x)
+            pi_r = real_trace(x)
             pi_r = 0.0 if pi_r < 0.0 else (1.0 if pi_r > 1.0 else pi_r)
             terms.append((r, pi_r))
             cum += pi_r
@@ -141,12 +135,7 @@ def first_visit_series(S: SuperOp, V: GoalSubspace, rho,
     raised; ``tau`` is infinite when the hitting probability plateaus
     below 1.
     """
-    n = S.dim
-    if V.ambient_dim != n:
-        raise ValidationError(f"goal subspace lives in dimension {V.ambient_dim}, "
-                              f"the channel in {n}")
-    if np.shape(rho) != (n, n):
-        raise ValidationError(f"initial state must be {n}x{n}, got {np.shape(rho)}")
+    check_shapes(S, V, rho)
     if not is_density(rho):
         raise ValidationError("initial state must be a density matrix")
     config = config or SeriesConfig()

@@ -7,9 +7,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ginverse
-from .channel import TP_TOL, GoalSubspace, hermitize
+from .channel import GoalSubspace, hermitize
 from .errors import DimensionError, NotIrreducibleError, ValidationError
 from .matrep import SuperOp, as_complex, conj_kron, unvec, vec
+from .tolerances import TP_TOL
 
 
 def site_slice(i: int, k: int) -> slice:

@@ -86,6 +86,13 @@ def test_is_density_and_pure_density():
     assert not qhit.is_density(np.diag([2.0, -1.0]))
 
 
+def test_is_density_false_for_input_that_is_not_a_square_matrix():
+    assert not qhit.is_density(np.array([1.0, 0.0]))
+    assert not qhit.is_density(np.array(1.0))
+    assert not qhit.is_density(np.full((2, 3), 0.5))
+    assert not qhit.is_density(np.eye(2)[np.newaxis] / 2)
+
+
 def test_goal_subspace_projectors(sec5):
     V = sec5["V"]
     P, Q = V.P, V.Q
@@ -111,6 +118,13 @@ def test_goal_subspace_from_two_vectors():
     assert V.contains(np.diag([0.5, 0.5, 0.0]))
     assert V.contains_perp(np.diag([0.0, 0.0, 1.0]))
     assert not V.contains(np.eye(3) / 3)
+
+
+def test_support_checks_reject_a_state_of_another_size():
+    V = qhit.GoalSubspace.from_vectors([[1, 0]])
+    for check in (V.contains, V.contains_perp):
+        with pytest.raises(ValidationError, match="2x2"):
+            check(np.eye(3) / 3)
 
 
 def test_assumption_one_hadamard_cases(hadamard):

@@ -81,6 +81,18 @@ def test_missing_file_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("spec,edit", [("hadamard", {"subspace": [[1, 0, 0]]}),
+                                       ("sec5", {"dim": 3})],
+                         ids=["subspace-length", "kraus-dim"])
+def test_hitting_on_spec_with_disagreeing_shapes_exits_2(capsys, tmp_path, spec,
+                                                         edit):
+    node = json.loads((ROOT / CORPUS / f"{spec}.json").read_text())
+    path = tmp_path / f"{spec}.json"
+    path.write_text(json.dumps({**node, **edit}))
+    assert main(["hitting", str(path), "--json"]) == 2
+    assert capsys.readouterr().err.startswith("validation error")
+
+
 def test_no_finite_tau_exits_3(capsys):
     code, _ = run_cli(capsys, "hitting", f"{CORPUS}/hadamard_bad_alpha.json",
                       "--json")

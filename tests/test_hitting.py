@@ -6,7 +6,8 @@ import pytest
 import qhit
 from conftest import random_goal_qubit, random_irreducible_qubit
 from expected_matrices import K_MAP, K_U, ORDER4_K
-from qhit.errors import NotIrreducibleError, SpectralObstructionError
+from qhit.errors import (NotIrreducibleError, SpectralObstructionError,
+                         ValidationError)
 
 RNG = np.random.default_rng(23)
 
@@ -95,6 +96,13 @@ def test_mhtf_tau_six(sec5):
     Z = qhit.fundamental_map(sec5["S"])
     tau = qhit.mhtf_tau(sec5["S"], sec5["V"], Z, maps, sec5["psi"], sec5["phi"])
     assert abs(tau - 6.0) < 1e-10
+
+
+def test_mhtf_tau_rejects_vectors_of_another_length(sec5):
+    maps = qhit.analytic_HK(sec5["S"], sec5["V"])
+    Z = qhit.fundamental_map(sec5["S"])
+    with pytest.raises(ValidationError, match="length 2"):
+        qhit.mhtf_tau(sec5["S"], sec5["V"], Z, maps, [1, 1, 0], sec5["phi"])
 
 
 def test_mhtf_constant_over_phase_rotations(sec5):

@@ -9,9 +9,9 @@ import qhit
 from conftest import (make_sec6_T, random_goal_qubit, random_irreducible_qubit,
                       random_tp_channel, site_projector)
 from expected_matrices import D_QMC, H0, HADAMARD_KERNEL, ORDER4_QFORM
-from qhit.channel import EIG_ONE_TOL
 from qhit.cli import load_spec, parse_channel, parse_subspace
 from qhit.errors import NumericalError, SpectralObstructionError, ValidationError
+from qhit.tolerances import EIG_ONE_TOL
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -279,6 +279,18 @@ def test_tau_channel_rejects_bad_inputs(sec5):
         # state with support inside V
         qhit.tau_channel(sec5["S"], sec5["V"], np.outer(sec5["psi"], sec5["psi"]),
                          "series")
+
+
+@pytest.mark.parametrize("method", ["series", "analytic-K", "ksmh-ginverse",
+                                    "ksmh-group"])
+def test_tau_channel_rejects_mis_sized_input(hadamard, method):
+    # both are refused before any product of S with the state or the subspace
+    S, V = hadamard["S"], hadamard["V"]
+    with pytest.raises(ValidationError, match=r"2x2, got \(3, 3\)"):
+        qhit.tau_channel(S, V, np.diag([0.0, 0.5, 0.5]), method)
+    V3 = qhit.GoalSubspace.from_vectors([[1, 0, 0]])
+    with pytest.raises(ValidationError, match="dimension 3"):
+        qhit.tau_channel(S, V3, np.diag([0.0, 1.0]), method)
 
 
 def test_ksmh_ginverse_refuses_reducible(hadamard):

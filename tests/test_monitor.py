@@ -6,7 +6,8 @@ import pytest
 import qhit
 from conftest import random_tp_channel, site_projector
 from qhit.errors import ValidationError
-from qhit.monitor import BLOCK, IMAG_TOL, _run_series
+from qhit.monitor import BLOCK, _run_series
+from qhit.tolerances import IMAG_TOL
 
 RNG = np.random.default_rng(11)
 

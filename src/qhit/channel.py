@@ -8,7 +8,7 @@ import numpy as np
 
 from . import ginverse
 from .errors import DimensionError, ValidationError
-from .matrep import SuperOp, as_complex, conj_kron, unvec, vec
+from .matrep import SuperOp, as_complex, conj_kron, real_form, unvec, vec
 from .tolerances import (EIG_ONE_TOL, FAITHFUL_TOL, PSD_TOL, RANK_REL_TOL,
                          STATE_TOL, TP_TOL, ZERO_TOL, near_one)
 
@@ -92,11 +92,12 @@ def fixed_states(S: SuperOp) -> list:
 
     The kernel is cut once, by :func:`ginverse.fixed_space` (the rank rule
     of :func:`ginverse.rank_with_margin`), so the list has
-    ``diagnose(S).fixed_space_dim`` elements.  When the span contains a
-    density, the first element is a unit-trace positive fixed density.
+    ``diagnose(S).fixed_space_dim`` elements, all Hermitian.  When the span
+    contains a density, the first element is a unit-trace positive fixed
+    density.
     """
     n = S.dim
-    kernel, x = ginverse.fixed_space(S.mat, vec(np.eye(n)))
+    kernel, x = ginverse.fixed_space(S.mat, n)
     cols = list(kernel.T)
     cand = None if x is None else hermitize(unvec(x, n, n))
     if cand is None or not is_positive_semidefinite(cand, tol=STATE_TOL):
@@ -122,25 +123,43 @@ class ChannelDiagnostics:
     fixed_density_min_eig: float = float("nan")
 
 
+def _tp_defect(S: SuperOp) -> float:
+    """max|<vec I| S - <vec I||: <vec I| S = <vec I| characterizes trace
+    preservation."""
+    eI = vec(np.eye(S.dim))
+    return float(np.max(np.abs(eI.conj() @ S.mat - eI.conj())))
+
+
+def check_channel(S: SuperOp) -> None:
+    """Raise unless S is trace preserving (``TP_TOL``) and Hermiticity
+    preserving (``HP_TOL``, via :func:`matrep.real_form`)."""
+    defect = _tp_defect(S)
+    if defect > TP_TOL:
+        raise ValidationError(f"map is not trace preserving (defect {defect:.3e})")
+    real_form(S.mat, S.dim)
+
+
 def diagnose(S: SuperOp) -> ChannelDiagnostics:
     """Spectral diagnostics of a trace-preserving map given by its representation.
 
     ``fixed_space_dim`` is n^2 - rank(I - S) under the one rank rule of
     :func:`ginverse.rank_with_margin`, the same cut :func:`fixed_states`
     applies.  On a one-dimensional fixed space the map is irreducible when
-    the fixed density from :func:`fixed_states` is faithful.
+    the fixed density from :func:`fixed_states` is faithful.  The spectrum,
+    the rank and the index are taken on the real form of S
+    (:func:`matrep.real_form`); a map that does not preserve Hermiticity is
+    refused with :class:`ValidationError`.
     """
     n = S.dim
-    # <vec(I)| S = <vec(I)| characterizes trace preservation
-    eI = vec(np.eye(n))
-    tp_defect = float(np.max(np.abs(eI.conj() @ S.mat - eI.conj())))
+    tp_defect = _tp_defect(S)
     is_tp = tp_defect <= TP_TOL
     is_unital = bool(np.max(np.abs(S(np.eye(n)) - np.eye(n))) <= TP_TOL)
 
-    eigvals = np.linalg.eigvals(S.mat)
+    R = real_form(S.mat, n)
+    eigvals = np.linalg.eigvals(R)
     peripheral = tuple(lam for lam in eigvals if abs(abs(lam) - 1.0) < EIG_ONE_TOL)
 
-    A = np.eye(n * n) - S.mat
+    A = np.eye(n * n) - R
     r1 = ginverse.rank_with_margin(A)
     fixed_dim = n * n - r1
     jordan_trivial = ginverse.index(A) <= 1
@@ -241,9 +260,10 @@ def assumption_one_holds(S: SuperOp, V: GoalSubspace):
     """True iff 1 is not an eigenvalue of QQ * S; also returns the spectrum.
 
     This spectral condition makes the hitting generating function analytic at
-    z = 1 and all mean hitting times to V finite.
+    z = 1 and all mean hitting times to V finite.  The spectrum is that of
+    the real form of Q.Q S (:func:`matrep.real_form`).
     """
-    eigvals = np.linalg.eigvals(V.QQ @ S.mat)
+    eigvals = np.linalg.eigvals(real_form(V.QQ @ S.mat, S.dim))
     return not near_one(eigvals), eigvals
 
 

@@ -234,12 +234,14 @@ def cmd_validate(args) -> int:
     try:
         S = parse_channel(spec)
         V = parse_subspace(spec["subspace"], S.dim) if "subspace" in spec else None
-    except QhitError as exc:
+        # diagnose refuses a map that does not preserve Hermiticity
+        diagnostics = _diagnostics_dict(S, V)
+    except (ValidationError, DimensionError) as exc:
         emit({"command": "validate", "input": args.spec, "valid": False,
               "error": str(exc)}, args.json)
         return EXIT_VALIDATION
     report = {"command": "validate", "input": args.spec, "valid": True,
-              "dim": S.dim, "diagnostics": _diagnostics_dict(S, V)}
+              "dim": S.dim, "diagnostics": diagnostics}
     emit(report, args.json)
     return EXIT_OK
 

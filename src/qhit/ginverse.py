@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoGroupInverseError, NumericalError, ValidationError
-from .matrep import as_complex
+from .matrep import as_complex, as_matrix, from_hermitian_basis, real_form
 from .tolerances import (AXIOM_REL_TOL, DRAZIN_Z, RANK_REL_TOL, SCALE_FLOOR,
                          SPLIT_COND_WARN, ZERO_TOL)
 
@@ -43,30 +43,38 @@ def rank_with_margin(A) -> int:
     return _rank_cut(np.linalg.svd(A, compute_uv=False))
 
 
-def fixed_space(rep, e_I) -> tuple:
-    """Fixed space ker(I - rep) of a map and its fixed vector of unit trace.
+def fixed_space(rep, k: int) -> tuple:
+    """Fixed space ker(I - rep) of a map on b sites of k x k matrices, and
+    its fixed vector of unit trace.
 
-    One full SVD of A = I - rep, cut by the rank rule of
-    :func:`rank_with_margin`.  Returns ``(kernel, x)``: the columns of
-    ``kernel`` are an orthonormal basis X of ker(A), and x is a fixed vector
-    with <e_I|x> = 1, or None when the kernel holds no vector of nonzero
-    trace.  On a line x is the null vector itself; on a larger kernel it is
-    E e_I, where E = X (Y* X)^{-1} Y* is the ergodic projector I - A^# A
-    (see :func:`group_inverse`) and Y the basis of ker(A*) from the same
-    SVD.  Raises :class:`NoGroupInverseError` when index(A) > 1.
+    One full SVD of A = I - R, R the real Hermitian-basis form of rep
+    (:func:`matrep.real_form`), cut by the rank rule of
+    :func:`rank_with_margin`.  Returns ``(kernel, x)`` in vec form: the
+    columns of ``kernel`` are an orthonormal basis X of ker(I - rep), each
+    the vec of a Hermitian matrix on every site, and x is a fixed vector
+    with <e_I|x> = 1 (e_I the identity on every site), or None when the
+    kernel holds no vector of nonzero trace.  On a line x is the null vector
+    itself; on a larger kernel it is E e_I, where E = X (Y* X)^{-1} Y* is the
+    ergodic projector I - A^# A (see :func:`group_inverse`) and Y the basis
+    of ker(A*) from the same SVD.  Raises :class:`NoGroupInverseError` when
+    index(A) > 1.
     """
-    ind, _, Y, X = _index_and_rank(np.eye(rep.shape[0]) - rep)
+    R = real_form(rep, k)
+    ind, _, Y, X = _index_and_rank(np.eye(R.shape[0]) - R)
     if ind > 1:
         raise NoGroupInverseError(f"matrix has index {ind} > 1, no group inverse")
-    k = X.shape[1]
-    if k == 0:
-        return X, None
-    Yh = Y.conj().T
-    x = X[:, 0] if k == 1 else X @ np.linalg.solve(Yh @ X, Yh @ e_I)
-    total = np.vdot(e_I, x)
+    kernel = from_hermitian_basis(X, k)
+    if X.shape[1] == 0:
+        return kernel, None
+    # the coordinates of I_k: 1 on the k diagonal basis elements, which come first
+    e_I = np.zeros((R.shape[0] // (k * k), k * k))
+    e_I[:, :k] = 1.0
+    e_I = e_I.reshape(-1)
+    x = X[:, 0] if X.shape[1] == 1 else X @ np.linalg.solve(Y.T @ X, Y.T @ e_I)
+    total = e_I @ x
     if abs(total) < ZERO_TOL:
-        return X, None
-    return X, x / total
+        return kernel, None
+    return kernel, from_hermitian_basis(x / total, k)
 
 
 def index(A) -> int:
@@ -87,8 +95,9 @@ def index(A) -> int:
 def _index_and_rank(A) -> tuple:
     """``(index(A), rank(A), Y, X)``, all from the one SVD A = U S V* of
     :func:`index`: Y = U_0 and X = V_0, the singular vectors past the rank
-    cut, are orthonormal bases of ker(A*) and ker(A)."""
-    A = as_complex(A)
+    cut, are orthonormal bases of ker(A*) and ker(A).  Real input stays
+    real."""
+    A = as_matrix(A)
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValidationError("index is defined for square matrices only")

@@ -10,7 +10,7 @@ import numpy as np
 from .channel import (GoalSubspace, assumption_one_holds, diagnose,
                       fixed_states, hermitize, is_density)
 from .errors import NotIrreducibleError, SpectralObstructionError, ValidationError
-from .matrep import SuperOp, vec
+from .matrep import SuperOp, real_form, vec
 from .tolerances import RESOLVENT_COND_WARN, STATE_TOL, near_one, real_trace
 
 
@@ -51,7 +51,7 @@ def _resolvent(S: SuperOp, V: GoalSubspace) -> np.ndarray:
             eigenvalues=near_one(eigvals),
         )
     M = np.eye(S.dim**2) - V.QQ @ S.mat
-    if np.linalg.cond(M) > RESOLVENT_COND_WARN:
+    if np.linalg.cond(real_form(M, S.dim)) > RESOLVENT_COND_WARN:
         warnings.warn("resolvent I - QT is badly conditioned", RuntimeWarning,
                       stacklevel=2)
     return np.linalg.inv(M)

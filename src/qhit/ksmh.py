@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ginverse, monitor
-from .channel import GoalSubspace, check_shapes, diagnose, is_density
+from .channel import (GoalSubspace, check_channel, check_shapes, diagnose,
+                      is_density)
 from .errors import (NoGroupInverseError, NumericalError,
                      SpectralObstructionError, ValidationError)
-from .matrep import SuperOp, vec
+from .matrep import SuperOp, real_form, vec
 from .qmc import QMC, induce, induced_group_inverse, site_slice
 from .tolerances import NORM_GROWTH_REL_TOL, STATE_TOL, near_one, real_trace
 
@@ -85,8 +86,9 @@ def qmc_hitting_operators(q: QMC) -> QmcHittingOperators:
     site i ordered first it is block lower triangular, so its spectrum is k^2
     zeros together with the spectrum of Phi with site i's rows and columns
     removed.  Availability is decided from that principal block, of order
-    (n_sites - 1) k^2; for the induced chain's site 0 it is Q.Q S, the map
-    :func:`channel.assumption_one_holds` tests.
+    (n_sites - 1) k^2, and its spectrum is taken on its real form
+    (:func:`matrep.real_form`); for the induced chain's site 0 it is Q.Q S,
+    the map :func:`channel.assumption_one_holds` tests.
     """
     sites = range(q.n_sites)
     N = q.dim
@@ -97,7 +99,7 @@ def qmc_hitting_operators(q: QMC) -> QmcHittingOperators:
     for i in sites:
         sl = site_slice(i, q.k)
         rest = np.delete(np.delete(q.rep, sl, axis=0), sl, axis=1)
-        bad = near_one(np.linalg.eigvals(rest))
+        bad = near_one(np.linalg.eigvals(real_form(rest, q.k)))
         if bad:
             availability[i] = (False, bad)
             continue
@@ -232,10 +234,13 @@ def tau_channel(S: SuperOp, V: GoalSubspace, rho, method: str,
     KSMH kernel with a Hunter g-inverse of the induced chain (irreducible
     channels); KSMH kernel with the group inverse (spectral condition only),
     lifted from the channel's (I - S)^# by :func:`qmc.induced_group_inverse`.
+    A map that is not trace and Hermiticity preserving is refused before any
+    route runs.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     check_shapes(S, V, rho)
+    check_channel(S)
     if not is_density(rho):
         raise ValidationError("initial state must be a density matrix")
     if not V.contains_perp(rho):

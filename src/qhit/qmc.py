@@ -9,7 +9,7 @@ import numpy as np
 from . import ginverse
 from .channel import GoalSubspace, hermitize
 from .errors import DimensionError, NotIrreducibleError, ValidationError
-from .matrep import SuperOp, as_complex, conj_kron, unvec, vec
+from .matrep import SuperOp, as_complex, conj_kron, real_form, unvec, vec
 from .tolerances import TP_TOL
 
 
@@ -157,7 +157,7 @@ def stationary_density(q: QMC) -> VecState:
     taken, otherwise the site-uniform seed |e_I> is pushed through the
     ergodic projector I - A^# A.
     """
-    _, fixed = ginverse.fixed_space(q.rep, q.identity_vec())
+    _, fixed = ginverse.fixed_space(q.rep, q.k)
     if fixed is None:
         raise ValidationError("fixed space holds no state of nonzero trace")
     # re-hermitize blockwise to absorb roundoff; blocks of an induced chain's
@@ -168,7 +168,7 @@ def stationary_density(q: QMC) -> VecState:
 
 
 def fixed_space_dim(q: QMC) -> int:
-    return q.dim - ginverse.rank_with_margin(np.eye(q.dim) - q.rep)
+    return q.dim - ginverse.rank_with_margin(np.eye(q.dim) - real_form(q.rep, q.k))
 
 
 def fixed_map(q: QMC) -> np.ndarray:

@@ -14,6 +14,9 @@ from .errors import ValidationError
 
 # trace preservation and unitality: max entry of <vec I| S - <vec I|, S(I) - I
 TP_TOL = 1e-9
+# Hermiticity preservation: imaginary part of a map's Hermitian-basis form
+# (matrep.real_form), relative to max|M|
+HP_TOL = 1e-9
 # an eigenvalue (or, on the peripheral spectrum, its modulus) counts as 1
 EIG_ONE_TOL = 1e-9
 # smallest eigenvalue of the fixed density above which it is faithful

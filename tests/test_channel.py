@@ -60,6 +60,41 @@ def test_fixed_states_contain_maximally_mixed(hadamard):
         assert np.allclose(hadamard["S"](rho), rho)
 
 
+def _block_diagonal_channel(rng) -> qhit.SuperOp:
+    """A reducible channel: Kraus operators A_i (+) B_i of random channels on
+    C^2 and C^3, so the fixed space holds rho_A (+) 0 and 0 (+) rho_B."""
+    ZA, ZB = (rng.normal(size=(3 * m, m)) + 1j * rng.normal(size=(3 * m, m))
+              for m in (2, 3))
+    A, B = np.linalg.qr(ZA)[0], np.linalg.qr(ZB)[0]
+    kraus = []
+    for i in range(3):
+        K = np.zeros((5, 5), dtype=complex)
+        K[:2, :2], K[2:, 2:] = A[2 * i:2 * i + 2], B[3 * i:3 * i + 3]
+        kraus.append(K)
+    return qhit.represent(qhit.KrausChannel(5, tuple(kraus)))
+
+
+@pytest.mark.parametrize("name", ["sec5", "hadamard", "order4", "block-diagonal",
+                                  "random-4"])
+def test_fixed_states_are_hermitian(name, sec5, hadamard, order4):
+    # the fixed space is cut on the real Hermitian-basis form, so every basis
+    # matrix it returns is Hermitian, not only the leading density
+    rng = np.random.default_rng(5)
+    S = {"sec5": sec5["S"], "hadamard": hadamard["S"], "order4": order4["S"],
+         "block-diagonal": _block_diagonal_channel(rng),
+         "random-4": random_tp_channel(rng, 4)}[name]
+    states = qhit.fixed_states(S)
+    assert len(states) == qhit.diagnose(S).fixed_space_dim
+    for X in states:
+        assert np.max(np.abs(X - X.conj().T)) <= 1e-12 * np.max(np.abs(X))
+        assert np.allclose(S(X), X, atol=1e-10)
+
+
+def test_diagnose_refuses_a_map_that_does_not_preserve_hermiticity():
+    with pytest.raises(ValidationError, match="Hermiticity"):
+        qhit.diagnose(qhit.SuperOp(2, np.diag([1, 1j, 1, 1])))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=2**31 - 1),
        st.sampled_from([1e-2, 1e-4, 1e-6, 1e-8]),

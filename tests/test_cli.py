@@ -93,6 +93,36 @@ def test_hitting_on_spec_with_disagreeing_shapes_exits_2(capsys, tmp_path, spec,
     assert capsys.readouterr().err.startswith("validation error")
 
 
+@pytest.mark.parametrize("method", ["all", "series", "analytic", "ksmh-g",
+                                    "ksmh-group"])
+def test_hitting_refuses_a_superop_that_is_not_trace_preserving(capsys, tmp_path,
+                                                               method):
+    # diag(0.5, 1, 1, 1) loses half the weight of |0><0|: every route refuses
+    # it before running (analytic once printed tau = -8, exit 0)
+    node = json.loads((ROOT / CORPUS / "sec5.json").read_text())
+    spec = {"kind": "superop", "superop": np.diag([0.5, 1, 1, 1]).tolist(),
+            "subspace": node["subspace"], "initial_state": node["initial_state"]}
+    path = tmp_path / "lossy.json"
+    path.write_text(json.dumps(spec))
+    assert main(["hitting", str(path), "--method", method, "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "not trace preserving" in err
+
+
+def test_validate_reports_a_superop_that_does_not_preserve_hermiticity(capsys,
+                                                                      tmp_path):
+    # diag(1, i, 1, 1) turns X_01 by i and keeps X_10: trace preserving, but
+    # a Hermitian X goes to a non-Hermitian one
+    superop = [[1, 0, 0, 0], [0, [0, 1], 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    path = tmp_path / "turn.json"
+    path.write_text(json.dumps({"kind": "superop", "superop": superop}))
+    code, out = run_cli(capsys, "validate", str(path), "--json")
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["valid"] is False and "Hermiticity" in doc["error"]
+
+
 def test_no_finite_tau_exits_3(capsys):
     code, _ = run_cli(capsys, "hitting", f"{CORPUS}/hadamard_bad_alpha.json",
                       "--json")

@@ -1,5 +1,6 @@
 """KSMH kernel assembly, route agreement and the kernel-limit study."""
 
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -291,6 +292,55 @@ def test_tau_channel_rejects_mis_sized_input(hadamard, method):
     V3 = qhit.GoalSubspace.from_vectors([[1, 0, 0]])
     with pytest.raises(ValidationError, match="dimension 3"):
         qhit.tau_channel(S, V3, np.diag([0.0, 1.0]), method)
+
+
+@pytest.mark.parametrize("method", ["series", "analytic-K", "ksmh-ginverse",
+                                    "ksmh-group"])
+def test_tau_channel_refuses_a_map_that_is_not_a_channel(sec5, method):
+    # refused before any route runs: diag(0.5, 1, 1, 1) loses half the weight
+    # of |0><0| (the analytic route once read tau = -8 from it), and
+    # diag(1, i, 1, 1) keeps the trace but breaks Hermiticity
+    V, rho = sec5["V"], sec5["rho_phi"]
+    with pytest.raises(ValidationError, match="not trace preserving"):
+        qhit.tau_channel(qhit.SuperOp(2, np.diag([0.5, 1, 1, 1])), V, rho, method)
+    with pytest.raises(ValidationError, match="Hermiticity"):
+        qhit.tau_channel(qhit.SuperOp(2, np.diag([1, 1j, 1, 1])), V, rho, method)
+
+
+def test_spectral_decisions_run_in_real_arithmetic(monkeypatch):
+    # Every eigenvalue problem and condition number, and the SVDs of
+    # fixed_space, rank_with_margin and index, run on the real
+    # Hermitian-basis form; the one complex SVD is group_inverse's, whose
+    # kernel pair builds A^# that tau is read from.
+    calls = []
+
+    def recording(name, fn):
+        def wrapped(a, *args, **kwargs):
+            callers = {frame.function for frame in inspect.stack(0)[1:]}
+            calls.append((name, np.asarray(a).dtype, callers))
+            return fn(a, *args, **kwargs)
+        return wrapped
+
+    for name in ("eigvals", "svd", "cond"):
+        monkeypatch.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
+    rng = np.random.default_rng(11)
+    S = random_tp_channel(rng, 3)
+    V = qhit.GoalSubspace.from_vectors([np.eye(3)[0]])
+    rho = np.diag([0.0, 0.5, 0.5])
+    for method in ("series", "analytic-K", "ksmh-ginverse", "ksmh-group"):
+        assert qhit.tau_channel(S, V, rho, method).ok, method
+    qhit.diagnose(S)
+
+    real = np.dtype(np.float64)
+    for name in ("eigvals", "cond"):
+        dtypes = [dt for fn, dt, _ in calls if fn == name]
+        assert dtypes and set(dtypes) == {real}, name
+    svds = [(dt, callers) for fn, dt, callers in calls if fn == "svd"]
+    for decision in ("fixed_space", "rank_with_margin", "index"):
+        assert any(decision in callers for _, callers in svds), decision
+    assert {dt for dt, callers in svds if "group_inverse" not in callers} == {real}
+    assert any(dt == np.complex128 for dt, callers in svds
+               if "group_inverse" in callers)
 
 
 def test_ksmh_ginverse_refuses_reducible(hadamard):

@@ -15,7 +15,7 @@ from .errors import (DimensionError, NoGroupInverseError, NotIrreducibleError,
 from .ginverse import (GroupInverse, drazin_limit, group_inverse,
                        hunter_ginverse, hunter_special, index)
 from .hitting import HittingMaps, analytic_HK, fundamental_map, mhtf_tau, tau_from_K
-from .ksmh import (KsmhKernel, QmcHittingOperators, first_step_operator_L,
+from .ksmh import (QmcHittingOperators, first_step_operator_L,
                    kernel_limit_study, ksmh_kernel, qmc_hitting_operators,
                    tau_channel, tau_irreducible_qmc)
 from .matrep import SuperOp, apply, conj_kron, identity_superop, unvec, vec

@@ -123,17 +123,18 @@ class ChannelDiagnostics:
     fixed_density_min_eig: float = float("nan")
 
 
-def _tp_defect(S: SuperOp) -> float:
-    """max|<vec I| S - <vec I||: <vec I| S = <vec I| characterizes trace
-    preservation."""
-    eI = vec(np.eye(S.dim))
-    return float(np.max(np.abs(eI.conj() @ S.mat - eI.conj())))
+def _tp_defect(M, k: int) -> float:
+    """max|<e_I| M - <e_I|| for a map M on b sites of k x k matrices (order
+    b k^2, as in :func:`matrep.real_form`), e_I = vec(I_k) on every site:
+    <e_I| M = <e_I| characterizes trace preservation."""
+    eI = np.tile(vec(np.eye(k)), M.shape[0] // (k * k))
+    return float(np.max(np.abs(eI.conj() @ M - eI.conj())))
 
 
 def check_channel(S: SuperOp) -> None:
     """Raise unless S is trace preserving (``TP_TOL``) and Hermiticity
     preserving (``HP_TOL``, via :func:`matrep.real_form`)."""
-    defect = _tp_defect(S)
+    defect = _tp_defect(S.mat, S.dim)
     if defect > TP_TOL:
         raise ValidationError(f"map is not trace preserving (defect {defect:.3e})")
     real_form(S.mat, S.dim)
@@ -151,7 +152,7 @@ def diagnose(S: SuperOp) -> ChannelDiagnostics:
     refused with :class:`ValidationError`.
     """
     n = S.dim
-    tp_defect = _tp_defect(S)
+    tp_defect = _tp_defect(S.mat, S.dim)
     is_tp = tp_defect <= TP_TOL
     is_unital = bool(np.max(np.abs(S(np.eye(n)) - np.eye(n))) <= TP_TOL)
 

@@ -108,17 +108,24 @@ def parse_channel(node, path: str = "$") -> SuperOp:
             raise SpecError(f"{path}.superop", "must be square of order n^2")
         return SuperOp(n, M)
     if kind == "randomization":
-        mix = node.get("mix")
-        if not isinstance(mix, dict):
-            raise SpecError(f"{path}.mix", "expected an object {p, left, right}")
-        for key in ("p", "left", "right"):
-            if key not in mix:
-                raise SpecError(f"{path}.mix.{key}", "missing")
-        left = parse_channel(mix["left"], f"{path}.mix.left")
-        right = parse_channel(mix["right"], f"{path}.mix.right")
-        return randomize(left, right, float(mix["p"]))
+        p, left, right = _parse_mix(node, path)
+        return randomize(left, right, p)
     raise SpecError(f"{path}.kind",
                     "expected one of kraus | unitary | superop | randomization")
+
+
+def _parse_mix(node: dict, path: str) -> tuple:
+    """(p, left, right) of a randomization spec's ``mix`` object, the two
+    channels parsed."""
+    mix = node.get("mix")
+    if not isinstance(mix, dict):
+        raise SpecError(f"{path}.mix", "expected an object {p, left, right}")
+    for key in ("p", "left", "right"):
+        if key not in mix:
+            raise SpecError(f"{path}.mix.{key}", "missing")
+    left = parse_channel(mix["left"], f"{path}.mix.left")
+    right = parse_channel(mix["right"], f"{path}.mix.right")
+    return float(mix["p"]), left, right
 
 
 def parse_subspace(node, dim: int, path: str = "$.subspace") -> GoalSubspace:
@@ -155,10 +162,6 @@ def load_spec(filename: str) -> dict:
 def _fmt(x: float) -> float:
     """Round-trip through 12 significant digits for stable output."""
     return float(f"{float(x):.12g}")
-
-
-def _jreal(x) -> float:
-    return _fmt(np.real(x))
 
 
 def _jcomplex(z) -> list:
@@ -353,11 +356,7 @@ def cmd_sweep(args) -> int:
     spec = load_spec(args.spec)
     if spec.get("kind") != "randomization":
         raise SpecError("$.kind", "sweep requires a randomization spec")
-    mix = spec.get("mix")
-    if not isinstance(mix, dict):
-        raise SpecError("$.mix", "expected an object {p, left, right}")
-    left = parse_channel(mix["left"], "$.mix.left")
-    right = parse_channel(mix["right"], "$.mix.right")
+    _, left, right = _parse_mix(spec, "$")
     if "subspace" not in spec:
         raise SpecError("$.subspace", "missing (required by sweep)")
     V = parse_subspace(spec["subspace"], left.dim)

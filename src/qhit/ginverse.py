@@ -3,7 +3,10 @@
 Two independent constructions of the group inverse are provided: the
 spectral-projector form (A + cE)^{-1} - E/c, with E the projector onto ker(A)
 along range(A) taken from the kernel pair of one SVD, and the resolvent limit
-(A^2 + zI)^{-1} A as z -> 0.  They cross-check each other.
+(A^2 + zI)^{-1} A as z -> 0.  They cross-check each other.  The Hunter
+g-inverses and the resolvent limit are returned as plain matrices; only
+:func:`group_inverse` returns a record, the matrix with its index and
+ergodic projector.
 """
 
 from __future__ import annotations
@@ -123,7 +126,6 @@ def _index_and_rank(A) -> tuple:
 
 @dataclass(frozen=True)
 class GroupInverse:
-    A: np.ndarray
     Asharp: np.ndarray
     index: int
     ergodic_projector: np.ndarray
@@ -167,7 +169,7 @@ def group_inverse(A) -> GroupInverse:
         Asharp = np.linalg.inv(A + c * E) - E / c
 
     GA = check_group_axioms(A, Asharp)
-    return GroupInverse(A=A, Asharp=Asharp, index=ind, ergodic_projector=np.eye(n) - GA)
+    return GroupInverse(Asharp=Asharp, index=ind, ergodic_projector=np.eye(n) - GA)
 
 
 def check_group_axioms(A, G) -> np.ndarray:
@@ -186,18 +188,13 @@ def check_group_axioms(A, G) -> np.ndarray:
     return GA
 
 
-@dataclass(frozen=True)
-class DrazinLimit:
-    estimate: np.ndarray
-    z_values: tuple
-    residuals: tuple  # per-z residual of A G A = A for G = (A^2 + zI)^{-1} A
-
-
-def drazin_limit(A) -> DrazinLimit:
+def drazin_limit(A) -> np.ndarray:
     """Group inverse via the limit (A^2 + zI)^{-1} A, Richardson-extrapolated
     over the decreasing ``DRAZIN_Z``.
 
     Independent cross-check of :func:`group_inverse`; requires index(A) <= 1.
+    Raises :class:`NumericalError` unless the residual of A G A = A at the
+    smallest z stays within ten times that at the largest.
     """
     A = as_complex(A)
     evals = []
@@ -211,15 +208,20 @@ def drazin_limit(A) -> DrazinLimit:
         raise NumericalError(
             "resolvent-limit residuals are not decreasing; extrapolation unreliable"
         )
-    # Lagrange extrapolation of the analytic family G(z) to z = 0
-    est = np.zeros_like(A)
-    for i, zi in enumerate(DRAZIN_Z):
+    # the family G(z) is analytic at z = 0
+    return _lagrange_at_zero(DRAZIN_Z, evals)
+
+
+def _lagrange_at_zero(xs, values) -> np.ndarray:
+    """Value at x = 0 of the Lagrange interpolant through (xs[i], values[i])."""
+    est = np.zeros_like(values[0])
+    for i, xi in enumerate(xs):
         w = 1.0
-        for j, zj in enumerate(DRAZIN_Z):
+        for j, xj in enumerate(xs):
             if i != j:
-                w *= (0.0 - zj) / (zi - zj)
-        est = est + w * evals[i]
-    return DrazinLimit(estimate=est, z_values=DRAZIN_Z, residuals=tuple(residuals))
+                w *= (0.0 - xj) / (xi - xj)
+        est = est + w * values[i]
+    return est
 
 
 def verify_ginverse(A, G) -> float:

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (GoalSubspace, assumption_one_holds, diagnose,
-                      fixed_states, hermitize, is_density)
+from .channel import (GoalSubspace, assumption_one_holds, check_channel,
+                      diagnose, fixed_states, hermitize, is_density)
 from .errors import NotIrreducibleError, SpectralObstructionError, ValidationError
 from .matrep import SuperOp, real_form, vec
 from .tolerances import RESOLVENT_COND_WARN, STATE_TOL, near_one, real_trace
@@ -35,9 +35,6 @@ class HittingMaps:
         right = (np.eye(n2) - V.QQ) if j == 1 else V.QQ
         return left @ M @ right
 
-    def H_block(self, i: int, j: int) -> np.ndarray:
-        return self.block(self.H.mat, i, j)
-
     def K_block(self, i: int, j: int) -> np.ndarray:
         return self.block(self.K.mat, i, j)
 
@@ -60,8 +57,11 @@ def _resolvent(S: SuperOp, V: GoalSubspace) -> np.ndarray:
 def analytic_HK(S: SuperOp, V: GoalSubspace) -> HittingMaps:
     """Hitting probability and mean hitting time maps under the spectral condition.
 
-    One factorization is reused: K = T M^2 with M = (I - QT)^{-1}.
+    One factorization is reused: K = T M^2 with M = (I - QT)^{-1}.  Raises
+    :class:`ValidationError` unless S is a trace and Hermiticity preserving
+    map (:func:`channel.check_channel`).
     """
+    check_channel(S)
     M = _resolvent(S, V)
     H = SuperOp(S.dim, S.mat @ M)
     K = SuperOp(S.dim, H.mat @ M)

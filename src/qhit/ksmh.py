@@ -1,6 +1,7 @@
 """Hitting-time kernels: site hitting operators, the D(I - G + G_d E) kernel
-and its fixed-map-corrected and group-inverse variants, plus the channel-level
-dispatcher over all computation routes.
+(plain, or fixed-map-corrected for an arbitrary g-inverse), plus the
+channel-level dispatcher over all computation routes.  Kernels are plain
+ndarrays, read block by block through :func:`qmc.site_slice`.
 
 Site indices are 0-based throughout: for an induced 2-site chain, site 0 is
 the goal subspace V and site 1 its complement.
@@ -13,10 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ginverse, monitor
-from .channel import (GoalSubspace, check_channel, check_shapes, diagnose,
-                      is_density)
+from .channel import (GoalSubspace, check_shapes, diagnose, is_density,
+                      randomize)
 from .errors import (NoGroupInverseError, NumericalError,
                      SpectralObstructionError, ValidationError)
+from .hitting import analytic_HK, tau_from_K
 from .matrep import SuperOp, real_form, vec
 from .qmc import QMC, induce, induced_group_inverse, site_slice
 from .tolerances import NORM_GROWTH_REL_TOL, STATE_TOL, near_one, real_trace
@@ -143,18 +145,7 @@ def qmc_hitting_operators(q: QMC) -> QmcHittingOperators:
                                fallback_sites=tuple(fallback))
 
 
-@dataclass(frozen=True)
-class KsmhKernel:
-    kernel: np.ndarray
-    variant: str  # fixed-map-corrected | plain | group
-    n_sites: int
-    k: int
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        return _block(self.kernel, i, j, self.k)
-
-
-def ksmh_kernel(q: QMC, D, G, omega=None, variant: str | None = None) -> KsmhKernel:
+def ksmh_kernel(q: QMC, D, G, omega=None) -> np.ndarray:
     """Assemble the hitting-time kernel from a g-inverse G of I - Phi.
 
     Plain form D(I - G + G_d E) is valid when G has the special Hunter shape
@@ -173,25 +164,23 @@ def ksmh_kernel(q: QMC, D, G, omega=None, variant: str | None = None) -> KsmhKer
     if omega is not None:
         OG = np.asarray(omega) @ G
         core = OG - _diag_blocks_E(OG, n, k) + core
-        tag = "fixed-map-corrected"
-    else:
-        tag = "plain"
     kernel = np.empty_like(core)
     for i, D_ii in enumerate(_diagonal_blocks(D, n, k)):
         kernel[site_slice(i, k)] = D_ii @ core[site_slice(i, k)]
-    return KsmhKernel(kernel=kernel, variant=variant or tag, n_sites=n, k=k)
+    return kernel
 
 
 def _trace_block(kernel_block: np.ndarray, rho, k: int) -> float:
     return real_trace(complex(np.vdot(vec(np.eye(k)), kernel_block @ vec(rho))))
 
 
-def tau_irreducible_qmc(q: QMC, kernel: KsmhKernel, i: int, j: int, rho_j) -> float:
-    """Mean hitting time to site i from a density rho_j at site j."""
+def tau_irreducible_qmc(q: QMC, kernel: np.ndarray, i: int, j: int, rho_j) -> float:
+    """Mean hitting time to site i from a density rho_j at site j, read from
+    block (i, j) of a kernel of :func:`ksmh_kernel`."""
     rho_j = np.asarray(rho_j, dtype=np.complex128)
     if rho_j.shape != (q.k, q.k):
         raise ValidationError(f"site density must be {q.k}x{q.k}")
-    return _trace_block(kernel.block(i, j), rho_j, q.k)
+    return _trace_block(_block(kernel, i, j, q.k), rho_j, q.k)
 
 
 def first_step_operator_L(q: QMC, ops: QmcHittingOperators) -> np.ndarray:
@@ -234,13 +223,13 @@ def tau_channel(S: SuperOp, V: GoalSubspace, rho, method: str,
     KSMH kernel with a Hunter g-inverse of the induced chain (irreducible
     channels); KSMH kernel with the group inverse (spectral condition only),
     lifted from the channel's (I - S)^# by :func:`qmc.induced_group_inverse`.
-    A map that is not trace and Hermiticity preserving is refused before any
-    route runs.
+    Every route refuses a map that is not trace and Hermiticity preserving
+    at its entry (:func:`monitor.first_visit_series`,
+    :func:`hitting.analytic_HK`, :func:`qmc.induce`).
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     check_shapes(S, V, rho)
-    check_channel(S)
     if not is_density(rho):
         raise ValidationError("initial state must be a density matrix")
     if not V.contains_perp(rho):
@@ -257,8 +246,6 @@ def tau_channel(S: SuperOp, V: GoalSubspace, rho, method: str,
             art["series"] = series
         return TauReport(method=method, tau=series.tau, ok=series.converged,
                          preconditions=pre, artifacts=art)
-
-    from .hitting import analytic_HK, tau_from_K  # local to avoid cycle at import time
 
     if method == "analytic-K":
         try:
@@ -289,15 +276,13 @@ def tau_channel(S: SuperOp, V: GoalSubspace, rho, method: str,
             return TauReport(method=method, tau=None, ok=False, preconditions=pre,
                              detail="channel is not irreducible; use ksmh-group")
         G = ginverse.hunter_special(q)
-        variant = "plain"
     else:  # ksmh-group
         G = induced_group_inverse(S, q)
-        variant = "group"
 
-    kern = ksmh_kernel(q, ops.D, G, variant=variant)
+    kern = ksmh_kernel(q, ops.D, G)
     tau = tau_irreducible_qmc(q, kern, 0, 1, rho)
     if keep_artifacts:
-        art.update({"qmc": q, "D": ops.D, "G": G, "kernel": kern.kernel})
+        art.update({"qmc": q, "D": ops.D, "G": G, "kernel": kern})
     return TauReport(method=method, tau=tau, ok=True, preconditions=pre,
                      artifacts=art)
 
@@ -322,10 +307,11 @@ class KernelLimitReport:
 
 
 def kernel_limit_study(T: SuperOp, Mprime: SuperOp, V: GoalSubspace, p_values,
-                       rho=None, t=None, f=None) -> KernelLimitReport:
+                       rho=None) -> KernelLimitReport:
     """Behaviour of the KSMH kernel of the randomization p T + (1-p) M' as p -> 0.
 
-    For each p the Hunter g-inverse G_p and kernel H_p are formed; the kernel
+    For each p the special Hunter g-inverse G_p (:func:`ginverse.hunter_special`
+    at its defaults) and kernel H_p are formed; the kernel
     limit H_0 is extrapolated from the three smallest p values and compared
     with the kernel computed directly at p = 0 from the group inverse of the
     induced chain, lifted from (I - M')^# by :func:`qmc.induced_group_inverse`.
@@ -334,8 +320,6 @@ def kernel_limit_study(T: SuperOp, Mprime: SuperOp, V: GoalSubspace, p_values,
     The divergence of ||G_p|| alongside a convergent H_p is the reported
     finding.
     """
-    from .channel import randomize
-
     if rho is None:
         # default initial state: normalized projection of the mixed state onto V-perp
         rho = V.Q @ (np.eye(V.ambient_dim) / V.ambient_dim) @ V.Q
@@ -348,26 +332,21 @@ def kernel_limit_study(T: SuperOp, Mprime: SuperOp, V: GoalSubspace, p_values,
     for p in ps:
         q = induce(randomize(T, Mprime, p), V)
         ops = qmc_hitting_operators(q)
-        G = ginverse.hunter_special(q, u=t, f=f)
+        G = ginverse.hunter_special(q)
         kern = ksmh_kernel(q, ops.D, G)
         tau = tau_irreducible_qmc(q, kern, 0, 1, rho)
         points.append(KernelLimitPoint(p=p, tau=tau,
                                        g_norm=float(np.linalg.norm(G, 2)),
-                                       kernel=kern.kernel))
+                                       kernel=kern))
 
-    # polynomial (Lagrange) extrapolation to p = 0 from the three smallest p
-    tail = points[-3:] if len(points) >= 3 else points
-    H0_ext = np.zeros_like(tail[0].kernel)
-    for a in tail:
-        w = 1.0
-        for b in tail:
-            if a is not b:
-                w *= (0.0 - b.p) / (a.p - b.p)
-        H0_ext = H0_ext + w * a.kernel
+    # polynomial extrapolation to p = 0 from the three smallest p
+    tail = points[-3:]
+    H0_ext = ginverse._lagrange_at_zero([pt.p for pt in tail],
+                                        [pt.kernel for pt in tail])
 
     q0 = induce(Mprime, V)
     ops0 = qmc_hitting_operators(q0)
-    kern0 = ksmh_kernel(q0, ops0.D, induced_group_inverse(Mprime, q0), variant="group")
+    kern0 = ksmh_kernel(q0, ops0.D, induced_group_inverse(Mprime, q0))
     tau0 = tau_irreducible_qmc(q0, kern0, 0, 1, rho)
     tau_ext = _trace_block(_block(H0_ext, 0, 1, q0.k), rho, q0.k)
 
@@ -379,8 +358,8 @@ def kernel_limit_study(T: SuperOp, Mprime: SuperOp, V: GoalSubspace, p_values,
         points=tuple(points),
         H0_extrapolated=H0_ext,
         tau_extrapolated=tau_ext,
-        H0_direct=kern0.kernel,
+        H0_direct=kern0,
         tau_direct=tau0,
-        extrapolation_defect=float(np.max(np.abs(H0_ext - kern0.kernel))),
+        extrapolation_defect=float(np.max(np.abs(H0_ext - kern0))),
         g_norms_diverge=diverges,
     )

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import GoalSubspace, check_shapes, is_density
+from .channel import GoalSubspace, check_channel, check_shapes, is_density
 from .errors import ValidationError
 from .matrep import SuperOp, vec
 from .qmc import QMC, VecState, site_slice
@@ -133,9 +133,11 @@ def first_visit_series(S: SuperOp, V: GoalSubspace, rho,
 
     Truncation is reported through ``converged``/``truncated_at``, never
     raised; ``tau`` is infinite when the hitting probability plateaus
-    below 1.
+    below 1.  A map that is not trace and Hermiticity preserving is refused
+    with :class:`ValidationError` (:func:`channel.check_channel`).
     """
     check_shapes(S, V, rho)
+    check_channel(S)
     if not is_density(rho):
         raise ValidationError("initial state must be a density matrix")
     config = config or SeriesConfig()

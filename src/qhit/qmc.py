@@ -1,4 +1,8 @@
-"""Quantum Markov chains: block-operator grids, OQWs and the induced 2-site chain."""
+"""Quantum Markov chains: block-operator grids, OQWs and the induced 2-site chain.
+
+A chain is refused unless it is trace preserving, <e_I| Phi = <e_I|; the
+induced chain also refuses a channel that does not preserve Hermiticity.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ginverse
-from .channel import GoalSubspace, hermitize
+from .channel import GoalSubspace, _tp_defect, check_channel, hermitize
 from .errors import DimensionError, NotIrreducibleError, ValidationError
 from .matrep import SuperOp, as_complex, conj_kron, real_form, unvec, vec
 from .tolerances import TP_TOL
@@ -27,10 +31,11 @@ class QMC:
     """n_sites x n_sites grid of superoperator blocks on k x k internal matrices.
 
     Stored as the assembled representation matrix of order n_sites * k^2; the
-    per-block view is :meth:`block`.
+    per-block view is :meth:`block`.  Raises :class:`ValidationError` unless
+    the chain is trace preserving to ``TP_TOL``.
     """
 
-    def __init__(self, n_sites: int, k: int, rep, check: bool = True):
+    def __init__(self, n_sites: int, k: int, rep):
         rep = as_complex(rep)
         N = n_sites * k * k
         if rep.shape != (N, N):
@@ -38,14 +43,9 @@ class QMC:
         self.n_sites = n_sites
         self.k = k
         self.rep = rep
-        self._stationary = None
-        if check:
-            eI = self.identity_vec()
-            defect = float(np.max(np.abs(eI.conj() @ rep - eI.conj())))
-            if defect > TP_TOL:
-                raise ValidationError(
-                    f"QMC is not trace preserving (defect {defect:.3e})"
-                )
+        defect = _tp_defect(rep, k)
+        if defect > TP_TOL:
+            raise ValidationError(f"QMC is not trace preserving (defect {defect:.3e})")
 
     @property
     def dim(self) -> int:
@@ -60,10 +60,8 @@ class QMC:
         return np.tile(vec(np.eye(self.k)), self.n_sites)
 
     def stationary_vec(self) -> np.ndarray:
-        """Vectorized stationary density (cached)."""
-        if self._stationary is None:
-            self._stationary = stationary_density(self).data
-        return self._stationary
+        """Vectorized stationary density, :func:`stationary_density`."""
+        return stationary_density(self).data
 
 
 @dataclass(frozen=True)
@@ -90,17 +88,12 @@ class VecState:
 def from_oqw(B) -> QMC:
     """Open quantum walk from a grid B[i][j] of k x k matrices.
 
-    Requires sum_i B_ij* B_ij = I for every column j.
+    Requires sum_i B_ij* B_ij = I for every column j, which is the trace
+    preservation that :class:`QMC` checks.
     """
     n = len(B)
     mats = [[as_complex(B[i][j]) for j in range(n)] for i in range(n)]
     k = mats[0][0].shape[0]
-    for j in range(n):
-        acc = sum(mats[i][j].conj().T @ mats[i][j] for i in range(n))
-        if np.max(np.abs(acc - np.eye(k))) > TP_TOL:
-            raise ValidationError(
-                f"OQW column {j} violates sum_i B_ij* B_ij = I"
-            )
     rep = np.zeros((n * k * k, n * k * k), dtype=np.complex128)
     for i in range(n):
         for j in range(n):
@@ -112,10 +105,13 @@ def induce(S: SuperOp, V: GoalSubspace) -> QMC:
     """The 2-site QMC turning subspace-hitting for S into site-hitting.
 
     Row 1 carries (I - QQ) S, row 2 carries QQ S, each repeated across both
-    columns; trace preservation is inherited from S.
+    columns; trace preservation is inherited from S.  Raises
+    :class:`ValidationError` unless S is a trace and Hermiticity preserving
+    map (:func:`channel.check_channel`).
     """
     if S.dim != V.ambient_dim:
         raise DimensionError("channel and subspace dimensions differ")
+    check_channel(S)
     n2 = S.dim**2
     top = (np.eye(n2) - V.QQ) @ S.mat
     bot = V.QQ @ S.mat

@@ -156,6 +156,21 @@ def test_sweep_rejects_bad_values(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("key", ["left", "right", "p"])
+def test_sweep_on_spec_without_mix_key_exits_2(capsys, tmp_path, key):
+    # sweep checks the mix object as hitting does: a missing key is an
+    # invalid spec, not a KeyError
+    spec = json.loads((ROOT / CORPUS / "randomization.json").read_text())
+    del spec["mix"][key]
+    path = tmp_path / "mix.json"
+    path.write_text(json.dumps(spec))
+    for cmd in (["sweep", str(path), "--values", "0.5,0.1"], ["hitting", str(path)]):
+        assert main(cmd) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"$.mix.{key}: missing" in err
+
+
 def test_hitting_dump_intermediates(capsys):
     code, out = run_cli(capsys, "hitting", f"{CORPUS}/sec5.json",
                         "--dump-intermediates", "--json")

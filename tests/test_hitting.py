@@ -114,3 +114,13 @@ def test_mhtf_constant_over_phase_rotations(sec5):
         psi_rot = np.exp(1j * theta) * sec5["psi"]
         tau = qhit.mhtf_tau(sec5["S"], sec5["V"], Z, maps, psi_rot, sec5["phi"])
         assert abs(tau - base) < 1e-10
+
+
+def test_analytic_HK_refuses_a_map_that_is_not_a_channel(sec5):
+    # diag(0.5, 1, 1, 1) loses half the weight of |0><0|; K read from it gave
+    # tau = -8 for a state in V-perp
+    S = qhit.SuperOp(2, np.diag([0.5, 1, 1, 1]))
+    with pytest.raises(ValidationError, match="not trace preserving"):
+        qhit.tau_from_K(qhit.analytic_HK(S, sec5["V"]), sec5["rho_phi"], "in-V-perp")
+    with pytest.raises(ValidationError, match="Hermiticity"):
+        qhit.analytic_HK(qhit.SuperOp(2, np.diag([1, 1j, 1, 1])), sec5["V"])

@@ -109,7 +109,7 @@ def test_ksmh_kernel_matches_dense_identity_grid(sec5):
     corrected = OG - (diag * OG) @ E + plain
     for om, core in ((None, plain), (omega, corrected)):
         kern = qhit.ksmh_kernel(q, ops.D, G, omega=om)
-        assert np.max(np.abs(kern.kernel - ops.D @ core)) < 1e-12
+        assert np.max(np.abs(kern - ops.D @ core)) < 1e-12
 
 
 def test_group_route_accepts_near_reducible_mixture():
@@ -166,16 +166,16 @@ def test_rotation_site1_obstructed_abel_fallback(rotation):
     assert ops.fallback_sites == ((1, "abel-return"),)
     # the recovered D block reproduces the bottom-right block of the limit kernel
     kern = qhit.ksmh_kernel(
-        q, ops.D, qhit.group_inverse(np.eye(q.dim) - q.rep).Asharp, variant="group")
-    assert np.max(np.abs(kern.kernel - H0)) < 1e-9
+        q, ops.D, qhit.group_inverse(np.eye(q.dim) - q.rep).Asharp)
+    assert np.max(np.abs(kern - H0)) < 1e-9
 
 
 def test_hadamard_kernel_matches_printed(hadamard):
     q = hadamard["q"]
     ops = qhit.qmc_hitting_operators(q)
     G = qhit.group_inverse(np.eye(q.dim) - q.rep).Asharp
-    kern = qhit.ksmh_kernel(q, ops.D, G, variant="group")
-    assert np.max(np.abs(kern.kernel - HADAMARD_KERNEL)) < 1e-10
+    kern = qhit.ksmh_kernel(q, ops.D, G)
+    assert np.max(np.abs(kern - HADAMARD_KERNEL)) < 1e-10
 
 
 def test_tau_irreducible_qmc_sec5(sec5):
@@ -366,7 +366,6 @@ def test_general_hunter_with_fixed_map_correction(sec5):
         G = qhit.hunter_ginverse(q, t=rng.normal(size=8), u=rng.normal(size=8),
                                  f=rng.normal(size=8), g=rng.normal(size=8))
         kern = qhit.ksmh_kernel(q, ops.D, G, omega=omega)
-        assert kern.variant == "fixed-map-corrected"
         tau = qhit.tau_irreducible_qmc(q, kern, 0, 1, sec5["rho_phi"])
         assert abs(tau - 6.0) < 1e-8
 

@@ -249,3 +249,14 @@ def test_site_visit_series_rejects_a_state_of_another_chain(sec5):
     for state in (three_sites, qutrit):
         with pytest.raises(ValidationError, match="state has"):
             qhit.site_visit_series(q, 0, state)
+
+
+def test_first_visit_series_refuses_a_map_that_is_not_a_channel(sec5):
+    # diag(0.5, 1, 1, 1) loses half the weight of |0><0|; the series summed
+    # over it reported tau = inf
+    with pytest.raises(ValidationError, match="not trace preserving"):
+        qhit.first_visit_series(qhit.SuperOp(2, np.diag([0.5, 1, 1, 1])),
+                                sec5["V"], sec5["rho_phi"])
+    with pytest.raises(ValidationError, match="Hermiticity"):
+        qhit.first_visit_series(qhit.SuperOp(2, np.diag([1, 1j, 1, 1])),
+                                sec5["V"], sec5["rho_phi"])

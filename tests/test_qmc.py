@@ -111,3 +111,11 @@ def test_induced_group_inverse_matches_chain_group_inverse(case, request):
     if case in PRINTED_ASHARP:
         assert np.max(np.abs(lifted - PRINTED_ASHARP[case])) < 1e-10
     assert qhit.index(A) == qhit.index(np.eye(S.dim**2) - S.mat)
+
+
+def test_induce_refuses_a_map_that_is_not_a_channel(sec5):
+    # diag(1, i, 1, 1) keeps the trace, so the chain's own trace check passes
+    with pytest.raises(ValidationError, match="Hermiticity"):
+        qhit.induce(qhit.SuperOp(2, np.diag([1, 1j, 1, 1])), sec5["V"])
+    with pytest.raises(ValidationError, match="not trace preserving"):
+        qhit.induce(qhit.SuperOp(2, np.diag([0.5, 1, 1, 1])), sec5["V"])

@@ -19,8 +19,7 @@ from .ksmh import (QmcHittingOperators, first_step_operator_L,
                    kernel_limit_study, ksmh_kernel, qmc_hitting_operators,
                    tau_channel, tau_irreducible_qmc)
 from .matrep import SuperOp, apply, conj_kron, identity_superop, unvec, vec
-from .monitor import (MonitorSeries, SeriesConfig, first_visit_series,
-                      site_visit_series)
+from .monitor import MonitorSeries, first_visit_series, site_visit_series
 from .qmc import (QMC, VecState, fixed_map, fixed_space_dim, from_oqw, induce,
                   induced_group_inverse, stationary_density)
 

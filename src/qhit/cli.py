@@ -55,11 +55,15 @@ class SpecError(ValidationError):
 
 # ----------------------------------------------------------------- parsing
 
+def _is_number(x) -> bool:
+    """A JSON number: json reads true and false as bools, which are ints."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _entry(x, path: str) -> complex:
-    if isinstance(x, (int, float)):
+    if _is_number(x):
         return complex(x)
-    if (isinstance(x, list) and len(x) == 2
-            and all(isinstance(v, (int, float)) for v in x)):
+    if isinstance(x, list) and len(x) == 2 and all(map(_is_number, x)):
         return complex(x[0], x[1])
     raise SpecError(path, "expected a number or an [re, im] pair")
 
@@ -93,7 +97,9 @@ def parse_channel(node, path: str = "$") -> SuperOp:
         if not isinstance(ops, list) or not ops:
             raise SpecError(f"{path}.kraus", "expected a nonempty list of matrices")
         mats = [parse_matrix(m, f"{path}.kraus[{i}]") for i, m in enumerate(ops)]
-        dim = int(node.get("dim", mats[0].shape[0]))
+        dim = node.get("dim", mats[0].shape[0])
+        if not isinstance(dim, int) or isinstance(dim, bool):
+            raise SpecError(f"{path}.dim", "expected an integer")
         return represent(KrausChannel(dim, tuple(mats)))
     if kind == "unitary":
         if "unitary" not in node:
@@ -123,6 +129,8 @@ def _parse_mix(node: dict, path: str) -> tuple:
     for key in ("p", "left", "right"):
         if key not in mix:
             raise SpecError(f"{path}.mix.{key}", "missing")
+    if not _is_number(mix["p"]):
+        raise SpecError(f"{path}.mix.p", "expected a number")
     left = parse_channel(mix["left"], f"{path}.mix.left")
     right = parse_channel(mix["right"], f"{path}.mix.right")
     return float(mix["p"]), left, right

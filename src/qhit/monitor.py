@@ -20,6 +20,14 @@ Python bookkeeping, about 0.6 us on a 2-vCPU VM, dominates. Each term is
 checked for an imaginary part, clamped to [0, 1], summed and tested for
 stopping one at a time, in order; terms computed past the stop are dropped
 unread.
+
+The series stops after max(BLOCK, N) consecutive negligible increments
+r pi_r, with N the order of M, or at MAX_STEPS terms (``converged=False``).
+The order makes the stop sound: by Cayley-Hamilton, M^N v is a combination
+of v, M v, ..., M^(N-1) v, so once N consecutive terms g M^s v vanish every
+later one does too, and no first arrival can follow them.  The BLOCK floor
+gives a small map a longer run, and so a smaller tail, at little cost: its
+terms come out of the same products.
 """
 
 from __future__ import annotations
@@ -35,27 +43,7 @@ from .qmc import QMC, VecState, site_slice
 from .tolerances import HIT_PROB_TOL, ZERO_TOL, real_trace
 
 BLOCK = 64  # terms per block; a power of two, so the jump is built by squaring
-
-
-@dataclass
-class SeriesConfig:
-    increment_tol: float = ZERO_TOL
-    patience: int = 64  # consecutive negligible increments before stopping
-    max_steps: int = 10**6
-    hit_prob_tol: float = HIT_PROB_TOL  # below 1 - this, tau is reported infinite
-
-    def __post_init__(self):
-        # the negated comparisons also refuse NaN
-        if not self.patience >= 1:
-            raise ValidationError(f"patience must be at least 1, got {self.patience}")
-        if not self.max_steps >= 1:
-            raise ValidationError(f"max_steps must be at least 1, got {self.max_steps}")
-        if not self.increment_tol >= 0:
-            raise ValidationError(
-                f"increment_tol must be non-negative, got {self.increment_tol}")
-        if not 0 <= self.hit_prob_tol < 1:
-            raise ValidationError(
-                f"hit_prob_tol must lie in [0, 1), got {self.hit_prob_tol}")
+MAX_STEPS = 10**6  # terms summed before the series gives up unconverged
 
 
 @dataclass(frozen=True)
@@ -65,11 +53,10 @@ class MonitorSeries:
     partial_tau: float
     truncated_at: int
     converged: bool
-    hit_prob_tol: float  # the run's SeriesConfig.hit_prob_tol
 
     @property
     def tau(self) -> float:
-        if self.cumulative_prob < 1.0 - self.hit_prob_tol:
+        if self.cumulative_prob < 1.0 - HIT_PROB_TOL:
             return float("inf")
         return self.partial_tau
 
@@ -87,10 +74,10 @@ def _block_rows(step, first):
     return rows, power
 
 
-def _run_series(step, first, v0, config: SeriesConfig):
+def _run_series(step, first, v0):
     """Sum pi_r = first . step^{r-1} v0 until convergence, BLOCK terms per product."""
     rows, jump = _block_rows(step, first)
-    tol, patience = config.increment_tol, config.patience
+    window = max(BLOCK, step.shape[0])
     v = v0
     terms = []
     cum = 0.0
@@ -98,11 +85,11 @@ def _run_series(step, first, v0, config: SeriesConfig):
     quiet = 0
     r = 0
     converged = False
-    while r < config.max_steps and not converged:
+    while r < MAX_STEPS and not converged:
         if r:
             v = jump @ v
-        # terms past max_steps or the stop are never read, so never checked
-        for x in (rows @ v)[: config.max_steps - r].tolist():
+        # terms past MAX_STEPS or the stop are never read, so never checked
+        for x in (rows @ v)[: MAX_STEPS - r].tolist():
             r += 1
             pi_r = real_trace(x)
             pi_r = 0.0 if pi_r < 0.0 else (1.0 if pi_r > 1.0 else pi_r)
@@ -110,9 +97,9 @@ def _run_series(step, first, v0, config: SeriesConfig):
             cum += pi_r
             increment = r * pi_r
             tau += increment
-            if increment < tol:
+            if increment < ZERO_TOL:
                 quiet += 1
-                if quiet >= patience:
+                if quiet >= window:
                     converged = True
                     break
             else:
@@ -123,12 +110,10 @@ def _run_series(step, first, v0, config: SeriesConfig):
         partial_tau=tau,
         truncated_at=r,
         converged=converged,
-        hit_prob_tol=config.hit_prob_tol,
     )
 
 
-def first_visit_series(S: SuperOp, V: GoalSubspace, rho,
-                       config: SeriesConfig | None = None) -> MonitorSeries:
+def first_visit_series(S: SuperOp, V: GoalSubspace, rho) -> MonitorSeries:
     """Direct summation of the first-visit series for subspace V.
 
     Truncation is reported through ``converged``/``truncated_at``, never
@@ -140,13 +125,11 @@ def first_visit_series(S: SuperOp, V: GoalSubspace, rho,
     check_channel(S)
     if not is_density(rho):
         raise ValidationError("initial state must be a density matrix")
-    config = config or SeriesConfig()
     # the trace of the goal part X - Q X Q of X is Tr(P X) = <vec P|vec X>
-    return _run_series(V.QQ @ S.mat, vec(V.P).conj() @ S.mat, vec(rho), config)
+    return _run_series(V.QQ @ S.mat, vec(V.P).conj() @ S.mat, vec(rho))
 
 
-def site_visit_series(q: QMC, target: int, state: VecState,
-                      config: SeriesConfig | None = None) -> MonitorSeries:
+def site_visit_series(q: QMC, target: int, state: VecState) -> MonitorSeries:
     """First-visit series of a QMC to a target site."""
     if not 0 <= target < q.n_sites:
         raise ValidationError(f"target site {target} is not in 0..{q.n_sites - 1}")
@@ -154,9 +137,8 @@ def site_visit_series(q: QMC, target: int, state: VecState,
         raise ValidationError(
             f"state has {state.n_sites} sites of order {state.k}, "
             f"the chain {q.n_sites} of order {q.k}")
-    config = config or SeriesConfig()
     sl = site_slice(target, q.k)
     step = q.rep.copy()
     step[sl] = 0.0  # monitoring removes what lands on the target
     first = q.identity_vec()[sl].conj() @ q.rep[sl]
-    return _run_series(step, first, state.data, config)
+    return _run_series(step, first, state.data)

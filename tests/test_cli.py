@@ -171,6 +171,40 @@ def test_sweep_on_spec_without_mix_key_exits_2(capsys, tmp_path, key):
         assert f"$.mix.{key}: missing" in err
 
 
+def _corpus_spec(name: str, **edit) -> dict:
+    return {**json.loads((ROOT / CORPUS / f"{name}.json").read_text()), **edit}
+
+
+def _mix_p(p) -> dict:
+    spec = _corpus_spec("randomization")
+    spec["mix"]["p"] = p
+    return spec
+
+
+@pytest.mark.parametrize("spec,where", [
+    (_mix_p("half"), "$.mix.p"),
+    (_mix_p("0.5"), "$.mix.p"),
+    (_mix_p(True), "$.mix.p"),
+    (_corpus_spec("sec5", dim="two"), "$.dim"),
+    (_corpus_spec("sec5", dim=2.5), "$.dim"),
+    ({"kind": "unitary", "unitary": [[0, True], [1, 0]], "subspace": [[1, 0]],
+      "initial_state": [0, 1]}, "$.unitary[0][1]"),
+], ids=["p-word", "p-string", "p-bool", "dim-word", "dim-fraction", "bool-entry"])
+def test_spec_value_of_the_wrong_json_type_exits_2(capsys, tmp_path, spec, where):
+    # a string or bool where a number belongs, or a fraction where an integer
+    # belongs, is an invalid spec: not a crash, not a silent conversion
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    cmds = [["hitting", str(path)]]
+    if spec["kind"] == "randomization":
+        cmds.append(["sweep", str(path), "--values", "0.5,0.1"])
+    for cmd in cmds:
+        assert main(cmd) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{where}: expected" in err
+
+
 def test_hitting_dump_intermediates(capsys):
     code, out = run_cli(capsys, "hitting", f"{CORPUS}/sec5.json",
                         "--dump-intermediates", "--json")

@@ -12,6 +12,7 @@ from conftest import (make_sec6_T, random_goal_qubit, random_irreducible_qubit,
 from expected_matrices import D_QMC, H0, HADAMARD_KERNEL, ORDER4_QFORM
 from qhit.cli import load_spec, parse_channel, parse_subspace
 from qhit.errors import NumericalError, SpectralObstructionError, ValidationError
+from qhit.qmc import site_slice
 from qhit.tolerances import EIG_ONE_TOL
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -72,15 +73,15 @@ def test_principal_block_rule_matches_dense_projectors(seed):
             [i == absorbing for i in range(n_sites)]
 
 
-def _bad_alpha():
-    spec = load_spec(str(CORPUS / "hadamard_bad_alpha.json"))
+def _corpus_problem(name: str):
+    spec = load_spec(str(CORPUS / f"{name}.json"))
     S = parse_channel(spec)
     return S, parse_subspace(spec["subspace"], S.dim)
 
 
 def test_site0_availability_is_assumption_one(hadamard):
     rng = np.random.default_rng(17)
-    cases = [(hadamard["S"], hadamard["V"]), _bad_alpha()]
+    cases = [(hadamard["S"], hadamard["V"]), _corpus_problem("hadamard_bad_alpha")]
     for n in (2, 3):
         cases.append((random_tp_channel(rng, n),
                       qhit.GoalSubspace.from_vectors([np.eye(n)[0]])))
@@ -110,6 +111,50 @@ def test_ksmh_kernel_matches_dense_identity_grid(sec5):
     for om, core in ((None, plain), (omega, corrected)):
         kern = qhit.ksmh_kernel(q, ops.D, G, omega=om)
         assert np.max(np.abs(kern - ops.D @ core)) < 1e-12
+
+
+def _induced_problems(case: str, request) -> list:
+    """(S, V) pairs: three random channels with a random goal line for
+    "random-n", else the named fixture or corpus spec."""
+    if case.startswith("random-"):
+        n = int(case.split("-")[1])
+        rng = np.random.default_rng(500 + n)
+        problems = []
+        for _ in range(3):
+            v = rng.normal(size=n) + 1j * rng.normal(size=n)
+            problems.append((random_tp_channel(rng, n),
+                             qhit.GoalSubspace.from_vectors([v])))
+        return problems
+    if case == "randomization":
+        return [_corpus_problem(case)]
+    fx = request.getfixturevalue(case)
+    return [(fx["S"], fx["V"])]
+
+
+@pytest.mark.parametrize("case,routes", [
+    *[(f"random-{n}", ("hunter", "group")) for n in range(2, 6)],
+    ("sec5", ("hunter", "group")), ("randomization", ("hunter", "group")),
+    ("hadamard", ("group",)), ("order4", ("group",)),
+])
+def test_induced_chain_ginverses_satisfy_the_column_identity(request, case, routes):
+    # Phi = C [I I] sends [v; -v] to 0, so both g-inverses fix it: G_ii - G_ij
+    # = I for i != j, the bracket I - G + G_d E has identity blocks across each
+    # row, and the kernel is D's diagonal blocks tiled whatever G is
+    for S, V in _induced_problems(case, request):
+        q = qhit.induce(S, V)
+        D = qhit.qmc_hitting_operators(q).D
+        def block(M, i, j):
+            return M[site_slice(i, q.k), site_slice(j, q.k)]
+
+        tiled = np.block([[block(D, 0, 0)] * 2, [block(D, 1, 1)] * 2])
+        eye = np.eye(q.k * q.k)
+        for route in routes:
+            G = (qhit.hunter_special(q) if route == "hunter"
+                 else qhit.induced_group_inverse(S, q))
+            assert np.max(np.abs(block(G, 0, 0) - block(G, 0, 1) - eye)) <= 1e-12
+            assert np.max(np.abs(block(G, 1, 1) - block(G, 1, 0) - eye)) <= 1e-12
+            kernel = qhit.ksmh_kernel(q, D, G)
+            assert np.max(np.abs(kernel - tiled)) <= 1e-12 * max(1.0, np.max(np.abs(D)))
 
 
 def test_group_route_accepts_near_reducible_mixture():

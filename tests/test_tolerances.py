@@ -1,10 +1,14 @@
 """The numerical policy: every threshold of the package lives in qhit.tolerances."""
 
+import importlib
+import inspect
+import pkgutil
 import tokenize
 from pathlib import Path
 
 import pytest
 
+import qhit
 from qhit.errors import ValidationError
 from qhit.tolerances import EIG_ONE_TOL, IMAG_TOL, near_one, real_trace
 
@@ -27,6 +31,34 @@ def test_no_exponent_literal_outside_the_policy_module():
     found = [hit for path in sorted(SRC.glob("*.py"))
              if path.name != "tolerances.py" for hit in _exponent_literals(path)]
     assert found == []
+
+
+def _public_callables():
+    """(qualified name, callable) for every public function and class that a
+    qhit module defines, and for each class its __init__ and public methods."""
+    for info in pkgutil.iter_modules(qhit.__path__):
+        module = importlib.import_module(f"qhit.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{module.__name__}.{name}", obj
+            elif inspect.isclass(obj):
+                for attr in vars(obj):
+                    member = getattr(obj, attr)
+                    if ((attr == "__init__" or not attr.startswith("_"))
+                            and inspect.isroutine(member)):
+                        yield f"{module.__name__}.{name}.{attr}", member
+
+
+def test_only_two_functions_take_a_tolerance_argument():
+    # a tolerance is a policy constant, not a per-call setting; the two
+    # exceptions each have two values in use
+    params = [f"{qualname}({param})" for qualname, fn in _public_callables()
+              for param in inspect.signature(fn).parameters
+              if param == "config" or param.endswith("tol")]
+    assert sorted(params) == ["qhit.channel.is_density(tol)",
+                              "qhit.channel.is_positive_semidefinite(tol)"]
 
 
 def test_near_one_keeps_the_eigenvalues_within_the_tolerance():

@@ -3,7 +3,9 @@
 Four routes to the same number: the monitored-evolution series, the analytic
 mean-hitting-time map, and the Kemeny-Snell-Meyer-Hunter kernel built from
 either a Hunter-family g-inverse or the group inverse of the induced
-two-site chain.
+two-site chain.  On that chain the kernel is the site-0 block D_00 tiled
+whatever the g-inverse G is, so routes 3 and 4 read tau from D_00, and G is
+checked by its own axioms rather than by tau.
 """
 
 from .channel import (ChannelDiagnostics, GoalSubspace, KrausChannel,

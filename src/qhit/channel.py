@@ -219,11 +219,11 @@ class GoalSubspace:
     @classmethod
     def from_vectors(cls, vectors, ambient_dim: int | None = None) -> "GoalSubspace":
         """Build from spanning vectors; orthonormalizes with QR."""
-        V = np.column_stack([np.asarray(v, dtype=np.complex128).reshape(-1)
-                             for v in vectors])
-        n = ambient_dim if ambient_dim is not None else V.shape[0]
-        if V.shape[0] != n:
+        vecs = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in vectors]
+        n = ambient_dim if ambient_dim is not None else vecs[0].size if vecs else 0
+        if any(v.size != n for v in vecs):
             raise DimensionError("subspace vectors have wrong length")
+        V = np.column_stack(vecs)
         Qmat, Rmat = np.linalg.qr(V)
         keep = np.abs(np.diag(Rmat)) > RANK_REL_TOL * max(1.0, np.abs(Rmat).max())
         if not np.any(keep):

@@ -24,7 +24,7 @@ from . import ginverse as ginv
 from .channel import (GoalSubspace, KrausChannel, assumption_one_holds,
                       diagnose, is_density, pure_density, randomize, represent,
                       unitary_superop)
-from .errors import (DimensionError, NoGroupInverseError, NumericalError,
+from .errors import (NoGroupInverseError, NotIrreducibleError, NumericalError,
                      QhitError, SpectralObstructionError, ValidationError)
 from .ksmh import kernel_limit_study, tau_channel
 from .matrep import SuperOp
@@ -247,7 +247,7 @@ def cmd_validate(args) -> int:
         V = parse_subspace(spec["subspace"], S.dim) if "subspace" in spec else None
         # diagnose refuses a map that does not preserve Hermiticity
         diagnostics = _diagnostics_dict(S, V)
-    except (ValidationError, DimensionError) as exc:
+    except ValidationError as exc:
         emit({"command": "validate", "input": args.spec, "valid": False,
               "error": str(exc)}, args.json)
         return EXIT_VALIDATION
@@ -362,7 +362,7 @@ def cmd_ginverse(args) -> int:
 
 def cmd_sweep(args) -> int:
     spec = load_spec(args.spec)
-    if spec.get("kind") != "randomization":
+    if not isinstance(spec, dict) or spec.get("kind") != "randomization":
         raise SpecError("$.kind", "sweep requires a randomization spec")
     _, left, right = _parse_mix(spec, "$")
     if "subspace" not in spec:
@@ -435,10 +435,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, DimensionError) as exc:
+    except ValidationError as exc:
         sys.stderr.write(f"validation error: {exc}\n")
         return EXIT_VALIDATION
-    except (SpectralObstructionError, NoGroupInverseError) as exc:
+    except (SpectralObstructionError, NoGroupInverseError,
+            NotIrreducibleError) as exc:
         sys.stderr.write(f"no applicable method: {exc}\n")
         return EXIT_NO_METHOD
     except (NumericalError, QhitError, np.linalg.LinAlgError) as exc:

@@ -5,12 +5,12 @@ class QhitError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DimensionError(QhitError, ValueError):
-    """Shapes of the operands do not match the operation."""
-
-
 class ValidationError(QhitError, ValueError):
     """Input fails a structural precondition (trace preservation, density, support...)."""
+
+
+class DimensionError(ValidationError):
+    """Shapes of the operands do not match the operation."""
 
 
 class SpectralObstructionError(QhitError, ArithmeticError):

@@ -16,7 +16,7 @@ import numpy as np
 from . import ginverse, monitor
 from .channel import (GoalSubspace, check_shapes, diagnose, is_density,
                       randomize)
-from .errors import (NoGroupInverseError, NumericalError,
+from .errors import (NoGroupInverseError, NotIrreducibleError, NumericalError,
                      SpectralObstructionError, ValidationError)
 from .hitting import analytic_HK, tau_from_K
 from .matrep import SuperOp, real_form, vec
@@ -170,17 +170,14 @@ def ksmh_kernel(q: QMC, D, G, omega=None) -> np.ndarray:
     return kernel
 
 
-def _trace_block(kernel_block: np.ndarray, rho, k: int) -> float:
-    return real_trace(complex(np.vdot(vec(np.eye(k)), kernel_block @ vec(rho))))
-
-
 def tau_irreducible_qmc(q: QMC, kernel: np.ndarray, i: int, j: int, rho_j) -> float:
     """Mean hitting time to site i from a density rho_j at site j, read from
     block (i, j) of a kernel of :func:`ksmh_kernel`."""
     rho_j = np.asarray(rho_j, dtype=np.complex128)
     if rho_j.shape != (q.k, q.k):
         raise ValidationError(f"site density must be {q.k}x{q.k}")
-    return _trace_block(_block(kernel, i, j, q.k), rho_j, q.k)
+    block = _block(kernel, i, j, q.k)
+    return real_trace(complex(np.vdot(vec(np.eye(q.k)), block @ vec(rho_j))))
 
 
 def first_step_operator_L(q: QMC, ops: QmcHittingOperators) -> np.ndarray:
@@ -306,19 +303,30 @@ class KernelLimitReport:
     g_norms_diverge: bool
 
 
+def _route_or_raise(S: SuperOp, V: GoalSubspace, rho, method: str,
+                    p: float) -> TauReport:
+    """:func:`tau_channel` with artifacts, raising on a refusal with p named."""
+    rep = tau_channel(S, V, rho, method, keep_artifacts=True)
+    if rep.ok:
+        return rep
+    if not rep.preconditions["site0_operator_available"]:
+        raise SpectralObstructionError(f"p = {p}: {rep.detail}")
+    raise NotIrreducibleError(f"p = {p}: {rep.detail}")
+
+
 def kernel_limit_study(T: SuperOp, Mprime: SuperOp, V: GoalSubspace, p_values,
                        rho=None) -> KernelLimitReport:
     """Behaviour of the KSMH kernel of the randomization p T + (1-p) M' as p -> 0.
 
-    For each p the special Hunter g-inverse G_p (:func:`ginverse.hunter_special`
-    at its defaults) and kernel H_p are formed; the kernel
-    limit H_0 is extrapolated from the three smallest p values and compared
-    with the kernel computed directly at p = 0 from the group inverse of the
-    induced chain, lifted from (I - M')^# by :func:`qmc.induced_group_inverse`.
-    Both limits' tau are read from block (0, 1) as in
-    :func:`tau_irreducible_qmc`.
-    The divergence of ||G_p|| alongside a convergent H_p is the reported
-    finding.
+    Each p is the ``ksmh-ginverse`` route of :func:`tau_channel` on the
+    randomization (the special Hunter g-inverse G_p and kernel H_p); the
+    kernel limit H_0 is extrapolated from the three smallest p values and
+    compared with the ``ksmh-group`` route on M' itself.  Both limits' tau
+    are read from block (0, 1) by :func:`tau_irreducible_qmc`.  Every check
+    of :func:`tau_channel` applies; a route's refusal raises
+    :class:`SpectralObstructionError` (site 0 unavailable) or
+    :class:`NotIrreducibleError`, naming p.  On the induced chain H_p does
+    not depend on G_p (D tiled), so ||G_p|| may diverge while H_p converges.
     """
     if rho is None:
         # default initial state: normalized projection of the mixed state onto V-perp
@@ -330,25 +338,18 @@ def kernel_limit_study(T: SuperOp, Mprime: SuperOp, V: GoalSubspace, p_values,
 
     points = []
     for p in ps:
-        q = induce(randomize(T, Mprime, p), V)
-        ops = qmc_hitting_operators(q)
-        G = ginverse.hunter_special(q)
-        kern = ksmh_kernel(q, ops.D, G)
-        tau = tau_irreducible_qmc(q, kern, 0, 1, rho)
-        points.append(KernelLimitPoint(p=p, tau=tau,
-                                       g_norm=float(np.linalg.norm(G, 2)),
-                                       kernel=kern))
+        rep = _route_or_raise(randomize(T, Mprime, p), V, rho, "ksmh-ginverse", p)
+        points.append(KernelLimitPoint(
+            p=p, tau=rep.tau, g_norm=float(np.linalg.norm(rep.artifacts["G"], 2)),
+            kernel=rep.artifacts["kernel"]))
 
     # polynomial extrapolation to p = 0 from the three smallest p
     tail = points[-3:]
     H0_ext = ginverse._lagrange_at_zero([pt.p for pt in tail],
                                         [pt.kernel for pt in tail])
-
-    q0 = induce(Mprime, V)
-    ops0 = qmc_hitting_operators(q0)
-    kern0 = ksmh_kernel(q0, ops0.D, induced_group_inverse(Mprime, q0))
-    tau0 = tau_irreducible_qmc(q0, kern0, 0, 1, rho)
-    tau_ext = _trace_block(_block(H0_ext, 0, 1, q0.k), rho, q0.k)
+    limit = _route_or_raise(Mprime, V, rho, "ksmh-group", 0)
+    kern0 = limit.artifacts["kernel"]
+    tau_ext = tau_irreducible_qmc(limit.artifacts["qmc"], H0_ext, 0, 1, rho)
 
     norms = [pt.g_norm for pt in points]
     diverges = len(norms) >= 2 and norms[-1] > norms[0] and all(
@@ -359,7 +360,7 @@ def kernel_limit_study(T: SuperOp, Mprime: SuperOp, V: GoalSubspace, p_values,
         H0_extrapolated=H0_ext,
         tau_extrapolated=tau_ext,
         H0_direct=kern0,
-        tau_direct=tau0,
+        tau_direct=limit.tau,
         extrapolation_defect=float(np.max(np.abs(H0_ext - kern0))),
         g_norms_diverge=diverges,
     )

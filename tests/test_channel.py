@@ -155,6 +155,13 @@ def test_goal_subspace_from_two_vectors():
     assert not V.contains(np.eye(3) / 3)
 
 
+@pytest.mark.parametrize("ambient_dim", [None, 2])
+def test_goal_subspace_refuses_vectors_of_unequal_length(ambient_dim):
+    # a shape mismatch is invalid input, not numpy's stacking error
+    with pytest.raises(ValidationError, match="wrong length"):
+        qhit.GoalSubspace.from_vectors([[1, 0], [1]], ambient_dim=ambient_dim)
+
+
 def test_support_checks_reject_a_state_of_another_size():
     V = qhit.GoalSubspace.from_vectors([[1, 0]])
     for check in (V.contains, V.contains_perp):

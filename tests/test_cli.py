@@ -1,5 +1,6 @@
 """Command-line interface: corpus regressions, determinism and exit codes."""
 
+import copy
 import json
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from expected_matrices import G_QMC
+from qhit import cli
 from qhit.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -82,8 +84,9 @@ def test_missing_file_exits_2(capsys):
 
 
 @pytest.mark.parametrize("spec,edit", [("hadamard", {"subspace": [[1, 0, 0]]}),
-                                       ("sec5", {"dim": 3})],
-                         ids=["subspace-length", "kraus-dim"])
+                                       ("sec5", {"dim": 3}),
+                                       ("sec5", {"subspace": [[1, 0], [1]]})],
+                         ids=["subspace-length", "kraus-dim", "ragged-subspace"])
 def test_hitting_on_spec_with_disagreeing_shapes_exits_2(capsys, tmp_path, spec,
                                                          edit):
     node = json.loads((ROOT / CORPUS / f"{spec}.json").read_text())
@@ -203,6 +206,88 @@ def test_spec_value_of_the_wrong_json_type_exits_2(capsys, tmp_path, spec, where
         out, err = capsys.readouterr()
         assert out == ""
         assert f"{where}: expected" in err
+
+
+def _obstructed_limit_spec() -> dict:
+    """sec5's Kraus channel mixed into hadamard_bad_alpha's unitary, with that
+    spec's subspace and state: finite tau at every p > 0, none at p = 0."""
+    sec5, bad = _corpus_spec("sec5"), _corpus_spec("hadamard_bad_alpha")
+    return {"kind": "randomization",
+            "mix": {"p": 0.5, "left": {k: sec5[k] for k in ("kind", "kraus")},
+                    "right": {k: bad[k] for k in ("kind", "unitary")}},
+            "subspace": bad["subspace"], "initial_state": bad["initial_state"]}
+
+
+@pytest.mark.parametrize("spec,values,reason", [
+    (_obstructed_limit_spec(), "0.1,0.01,0.001",
+     "p = 0: 1 lies in the spectrum of Q_0 Phi"),
+    (_corpus_spec("goal2"), "1", "p = 1.0: channel is not irreducible"),
+], ids=["obstructed-limit", "goal2-reducible"])
+def test_sweep_exits_3_when_a_route_refuses(capsys, tmp_path, spec, values, reason):
+    # the sweep runs the KSMH routes of tau_channel, so it refuses where they
+    # do, naming p: at the obstructed limit, and where the mixture is a
+    # unitary channel, which is not irreducible
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["sweep", str(path), "--values", values, "--json"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("no applicable method") and reason in err
+
+
+# Values that replace one node of a corpus spec: every JSON type, plus shapes
+# that a matrix or vector parser can mistake for its own.
+MUTANT_VALUES = ["x", True, None, [], [[]], [1, "a"], {}, -1, 0, 2.5,
+                 [[1, 0], [1]], [[1, 0], [0, 1]], [1, 0], [[[1]]]]
+
+
+def _node_paths(node, depth: int = 2, path: tuple = ()):
+    """The key paths of node and of every node below it, down to depth."""
+    yield path
+    if depth == 0:
+        return
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _node_paths(child, depth - 1, path + (key,))
+
+
+def _replaced(node, path: tuple, value):
+    """A copy of node with the node at path replaced by value."""
+    if not path:
+        return copy.deepcopy(value)
+    out = copy.deepcopy(node)
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = copy.deepcopy(value)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in (ROOT / CORPUS).glob("*.json")))
+def test_mutated_corpus_specs_never_crash_the_cli(monkeypatch, capsys, name):
+    # every node at depth <= 2 of each corpus spec, replaced by each value of
+    # MUTANT_VALUES in turn: main returns an exit code and never raises; a top
+    # level that is not a spec, and a ragged subspace, are invalid specs.
+    # Building the argument parser (about 1 ms) would dominate these thousands
+    # of short runs, so one parser serves them all, and each mutant reaches
+    # the commands as load_spec would return it, without a file.
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    mutant = {}
+    monkeypatch.setattr(cli, "load_spec", lambda _: mutant["spec"])
+    spec = _corpus_spec(name)
+    commands = (["validate"], ["hitting"], ["sweep", "--values", "0.5,0.1"])
+    for where in _node_paths(spec):
+        for value in MUTANT_VALUES:
+            mutant["spec"] = _replaced(spec, where, value)
+            for cmd, *opts in commands:
+                code = main([cmd, f"{name}.json", *opts])
+                assert code in (0, 2, 3, 4), (where, value, cmd)
+                if where == () or (where == ("subspace",)
+                                   and value == [[1, 0], [1]]):
+                    assert code == 2, (where, value, cmd)
+            capsys.readouterr()
 
 
 def test_hitting_dump_intermediates(capsys):

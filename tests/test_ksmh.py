@@ -11,7 +11,8 @@ from conftest import (make_sec6_T, random_goal_qubit, random_irreducible_qubit,
                       random_tp_channel, site_projector)
 from expected_matrices import D_QMC, H0, HADAMARD_KERNEL, ORDER4_QFORM
 from qhit.cli import load_spec, parse_channel, parse_subspace
-from qhit.errors import NumericalError, SpectralObstructionError, ValidationError
+from qhit.errors import (NotIrreducibleError, NumericalError,
+                         SpectralObstructionError, ValidationError)
 from qhit.qmc import site_slice
 from qhit.tolerances import EIG_ONE_TOL
 
@@ -468,6 +469,29 @@ def test_kernel_limit_study_tau_formula():
             S = qhit.randomize(Mprime, T, p)
             rep = qhit.tau_channel(S, V, rho, "analytic-K")
             assert abs(rep.tau - 4.0 / (1 - p + 2 * p * s)) < 1e-9
+
+
+def test_kernel_limit_study_refuses_an_obstructed_limit():
+    # sec5 mixed into the Hadamard walk with V at the obstructed angle: every
+    # p > 0 has a finite tau, but the p = 0 limit has 1 in the spectrum of
+    # Q.T, so the limit's route refuses rather than reading a zero block
+    T, _ = _corpus_problem("sec5")
+    Mprime, V = _corpus_problem("hadamard_bad_alpha")
+    rho = load_spec(str(CORPUS / "hadamard_bad_alpha.json"))["initial_state"]
+    rho = qhit.pure_density(rho)
+    with pytest.raises(SpectralObstructionError, match="p = 0: 1 lies in the spectrum"):
+        qhit.kernel_limit_study(T, Mprime, V, (0.1, 0.01, 0.001), rho=rho)
+
+
+def test_kernel_limit_study_refuses_a_mixture_that_is_not_irreducible():
+    # at p = 1 goal2's mixture is its left unitary, whose Hunter g-inverse
+    # does not exist; the study refuses as ksmh-ginverse does
+    spec = load_spec(str(CORPUS / "goal2.json"))
+    S = parse_channel(spec["mix"]["left"])
+    Mprime = parse_channel(spec["mix"]["right"])
+    V = parse_subspace(spec["subspace"], S.dim)
+    with pytest.raises(NotIrreducibleError, match="p = 1.0: channel is not irreducible"):
+        qhit.kernel_limit_study(S, Mprime, V, (1,))
 
 
 def test_kernel_limit_study_rejects_bad_p(rotation):

@@ -220,7 +220,9 @@ class GoalSubspace:
     def from_vectors(cls, vectors, ambient_dim: int | None = None) -> "GoalSubspace":
         """Build from spanning vectors; orthonormalizes with QR."""
         vecs = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in vectors]
-        n = ambient_dim if ambient_dim is not None else vecs[0].size if vecs else 0
+        if not vecs:
+            raise ValidationError("a goal subspace needs at least one spanning vector")
+        n = ambient_dim if ambient_dim is not None else vecs[0].size
         if any(v.size != n for v in vecs):
             raise DimensionError("subspace vectors have wrong length")
         V = np.column_stack(vecs)

@@ -53,6 +53,24 @@ def _off_site(q: QMC, i: int) -> np.ndarray:
     return out
 
 
+def _hitting_operator(Phi, sl: slice, r, rest) -> np.ndarray:
+    """K^(i) = Phi (I - Q_i Phi)^{-2} from one inverse of order (n_sites - 1) k^2.
+
+    With site i (rows and columns ``sl``) ordered first, and ``r`` the indices
+    of the other sites, I - Q_i Phi = [[I, 0], [-Phi_ri, I - Phi_rr]], where
+    Phi_rr is ``rest``.  Its inverse squared is
+    [[I, 0], [(R + R^2) Phi_ri, R^2]] with R = (I - rest)^{-1}, so
+    K[:, i] = Phi[:, i] + Phi[:, r] (R + R^2) Phi_ri and K[:, r] = Phi[:, r] R^2.
+    """
+    R = np.linalg.inv(np.eye(r.size) - rest)
+    R2 = R @ R
+    K = np.empty_like(Phi)
+    Phi_r = Phi[:, r]
+    K[:, sl] = Phi[:, sl] + Phi_r @ ((R + R2) @ Phi[r, sl])
+    K[:, r] = Phi_r @ R2
+    return K
+
+
 @dataclass(frozen=True)
 class QmcHittingOperators:
     """Per-target-site hitting operators K^(i) = Phi (I - Q_i Phi)^{-2}.
@@ -91,22 +109,27 @@ def qmc_hitting_operators(q: QMC) -> QmcHittingOperators:
     (n_sites - 1) k^2, and its spectrum is taken on its real form
     (:func:`matrep.real_form`); for the induced chain's site 0 it is Q.Q S,
     the map :func:`channel.assumption_one_holds` tests.
+
+    The same triangular shape gives K^(i) itself (:func:`_hitting_operator`):
+    each available site costs one inverse of order (n_sites - 1) k^2, that
+    principal block's resolvent, and products of that order.  Only the Abel
+    fallback of an unavailable site factors a matrix of the chain's full
+    order n_sites k^2.
     """
     sites = range(q.n_sites)
     N = q.dim
-    I = np.eye(N)
     K_ops = {}
     availability = {}
     D = np.zeros((N, N), dtype=np.complex128)
     for i in sites:
         sl = site_slice(i, q.k)
-        rest = np.delete(np.delete(q.rep, sl, axis=0), sl, axis=1)
+        r = np.delete(np.arange(N), sl)
+        rest = q.rep[np.ix_(r, r)]
         bad = near_one(np.linalg.eigvals(real_form(rest, q.k)))
         if bad:
             availability[i] = (False, bad)
             continue
-        M = np.linalg.inv(I - _off_site(q, i))
-        K = q.rep @ M @ M
+        K = _hitting_operator(q.rep, sl, r, rest)
         K_ops[i] = K
         availability[i] = (True, [])
         D[sl, sl] = K[sl, sl]
@@ -128,7 +151,7 @@ def qmc_hitting_operators(q: QMC) -> QmcHittingOperators:
         sl = site_slice(i, q.k)
         filled = False
         try:
-            Bsharp = ginverse.group_inverse(I - _off_site(q, i)).Asharp
+            Bsharp = ginverse.group_inverse(np.eye(N) - _off_site(q, i)).Asharp
             row = q.rep[sl] @ Bsharp  # row block i of Phi B^#
             ret_defect = np.max(np.abs(eIk.conj() @ row[:, sl] - eIk.conj()))
             if ret_defect < STATE_TOL:

@@ -162,6 +162,13 @@ def test_goal_subspace_refuses_vectors_of_unequal_length(ambient_dim):
         qhit.GoalSubspace.from_vectors([[1, 0], [1]], ambient_dim=ambient_dim)
 
 
+@pytest.mark.parametrize("ambient_dim", [None, 2])
+def test_goal_subspace_refuses_an_empty_vector_list(ambient_dim):
+    # no vector spans no subspace: invalid input, not numpy's concatenate error
+    with pytest.raises(ValidationError, match="at least one"):
+        qhit.GoalSubspace.from_vectors([], ambient_dim=ambient_dim)
+
+
 def test_support_checks_reject_a_state_of_another_size():
     V = qhit.GoalSubspace.from_vectors([[1, 0]])
     for check in (V.contains, V.contains_perp):

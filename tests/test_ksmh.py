@@ -55,12 +55,13 @@ def _dense_hitting_operator(q: qhit.QMC, i: int):
     return q.rep @ M @ M
 
 
-@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("seed", range(12))
 def test_principal_block_rule_matches_dense_projectors(seed):
+    # seeds 0-5 are qubit sites, seeds 6-11 classical (k = 1) sites
     rng = np.random.default_rng(seed)
     n_sites = 2 + seed % 3
     absorbing = n_sites - 1 if seed % 2 else None
-    q = _random_oqw(rng, n_sites, absorbing=absorbing)
+    q = _random_oqw(rng, n_sites, k=2 if seed < 6 else 1, absorbing=absorbing)
     ops = qhit.qmc_hitting_operators(q)
     for i in range(n_sites):
         ref = _dense_hitting_operator(q, i)
@@ -72,6 +73,24 @@ def test_principal_block_rule_matches_dense_projectors(seed):
     if absorbing is not None:
         assert [ops.availability[i][0] for i in range(n_sites)] == \
             [i == absorbing for i in range(n_sites)]
+
+
+def test_available_sites_invert_only_their_principal_block(monkeypatch, sec5):
+    # each available site's K^(i) comes from the resolvent of the chain
+    # without site i, of order (n_sites - 1) k^2, never from the full order
+    orders = []
+    inv = np.linalg.inv
+
+    def recording_inv(a):
+        orders.append(np.shape(a)[0])
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", recording_inv)
+    for q in (sec5["q"], _random_oqw(np.random.default_rng(5), 3, k=2)):
+        orders.clear()
+        ops = qhit.qmc_hitting_operators(q)
+        assert all(ops.availability[i][0] for i in range(q.n_sites))
+        assert orders == [(q.n_sites - 1) * q.k**2] * q.n_sites
 
 
 def _corpus_problem(name: str):
@@ -130,6 +149,22 @@ def _induced_problems(case: str, request) -> list:
         return [_corpus_problem(case)]
     fx = request.getfixturevalue(case)
     return [(fx["S"], fx["V"])]
+
+
+@pytest.mark.parametrize("case", [*(f"random-{n}" for n in range(2, 9)),
+                                  "sec5", "hadamard", "order4", "randomization",
+                                  "goal2"])
+def test_site0_block_is_the_V_side_of_analytic_K(request, case):
+    # routes 3 and 4 read tau from D_00 = (I - Q.Q) S (I - Q.Q S)^{-2}, built
+    # on the induced chain of order 2n^2; route 2 from K = S (I - Q.Q S)^{-2}
+    # of analytic_HK, built at order n^2
+    problems = (_induced_problems(case, request) if case.startswith("random-")
+                else [_corpus_problem(case)])
+    for S, V in problems:
+        D = qhit.qmc_hitting_operators(qhit.induce(S, V)).D
+        ref = (np.eye(S.dim**2) - V.QQ) @ qhit.analytic_HK(S, V).K.mat
+        D00 = D[site_slice(0, S.dim), site_slice(0, S.dim)]
+        assert np.max(np.abs(D00 - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("case,routes", [

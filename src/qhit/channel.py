@@ -190,14 +190,13 @@ def diagnose(S: SuperOp) -> ChannelDiagnostics:
 
 @dataclass(frozen=True)
 class GoalSubspace:
-    """Goal subspace V with projectors P, Q = I - P; QQ is the n^2 x n^2
-    representation of X -> Q X Q."""
+    """Goal subspace V with projectors P, Q = I - P.  The map X -> Q X Q is
+    applied by :meth:`sandwich`, never formed as an n^2 x n^2 matrix."""
 
     ambient_dim: int
     basis: np.ndarray  # n x d, orthonormal columns
     P: np.ndarray = field(init=False)
     Q: np.ndarray = field(init=False)
-    QQ: np.ndarray = field(init=False)
 
     def __post_init__(self):
         B = as_complex(self.basis)
@@ -207,10 +206,17 @@ class GoalSubspace:
             raise ValidationError("basis columns are not orthonormal")
         object.__setattr__(self, "basis", B)
         P = B @ B.conj().T
-        Q = np.eye(self.ambient_dim) - P
         object.__setattr__(self, "P", P)
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "QQ", conj_kron(Q))
+        object.__setattr__(self, "Q", np.eye(self.ambient_dim) - P)
+
+    def sandwich(self, M) -> np.ndarray:
+        """Q.Q M: X -> Q X Q applied to vec(X), a column of M (or M itself).
+
+        Two products with Q of order n, one from each side of every X.
+        """
+        n = self.ambient_dim
+        Y = (self.Q @ M.reshape(n, -1)).reshape(n, n, -1)
+        return np.tensordot(Y, self.Q, ([1], [0])).transpose(0, 2, 1).reshape(M.shape)
 
     @property
     def dim(self) -> int:
@@ -260,13 +266,13 @@ def check_shapes(S: SuperOp, V: GoalSubspace, rho) -> None:
 
 
 def assumption_one_holds(S: SuperOp, V: GoalSubspace):
-    """True iff 1 is not an eigenvalue of QQ * S; also returns the spectrum.
+    """True iff 1 is not an eigenvalue of Q.Q S; also returns the spectrum.
 
     This spectral condition makes the hitting generating function analytic at
     z = 1 and all mean hitting times to V finite.  The spectrum is that of
     the real form of Q.Q S (:func:`matrep.real_form`).
     """
-    eigvals = np.linalg.eigvals(real_form(V.QQ @ S.mat, S.dim))
+    eigvals = np.linalg.eigvals(real_form(V.sandwich(S.mat), S.dim))
     return not near_one(eigvals), eigvals
 
 

@@ -46,13 +46,6 @@ def _block(M, i: int, j: int, k: int) -> np.ndarray:
     return M[site_slice(i, k), site_slice(j, k)]
 
 
-def _off_site(q: QMC, i: int) -> np.ndarray:
-    """Q_i Phi: a copy of Phi with row block i zeroed."""
-    out = q.rep.copy()
-    out[site_slice(i, q.k)] = 0.0
-    return out
-
-
 def _hitting_operator(Phi, sl: slice, r, rest) -> np.ndarray:
     """K^(i) = Phi (I - Q_i Phi)^{-2} from one inverse of order (n_sites - 1) k^2.
 
@@ -112,14 +105,19 @@ def qmc_hitting_operators(q: QMC) -> QmcHittingOperators:
 
     The same triangular shape gives K^(i) itself (:func:`_hitting_operator`):
     each available site costs one inverse of order (n_sites - 1) k^2, that
-    principal block's resolvent, and products of that order.  Only the Abel
-    fallback of an unavailable site factors a matrix of the chain's full
-    order n_sites k^2.
+    principal block's resolvent, and products of that order.  The Abel
+    fallback of an unavailable site needs the group inverse of
+    B = I - Q_i Phi = [[I, 0], [-Phi_ri, C]], C = I - Phi_rr.  By Meyer and
+    Rose (SIAM J. Appl. Math. 33, 1977) it is [[I, 0], [X, C^#]] with
+    X = (C^# - E_C) Phi_ri, E_C = I - C^# C, so it too comes from the same
+    principal block: no matrix of the chain's full order n_sites k^2 is
+    factored.
     """
     sites = range(q.n_sites)
     N = q.dim
     K_ops = {}
     availability = {}
+    obstructed = {}
     D = np.zeros((N, N), dtype=np.complex128)
     for i in sites:
         sl = site_slice(i, q.k)
@@ -128,6 +126,7 @@ def qmc_hitting_operators(q: QMC) -> QmcHittingOperators:
         bad = near_one(np.linalg.eigvals(real_form(rest, q.k)))
         if bad:
             availability[i] = (False, bad)
+            obstructed[i] = (sl, r, rest)
             continue
         K = _hitting_operator(q.rep, sl, r, rest)
         K_ops[i] = K
@@ -140,22 +139,20 @@ def qmc_hitting_operators(q: QMC) -> QmcHittingOperators:
     # D_ii.  Otherwise some mass never returns; D_ii never enters any
     # off-diagonal hitting time, so block (i, i) of an available site's
     # operator is borrowed as a finite stand-in (matching the block structure
-    # of the group-inverse kernel).  Only block (i, i) of Phi B^# and of
-    # Phi (B^#)^2 is formed.
+    # of the group-inverse kernel).  With B^# as above, block (i, i) of
+    # Phi B^# is Phi_ii + Phi_ir X, and that of Phi (B^#)^2 adds Phi_ir C^# X.
     fallback = []
     donor = next((j for j in sites if availability[j][0]), None)
     eIk = vec(np.eye(q.k))
-    for i in sites:
-        if availability[i][0]:
-            continue
-        sl = site_slice(i, q.k)
+    for i, (sl, r, rest) in obstructed.items():
         filled = False
         try:
-            Bsharp = ginverse.group_inverse(np.eye(N) - _off_site(q, i)).Asharp
-            row = q.rep[sl] @ Bsharp  # row block i of Phi B^#
-            ret_defect = np.max(np.abs(eIk.conj() @ row[:, sl] - eIk.conj()))
-            if ret_defect < STATE_TOL:
-                D[sl, sl] = row @ Bsharp[:, sl]
+            g = ginverse.group_inverse(np.eye(r.size) - rest)
+            X = (g.Asharp - g.ergodic_projector) @ q.rep[r, sl]
+            Phi_ir = q.rep[sl, r]
+            ret = q.rep[sl, sl] + Phi_ir @ X
+            if np.max(np.abs(eIk.conj() @ ret - eIk.conj())) < STATE_TOL:
+                D[sl, sl] = ret + Phi_ir @ (g.Asharp @ X)
                 fallback.append((i, "abel-return"))
                 filled = True
         except (NoGroupInverseError, NumericalError, np.linalg.LinAlgError):

@@ -126,7 +126,7 @@ def first_visit_series(S: SuperOp, V: GoalSubspace, rho) -> MonitorSeries:
     if not is_density(rho):
         raise ValidationError("initial state must be a density matrix")
     # the trace of the goal part X - Q X Q of X is Tr(P X) = <vec P|vec X>
-    return _run_series(V.QQ @ S.mat, vec(V.P).conj() @ S.mat, vec(rho))
+    return _run_series(V.sandwich(S.mat), vec(V.P).conj() @ S.mat, vec(rho))
 
 
 def site_visit_series(q: QMC, target: int, state: VecState) -> MonitorSeries:

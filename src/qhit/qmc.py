@@ -104,17 +104,17 @@ def from_oqw(B) -> QMC:
 def induce(S: SuperOp, V: GoalSubspace) -> QMC:
     """The 2-site QMC turning subspace-hitting for S into site-hitting.
 
-    Row 1 carries (I - QQ) S, row 2 carries QQ S, each repeated across both
-    columns; trace preservation is inherited from S.  Raises
-    :class:`ValidationError` unless S is a trace and Hermiticity preserving
-    map (:func:`channel.check_channel`).
+    Row 1 carries (I - Q.Q) S, row 2 carries Q.Q S, each repeated across
+    both columns; trace preservation is inherited from S.  Q.Q S is one
+    :meth:`GoalSubspace.sandwich` of S, and (I - Q.Q) S is S minus it.
+    Raises :class:`ValidationError` unless S is a trace and Hermiticity
+    preserving map (:func:`channel.check_channel`).
     """
     if S.dim != V.ambient_dim:
         raise DimensionError("channel and subspace dimensions differ")
     check_channel(S)
-    n2 = S.dim**2
-    top = (np.eye(n2) - V.QQ) @ S.mat
-    bot = V.QQ @ S.mat
+    bot = V.sandwich(S.mat)
+    top = S.mat - bot
     rep = np.block([[top, top], [bot, bot]])
     return QMC(n_sites=2, k=S.dim, rep=rep)
 

@@ -175,7 +175,7 @@ def test_criterion_5_classical_embedding_oracle():
         Z = qhit.fundamental_map(S)
         maps = qhit.analytic_HK(S, goal)
         for j in keep:
-            tau_fund = qhit.mhtf_tau(S, goal, Z, maps, np.eye(n)[k], np.eye(n)[j])
+            tau_fund = qhit.mhtf_tau(Z, maps, np.eye(n)[k], np.eye(n)[j])
             rho_j = np.zeros((n, n))
             rho_j[j, j] = 1.0
             tau_gi = qhit.tau_channel(S, goal, rho_j, "ksmh-ginverse").tau

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import qhit
-from conftest import random_goal_qubit, random_irreducible_qubit
+from conftest import (random_goal_qubit, random_irreducible_qubit,
+                      random_tp_channel)
 from expected_matrices import K_MAP, K_U, ORDER4_K
 from qhit.errors import (NotIrreducibleError, SpectralObstructionError,
                          ValidationError)
@@ -63,14 +64,32 @@ def test_tau_from_K_matches_series_on_random_channels():
         assert abs(tau_k - tau_s) < 1e-6
 
 
-def test_blocks_resolve_K(sec5):
-    maps = qhit.analytic_HK(sec5["S"], sec5["V"])
-    total = (maps.K_block(1, 1) + maps.K_block(1, 2)
-             + maps.K_block(2, 1) + maps.K_block(2, 2))
-    assert np.allclose(total, maps.K.mat)
-    for i, j in ((0, 1), (1, 0), (2, 3)):
-        with pytest.raises(ValueError):
-            maps.K_block(i, j)
+def _dense_block_tau(maps, rho, side: str) -> float:
+    """Tr(K_1j rho) from the dense blocks (I - Q.Q) K (I - Q.Q) (j = 1, rho in V)
+    or (I - Q.Q) K Q.Q (j = 2, rho in V-perp), with Q.Q = Q kron conj(Q)."""
+    V = maps.subspace
+    n = V.ambient_dim
+    QQ = np.kron(V.Q, V.Q.conj())
+    left = np.eye(n * n) - QQ
+    right = left if side == "in-V" else QQ
+    blk = left @ maps.K.mat @ right
+    return complex(np.vdot(qhit.vec(np.eye(n)), blk @ qhit.vec(rho))).real
+
+
+@pytest.mark.parametrize("n,d", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 3), (5, 2)])
+def test_tau_from_K_is_the_dense_block_trace(n, d):
+    # <vec P|K|vec rho> is Tr(K_11 rho) for rho in V and Tr(K_12 rho) in V-perp
+    rng = np.random.default_rng(40 + 10 * n + d)
+    S = random_tp_channel(rng, n)
+    V = qhit.GoalSubspace.from_vectors(
+        list(rng.normal(size=(d, n)) + 1j * rng.normal(size=(d, n))))
+    maps = qhit.analytic_HK(S, V)
+    for side, proj in (("in-V", V.P), ("in-V-perp", V.Q)):
+        W = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        rho = proj @ W @ W.conj().T @ proj
+        rho = (rho + rho.conj().T) / (2 * np.trace(rho).real)
+        ref = _dense_block_tau(maps, rho, side)
+        assert abs(qhit.tau_from_K(maps, rho, side) - ref) <= 1e-12 * abs(ref)
 
 
 def test_analytic_HK_requires_assumption_one(hadamard):
@@ -94,7 +113,7 @@ def test_fundamental_map_requires_irreducible(hadamard):
 def test_mhtf_tau_six(sec5):
     maps = qhit.analytic_HK(sec5["S"], sec5["V"])
     Z = qhit.fundamental_map(sec5["S"])
-    tau = qhit.mhtf_tau(sec5["S"], sec5["V"], Z, maps, sec5["psi"], sec5["phi"])
+    tau = qhit.mhtf_tau(Z, maps, sec5["psi"], sec5["phi"])
     assert abs(tau - 6.0) < 1e-10
 
 
@@ -102,17 +121,29 @@ def test_mhtf_tau_rejects_vectors_of_another_length(sec5):
     maps = qhit.analytic_HK(sec5["S"], sec5["V"])
     Z = qhit.fundamental_map(sec5["S"])
     with pytest.raises(ValidationError, match="length 2"):
-        qhit.mhtf_tau(sec5["S"], sec5["V"], Z, maps, [1, 1, 0], sec5["phi"])
+        qhit.mhtf_tau(Z, maps, [1, 1, 0], sec5["phi"])
+
+
+def test_mhtf_tau_normalizes_psi_and_phi(sec5):
+    # tau does not depend on the norms of psi and phi; a zero vector is no state
+    maps = qhit.analytic_HK(sec5["S"], sec5["V"])
+    Z = qhit.fundamental_map(sec5["S"])
+    psi, phi = sec5["psi"], sec5["phi"]
+    for a, b in ((2 * psi, phi), (psi, 3 * phi), (2j * psi, -3 * phi)):
+        assert abs(qhit.mhtf_tau(Z, maps, a, b) - 6.0) < 1e-10
+    for a, b in ((0 * psi, phi), (psi, 0 * phi)):
+        with pytest.raises(ValidationError, match="zero vector"):
+            qhit.mhtf_tau(Z, maps, a, b)
 
 
 def test_mhtf_constant_over_phase_rotations(sec5):
     # Tr((DZ)_11 rho_psi) must not depend on the phase of psi in V
     maps = qhit.analytic_HK(sec5["S"], sec5["V"])
     Z = qhit.fundamental_map(sec5["S"])
-    base = qhit.mhtf_tau(sec5["S"], sec5["V"], Z, maps, sec5["psi"], sec5["phi"])
+    base = qhit.mhtf_tau(Z, maps, sec5["psi"], sec5["phi"])
     for theta in (0.3, 1.1, 2.5):
         psi_rot = np.exp(1j * theta) * sec5["psi"]
-        tau = qhit.mhtf_tau(sec5["S"], sec5["V"], Z, maps, psi_rot, sec5["phi"])
+        tau = qhit.mhtf_tau(Z, maps, psi_rot, sec5["phi"])
         assert abs(tau - base) < 1e-10
 
 

@@ -75,22 +75,95 @@ def test_principal_block_rule_matches_dense_projectors(seed):
             [i == absorbing for i in range(n_sites)]
 
 
-def test_available_sites_invert_only_their_principal_block(monkeypatch, sec5):
+def test_available_sites_invert_only_their_principal_block(monkeypatch, sec5,
+                                                         hadamard, rotation):
     # each available site's K^(i) comes from the resolvent of the chain
-    # without site i, of order (n_sites - 1) k^2, never from the full order
+    # without site i, of order (n_sites - 1) k^2, never from the full order;
+    # an obstructed site's fallback (donor on hadamard, abel-return on
+    # rotation) takes no inverse or SVD of the full order either
+    cases = [(sec5["q"], ()),
+             (_random_oqw(np.random.default_rng(5), 3, k=2), ()),
+             (hadamard["q"], ((1, "donor-0"),)),
+             (qhit.induce(rotation["S"], rotation["V"]), ((1, "abel-return"),))]
     orders = []
-    inv = np.linalg.inv
 
-    def recording_inv(a):
-        orders.append(np.shape(a)[0])
-        return inv(a)
+    def recording(call):
+        def wrapper(a, *args, **kwargs):
+            orders.append(np.shape(a)[0])
+            return call(a, *args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(np.linalg, "inv", recording_inv)
-    for q in (sec5["q"], _random_oqw(np.random.default_rng(5), 3, k=2)):
+    for name in ("inv", "svd"):
+        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+    for q, fallback in cases:
         orders.clear()
         ops = qhit.qmc_hitting_operators(q)
-        assert all(ops.availability[i][0] for i in range(q.n_sites))
-        assert orders == [(q.n_sites - 1) * q.k**2] * q.n_sites
+        assert ops.fallback_sites == fallback
+        principal = (q.n_sites - 1) * q.k**2
+        if fallback:
+            assert max(orders) == principal
+        else:
+            assert orders == [principal] * q.n_sites
+
+
+def _isolated_absorbing_oqw(rng, n_sites: int, k: int) -> qhit.QMC:
+    """Random OQW on sites 0..n_sites-2 plus an absorbing last site that no
+    other site feeds: every site is obstructed, and returns to each are
+    certain, so every site takes the abel-return fill."""
+    m = n_sites - 1
+    grid = [[np.zeros((k, k))] * n_sites for _ in range(n_sites)]
+    for j in range(m):
+        Z = rng.normal(size=(m * k, k)) + 1j * rng.normal(size=(m * k, k))
+        Q, _ = np.linalg.qr(Z)
+        for i in range(m):
+            grid[i][j] = Q[i * k:(i + 1) * k]
+    Z = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+    grid[m][m] = np.linalg.qr(Z)[0]
+    return qhit.from_oqw(grid)
+
+
+def _full_order_abel(q: qhit.QMC, i: int):
+    """Reference return block (Phi B^#)_ii and fill (Phi (B^#)^2)_ii from the
+    group inverse of B = I - Q_i Phi at the chain's full order."""
+    Qi = np.eye(q.dim) - site_projector(q, i)
+    Bsharp = qhit.group_inverse(np.eye(q.dim) - Qi @ q.rep).Asharp
+    sl = site_slice(i, q.k)
+    row = q.rep[sl] @ Bsharp
+    return row[:, sl], row @ Bsharp[:, sl]
+
+
+@pytest.mark.parametrize("case", ["rotation", *(f"fed-{s}" for s in range(4)),
+                                  *(f"isolated-{s}" for s in range(4))])
+def test_abel_fill_from_the_principal_block_matches_full_order(request, case):
+    # Meyer-Rose: B^# = [[I, 0], [X, C^#]] with C = I - Phi_rr, so the Abel
+    # fill needs only C's group inverse.  An absorbing site that the others
+    # feed leaves their returns uncertain (donor fill); one they never feed
+    # leaves every return certain (abel-return fill).
+    if case == "rotation":
+        fx = request.getfixturevalue("rotation")
+        q, abel = qhit.induce(fx["S"], fx["V"]), True
+    else:
+        kind, seed = case.split("-")
+        rng = np.random.default_rng(200 + int(seed))
+        n_sites, k = 2 + int(seed) % 3, 2 if int(seed) < 2 else 1
+        if kind == "fed":
+            q, abel = _random_oqw(rng, n_sites, k=k, absorbing=0), False
+        else:
+            q, abel = _isolated_absorbing_oqw(rng, n_sites, k), True
+    ops = qhit.qmc_hitting_operators(q)
+    obstructed = [i for i in range(q.n_sites) if not ops.availability[i][0]]
+    assert obstructed
+    eIk = qhit.vec(np.eye(q.k))
+    for i in obstructed:
+        sl = site_slice(i, q.k)
+        ref_ret, ref_fill = _full_order_abel(q, i)
+        returns = np.max(np.abs(eIk.conj() @ ref_ret - eIk.conj())) < 1e-8
+        assert returns == abel
+        if abel:
+            assert (i, "abel-return") in ops.fallback_sites
+            assert np.max(np.abs(ops.D[sl, sl] - ref_fill)) <= 1e-10
+        else:
+            assert (i, "donor-0") in ops.fallback_sites
 
 
 def _corpus_problem(name: str):
@@ -162,7 +235,8 @@ def test_site0_block_is_the_V_side_of_analytic_K(request, case):
                 else [_corpus_problem(case)])
     for S, V in problems:
         D = qhit.qmc_hitting_operators(qhit.induce(S, V)).D
-        ref = (np.eye(S.dim**2) - V.QQ) @ qhit.analytic_HK(S, V).K.mat
+        ref = ((np.eye(S.dim**2) - np.kron(V.Q, V.Q.conj()))
+               @ qhit.analytic_HK(S, V).K.mat)
         D00 = D[site_slice(0, S.dim), site_slice(0, S.dim)]
         assert np.max(np.abs(D00 - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -204,7 +278,13 @@ def test_group_route_accepts_near_reducible_mixture():
     rho = np.diag([0.0, 1.0])
     for q, tau in ((1e-2, 1992.816456), (1e-6, 1999.999279)):
         S = qhit.randomize(qhit.randomize(T, H, q), qhit.identity_superop(2), 1e-3)
-        group = qhit.tau_channel(S, V, rho, "ksmh-group")
+        if q == 1e-6:
+            # site 1 is obstructed, and the group inverse of its principal
+            # block in the Abel fallback has a singular value near the cut
+            with pytest.warns(RuntimeWarning, match="rank decision is ambiguous"):
+                group = qhit.tau_channel(S, V, rho, "ksmh-group")
+        else:
+            group = qhit.tau_channel(S, V, rho, "ksmh-group")
         analytic = qhit.tau_channel(S, V, rho, "analytic-K")
         assert group.ok and abs(analytic.tau - tau) < 1e-6, q
         assert abs(group.tau - analytic.tau) < 1e-8 * analytic.tau, q

@@ -43,7 +43,8 @@ def _reference_series(step, goal, stay, trace_vec, v0, window, max_steps):
 
 def _reference_first_visit(S, V, rho, window, max_steps):
     n = S.dim
-    return _reference_series(S.mat, np.eye(n * n) - V.QQ, V.QQ,
+    QQ = np.kron(V.Q, V.Q.conj())
+    return _reference_series(S.mat, np.eye(n * n) - QQ, QQ,
                              qhit.vec(np.eye(n)), qhit.vec(rho), window, max_steps)
 
 

@@ -233,14 +233,12 @@ def verify_ginverse(A, G) -> float:
     return defect
 
 
-def hunter_ginverse(q, t=None, u=None, f=None, g=None) -> np.ndarray:
-    """Parametric g-inverse family of I - Phi for an irreducible QMC.
-
-    G = (I - Phi + |t><u|)^{-1} + |pi><f| + |g><e_I|, requiring <e_I|t> != 0
-    and <u|pi> != 0.  Defaults: t = u = e_1, f = g = 0.
-    """
-    rep = q.rep
-    N = rep.shape[0]
+def _hunter_parameters(q, t, u, f, g) -> tuple:
+    """The Hunter parameters (t, u, f, g) at the chain's length, defaults
+    filled in, with pi = :meth:`qmc.QMC.stationary_vec` and e_I.  Raises
+    :class:`ValidationError` on a wrong length, or when <e_I|t> or <u|pi>
+    vanishes."""
+    N = q.dim
     e_I = q.identity_vec()
     pi = q.stationary_vec()
 
@@ -264,8 +262,17 @@ def hunter_ginverse(q, t=None, u=None, f=None, g=None) -> np.ndarray:
         raise ValidationError("<e_I|t> vanishes; inner matrix would be singular")
     if abs(np.vdot(u, pi)) < ZERO_TOL:
         raise ValidationError("<u|pi> vanishes; inner matrix would be singular")
+    return t, u, f, g, pi, e_I
 
-    A = np.eye(N) - rep
+
+def hunter_ginverse(q, t=None, u=None, f=None, g=None) -> np.ndarray:
+    """Parametric g-inverse family of I - Phi for an irreducible QMC.
+
+    G = (I - Phi + |t><u|)^{-1} + |pi><f| + |g><e_I|, requiring <e_I|t> != 0
+    and <u|pi> != 0.  Defaults: t = u = e_1, f = g = 0.
+    """
+    t, u, f, g, pi, e_I = _hunter_parameters(q, t, u, f, g)
+    A = np.eye(q.dim) - q.rep
     G = np.linalg.inv(A + np.outer(t, u.conj()))
     G = G + np.outer(pi, f.conj()) + np.outer(g, e_I.conj())
     verify_ginverse(A, G)
@@ -276,6 +283,31 @@ def hunter_special(q, u=None, f=None) -> np.ndarray:
     """The KSMH-ready special form G = (I - Phi + |u><e_I|)^{-1} + |f><e_I|.
 
     This is the Hunter family at t = u, bra fixed to <e_I|, which makes the
-    plain kernel D(I - G + G_d E) valid without the fixed-map correction.
+    plain kernel D(I - G + G_d E) valid without the fixed-map correction;
+    it makes the parameter checks of :func:`hunter_ginverse`.
+
+    An induced chain (``q.channel`` set by :func:`qmc.induce`) is inverted
+    at order n^2.  Its map is Phi = C R with R = [I I] and R C = S, and
+    <e_I| = <e| R with e = vec(I_n).  With M = C - |u><e|,
+    I - Phi + |u><e_I| = I - M R, and the push-through identity
+    (I - M R)^{-1} = I + M (I - R M)^{-1} R gives
+
+        G = I + [B B],  B = (C - |u><e|) W + |f><e|,
+        W = (I - S + |R u><e|)^{-1}.
+
+    By Sylvester's identity det(I - M R) = det(I - R M), so W exists
+    exactly when the chain's inverse does.  The g-inverse axiom is checked
+    on the chain's own (I - Phi, G).  Any other chain is inverted at its
+    full order.
     """
-    return hunter_ginverse(q, t=u, u=q.identity_vec(), f=None, g=f)
+    if q.channel is None:
+        return hunter_ginverse(q, t=u, u=q.identity_vec(), f=None, g=f)
+    u, _, _, f, _, e_I = _hunter_parameters(q, t=u, u=q.identity_vec(), f=None, g=f)
+    k2 = q.k * q.k
+    e = e_I[:k2]  # vec(I_n), real: <e| needs no conjugate
+    Ru = u[:k2] + u[k2:]
+    W = np.linalg.inv(np.eye(k2) - q.channel.mat + np.outer(Ru, e))
+    B = (q.rep[:, :k2] - np.outer(u, e)) @ W + np.outer(f, e)
+    G = np.eye(q.dim) + np.hstack([B, B])
+    verify_ginverse(np.eye(q.dim) - q.rep, G)
+    return G

@@ -238,8 +238,9 @@ def tau_channel(S: SuperOp, V: GoalSubspace, rho, method: str,
 
     Routes: direct monitoring series; analytic mean-hitting-time map K;
     KSMH kernel with a Hunter g-inverse of the induced chain (irreducible
-    channels); KSMH kernel with the group inverse (spectral condition only),
-    lifted from the channel's (I - S)^# by :func:`qmc.induced_group_inverse`.
+    channels), lifted from S by :func:`ginverse.hunter_special`; KSMH kernel
+    with the group inverse (spectral condition only), lifted from the
+    channel's (I - S)^# by :func:`qmc.induced_group_inverse`.
     Every route refuses a map that is not trace and Hermiticity preserving
     at its entry (:func:`monitor.first_visit_series`,
     :func:`hitting.analytic_HK`, :func:`qmc.induce`).
@@ -294,7 +295,7 @@ def tau_channel(S: SuperOp, V: GoalSubspace, rho, method: str,
                              detail="channel is not irreducible; use ksmh-group")
         G = ginverse.hunter_special(q)
     else:  # ksmh-group
-        G = induced_group_inverse(S, q)
+        G = induced_group_inverse(q)
 
     kern = ksmh_kernel(q, ops.D, G)
     tau = tau_irreducible_qmc(q, kern, 0, 1, rho)

@@ -32,10 +32,12 @@ class QMC:
 
     Stored as the assembled representation matrix of order n_sites * k^2; the
     per-block view is :meth:`block`.  Raises :class:`ValidationError` unless
-    the chain is trace preserving to ``TP_TOL``.
+    the chain is trace preserving to ``TP_TOL``.  ``channel`` is the map S
+    of a chain built by :func:`induce`, whose rep factors as C R with C its
+    column block 0, R = [I I] and R C = S; it is None for any other chain.
     """
 
-    def __init__(self, n_sites: int, k: int, rep):
+    def __init__(self, n_sites: int, k: int, rep, channel: SuperOp | None = None):
         rep = as_complex(rep)
         N = n_sites * k * k
         if rep.shape != (N, N):
@@ -43,6 +45,7 @@ class QMC:
         self.n_sites = n_sites
         self.k = k
         self.rep = rep
+        self.channel = channel
         defect = _tp_defect(rep, k)
         if defect > TP_TOL:
             raise ValidationError(f"QMC is not trace preserving (defect {defect:.3e})")
@@ -107,6 +110,10 @@ def induce(S: SuperOp, V: GoalSubspace) -> QMC:
     Row 1 carries (I - Q.Q) S, row 2 carries Q.Q S, each repeated across
     both columns; trace preservation is inherited from S.  Q.Q S is one
     :meth:`GoalSubspace.sandwich` of S, and (I - Q.Q) S is S minus it.
+    The chain records S as :attr:`QMC.channel`: its map is C R with
+    C = [(I - Q.Q) S; Q.Q S] and R = [I I], and :func:`stationary_density`,
+    :func:`induced_group_inverse` and :func:`ginverse.hunter_special` lift
+    their results from S at order n^2 instead of factoring the chain.
     Raises :class:`ValidationError` unless S is a trace and Hermiticity
     preserving map (:func:`channel.check_channel`).
     """
@@ -116,10 +123,10 @@ def induce(S: SuperOp, V: GoalSubspace) -> QMC:
     bot = V.sandwich(S.mat)
     top = S.mat - bot
     rep = np.block([[top, top], [bot, bot]])
-    return QMC(n_sites=2, k=S.dim, rep=rep)
+    return QMC(n_sites=2, k=S.dim, rep=rep, channel=S)
 
 
-def induced_group_inverse(S: SuperOp, q: QMC) -> np.ndarray:
+def induced_group_inverse(q: QMC) -> np.ndarray:
     """Group inverse of A = I - Phi for the induced chain q = induce(S, V),
     lifted from the channel's (I - S)^#: one group inverse of order n^2, not 2n^2.
 
@@ -135,10 +142,13 @@ def induced_group_inverse(S: SuperOp, q: QMC) -> np.ndarray:
     using S E = E - Z E = E.  The nonzero Jordan blocks of C R and R C agree,
     so index(A) = index(Z) and the lift exists exactly when (I - S)^# does;
     :func:`ginverse.group_inverse` raises otherwise.  The group axioms are
-    checked on (A, X) itself.
+    checked on (A, X) itself.  S is read from :attr:`QMC.channel`; a chain
+    that :func:`induce` did not build raises :class:`ValidationError`.
     """
-    n2 = S.dim**2
-    gs = ginverse.group_inverse(np.eye(n2) - S.mat)
+    S = q.channel
+    if S is None:
+        raise ValidationError("chain was not built by induce; it records no channel")
+    gs = ginverse.group_inverse(np.eye(S.dim**2) - S.mat)
     CW = q.rep[:, site_slice(0, q.k)] @ (gs.Asharp - gs.ergodic_projector)
     X = np.eye(q.dim) + np.hstack([CW, CW])
     ginverse.check_group_axioms(np.eye(q.dim) - q.rep, X)
@@ -152,8 +162,24 @@ def stationary_density(q: QMC) -> VecState:
     rule of :func:`ginverse.rank_with_margin`): on a line its null vector is
     taken, otherwise the site-uniform seed |e_I> is pushed through the
     ergodic projector I - A^# A.
+
+    An induced chain (:attr:`QMC.channel` set) is cut at order n^2, on S
+    itself.  Its map is Phi = C R with R C = S, and pi -> C pi is a bijection
+    from the fixed space of S onto that of Phi (S pi = pi gives
+    Phi C pi = C S pi = C pi; Phi x = x gives x = C (R x) with S R x = R x)
+    that keeps the trace, as <e_I| C = <e| S.  The chain's ergodic projector
+    is C E R (see :func:`induced_group_inverse`), which sends |e_I> = R*|e>
+    to 2 C E |e>, so the lift C pi of the channel's unit-trace fixed vector
+    is the chain's own.  The fixed space is then decided on the same rank
+    cut as :func:`channel.diagnose` makes on S.  Any other chain is cut at
+    its full order.
     """
-    _, fixed = ginverse.fixed_space(q.rep, q.k)
+    if q.channel is None:
+        _, fixed = ginverse.fixed_space(q.rep, q.k)
+    else:
+        _, fixed = ginverse.fixed_space(q.channel.mat, q.k)
+        if fixed is not None:
+            fixed = q.rep[:, site_slice(0, q.k)] @ fixed
     if fixed is None:
         raise ValidationError("fixed space holds no state of nonzero trace")
     # re-hermitize blockwise to absorb roundoff; blocks of an induced chain's

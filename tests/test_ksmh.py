@@ -260,7 +260,7 @@ def test_induced_chain_ginverses_satisfy_the_column_identity(request, case, rout
         eye = np.eye(q.k * q.k)
         for route in routes:
             G = (qhit.hunter_special(q) if route == "hunter"
-                 else qhit.induced_group_inverse(S, q))
+                 else qhit.induced_group_inverse(q))
             assert np.max(np.abs(block(G, 0, 0) - block(G, 0, 1) - eye)) <= 1e-12
             assert np.max(np.abs(block(G, 1, 1) - block(G, 1, 0) - eye)) <= 1e-12
             kernel = qhit.ksmh_kernel(q, D, G)
@@ -308,6 +308,28 @@ def test_group_route_factors_only_the_channel(monkeypatch):
     rep = qhit.tau_channel(S, V, rho, "ksmh-group")
     assert rep.ok
     assert orders and set(orders) == {9}
+
+
+def test_ksmh_routes_factor_no_matrix_of_the_chains_order(monkeypatch):
+    # both KSMH routes lift what they factor from S: no svd, inv, eigvals,
+    # eigvalsh or solve of the induced chain's order 2n^2 on tau's path
+    n = 5
+    orders = []
+    for name in ("svd", "inv", "eigvals", "eigvalsh", "solve"):
+        def recording(a, *args, _f=getattr(np.linalg, name), **kwargs):
+            orders.append(np.shape(a)[0])
+            return _f(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    rng = np.random.default_rng(6)
+    S = random_tp_channel(rng, n)
+    V = qhit.GoalSubspace.from_vectors([np.eye(n)[0]])
+    rho = np.diag([0.0] + [1.0 / (n - 1)] * (n - 1))
+    for method in ("ksmh-ginverse", "ksmh-group"):
+        orders.clear()
+        assert qhit.tau_channel(S, V, rho, method).ok
+        assert n * n in orders
+        assert 2 * n * n not in orders, method
 
 
 def test_hadamard_site1_obstructed_donor_fallback(hadamard):

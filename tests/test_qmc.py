@@ -1,14 +1,18 @@
 """Quantum Markov chains: induction, stationary states and block structure."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import qhit
 from conftest import random_tp_channel
 from expected_matrices import A0_SHARP, HADAMARD_ASHARP, PHI_QMC, PI_QMC
-from qhit.errors import NotIrreducibleError, ValidationError
+from qhit.cli import load_spec, parse_channel, parse_subspace
+from qhit.errors import NotIrreducibleError, NumericalError, ValidationError
 
 RNG = np.random.default_rng(5)
+CORPUS = Path(__file__).parent / "corpus"
 
 
 def test_induced_qmc_matches_printed_matrix(sec5):
@@ -106,11 +110,75 @@ def test_induced_group_inverse_matches_chain_group_inverse(case, request):
         V = qhit.GoalSubspace.from_vectors([v / np.linalg.norm(v)])
     q = qhit.induce(S, V)
     A = np.eye(q.dim) - q.rep
-    lifted = qhit.induced_group_inverse(S, q)
+    lifted = qhit.induced_group_inverse(q)
     assert np.max(np.abs(lifted - qhit.group_inverse(A).Asharp)) < 1e-10
     if case in PRINTED_ASHARP:
         assert np.max(np.abs(lifted - PRINTED_ASHARP[case])) < 1e-10
     assert qhit.index(A) == qhit.index(np.eye(S.dim**2) - S.mat)
+
+
+def _lift_problem(case) -> tuple:
+    """(S, V): a corpus spec by name, or a random 3-Kraus channel of order
+    `case` with a random goal line."""
+    if isinstance(case, str):
+        spec = load_spec(str(CORPUS / f"{case}.json"))
+        S = parse_channel(spec)
+        return S, parse_subspace(spec["subspace"], S.dim)
+    rng = np.random.default_rng(31 + case)
+    S = random_tp_channel(rng, case)
+    v = rng.normal(size=case) + 1j * rng.normal(size=case)
+    return S, qhit.GoalSubspace.from_vectors([v / np.linalg.norm(v)])
+
+
+LIFT_CASES = ["sec5", "hadamard", "hadamard_bad_alpha", "order4", "randomization",
+              "goal2", 2, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("case", LIFT_CASES)
+def test_lifted_stationary_density_matches_chain_fixed_space(case):
+    # the lift cuts the fixed space of S at order n^2 and returns C pi; the
+    # reference cuts the chain's own, of order 2n^2 (dimension 2 and 4 on
+    # hadamard and order4)
+    S, V = _lift_problem(case)
+    q = qhit.induce(S, V)
+    _, dense = qhit.ginverse.fixed_space(q.rep, q.k)
+    lifted = qhit.stationary_density(q).data
+    assert np.max(np.abs(lifted - dense)) <= 1e-12 * np.max(np.abs(dense))
+    chain_only = qhit.QMC(q.n_sites, q.k, q.rep)  # no channel: the dense path
+    assert chain_only.channel is None
+    assert np.max(np.abs(chain_only.stationary_vec() - dense)) <= 1e-14
+
+
+@pytest.mark.parametrize("case", LIFT_CASES)
+def test_lifted_hunter_special_matches_chain_hunter_ginverse(case):
+    S, V = _lift_problem(case)
+    q = qhit.induce(S, V)
+    rng = np.random.default_rng(7)
+    u, f = (rng.normal(size=q.dim) + 1j * rng.normal(size=q.dim) for _ in range(2))
+    if qhit.fixed_space_dim(q) > 1:
+        # no rank-one update makes I - Phi invertible: both forms refuse
+        for build in (lambda: qhit.hunter_special(q, u=u, f=f),
+                      lambda: qhit.hunter_ginverse(q, t=u, u=q.identity_vec(), g=f)):
+            with pytest.raises((NumericalError, np.linalg.LinAlgError)):
+                build()
+        return
+    chain_only = qhit.QMC(q.n_sites, q.k, q.rep)  # no channel: the dense path
+    for uu, ff in ((None, None), (u, f)):
+        lifted = qhit.hunter_special(q, u=uu, f=ff)
+        dense = qhit.hunter_ginverse(q, t=uu, u=q.identity_vec(), g=ff)
+        assert np.max(np.abs(lifted - dense)) <= 1e-12 * np.max(np.abs(dense))
+        assert np.array_equal(qhit.hunter_special(chain_only, u=uu, f=ff), dense)
+    with pytest.raises(ValidationError, match="length"):
+        qhit.hunter_special(q, u=u[:-1])
+    with pytest.raises(ValidationError, match="length"):
+        qhit.hunter_special(q, f=np.append(f, 0.0))
+    with pytest.raises(ValidationError, match=r"<e_I\|t>"):
+        qhit.hunter_special(q, u=np.zeros(q.dim))
+
+
+def test_induced_group_inverse_refuses_a_chain_not_built_by_induce(sec5):
+    with pytest.raises(ValidationError, match="induce"):
+        qhit.induced_group_inverse(qhit.QMC(2, 2, sec5["q"].rep))
 
 
 def test_induce_refuses_a_map_that_is_not_a_channel(sec5):

@@ -6,6 +6,14 @@ either a Hunter-family g-inverse or the group inverse of the induced
 two-site chain.  On that chain the kernel is the site-0 block D_00 tiled
 whatever the g-inverse G is, so routes 3 and 4 read tau from D_00, and G is
 checked by its own axioms rather than by tau.
+
+Only the series and the final trace depend on the initial state.
+``tau_channel`` keeps the rest (K, the induced chain, D, the diagnostics,
+each KSMH route's G and kernel) in one record per (S, V), keyed by the
+identity of those objects, whose arrays are read-only; the last problem's
+record is held.  Further routes and states on the same objects read it, so
+each check runs once per problem, and a rank-rule ``RuntimeWarning`` fires
+on the call that builds the record, not on every route.
 """
 
 from .channel import (ChannelDiagnostics, GoalSubspace, KrausChannel,

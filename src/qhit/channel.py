@@ -8,7 +8,8 @@ import numpy as np
 
 from . import ginverse
 from .errors import DimensionError, ValidationError
-from .matrep import SuperOp, as_complex, conj_kron, real_form, unvec, vec
+from .matrep import (SuperOp, _owned_read_only, as_complex, conj_kron,
+                     real_form, unvec, vec)
 from .tolerances import (EIG_ONE_TOL, FAITHFUL_TOL, PSD_TOL, RANK_REL_TOL,
                          STATE_TOL, TP_TOL, ZERO_TOL, near_one)
 
@@ -191,7 +192,9 @@ def diagnose(S: SuperOp) -> ChannelDiagnostics:
 @dataclass(frozen=True)
 class GoalSubspace:
     """Goal subspace V with projectors P, Q = I - P.  The map X -> Q X Q is
-    applied by :meth:`sandwich`, never formed as an n^2 x n^2 matrix."""
+    applied by :meth:`sandwich`, never formed as an n^2 x n^2 matrix.
+    ``basis``, ``P`` and ``Q`` are read-only, as :class:`matrep.SuperOp`'s
+    ``mat`` is."""
 
     ambient_dim: int
     basis: np.ndarray  # n x d, orthonormal columns
@@ -204,10 +207,12 @@ class GoalSubspace:
             raise DimensionError("basis must be an n x d matrix of column vectors")
         if np.max(np.abs(B.conj().T @ B - np.eye(B.shape[1]))) > STATE_TOL:
             raise ValidationError("basis columns are not orthonormal")
-        object.__setattr__(self, "basis", B)
+        object.__setattr__(self, "basis", _owned_read_only(B, self.basis))
         P = B @ B.conj().T
+        Q = np.eye(self.ambient_dim) - P
+        P.flags.writeable = Q.flags.writeable = False
         object.__setattr__(self, "P", P)
-        object.__setattr__(self, "Q", np.eye(self.ambient_dim) - P)
+        object.__setattr__(self, "Q", Q)
 
     def sandwich(self, M) -> np.ndarray:
         """Q.Q M: X -> Q X Q applied to vec(X), a column of M (or M itself).

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoGroupInverseError, NumericalError, ValidationError
+from .errors import (NoGroupInverseError, NotIrreducibleError, NumericalError,
+                     ValidationError)
 from .matrep import as_complex, as_matrix, from_hermitian_basis, real_form
 from .tolerances import (AXIOM_REL_TOL, DRAZIN_Z, RANK_REL_TOL, SCALE_FLOOR,
                          SPLIT_COND_WARN, ZERO_TOL)
@@ -236,11 +237,17 @@ def verify_ginverse(A, G) -> float:
 def _hunter_parameters(q, t, u, f, g) -> tuple:
     """The Hunter parameters (t, u, f, g) at the chain's length, defaults
     filled in, with pi = :meth:`qmc.QMC.stationary_vec` and e_I.  Raises
-    :class:`ValidationError` on a wrong length, or when <e_I|t> or <u|pi>
-    vanishes."""
+    :class:`NotIrreducibleError` when the cut that gave pi finds a fixed
+    space of dimension > 1, and :class:`ValidationError` on a wrong length,
+    or when <e_I|t> or <u|pi> vanishes."""
     N = q.dim
     e_I = q.identity_vec()
     pi = q.stationary_vec()
+    if q._fixed[0] > 1:
+        raise NotIrreducibleError(
+            "fixed space is not one-dimensional: no rank-one update makes "
+            "I - Phi invertible; use the group inverse instead"
+        )
 
     def _vec(v, default):
         if v is None:
@@ -269,7 +276,9 @@ def hunter_ginverse(q, t=None, u=None, f=None, g=None) -> np.ndarray:
     """Parametric g-inverse family of I - Phi for an irreducible QMC.
 
     G = (I - Phi + |t><u|)^{-1} + |pi><f| + |g><e_I|, requiring <e_I|t> != 0
-    and <u|pi> != 0.  Defaults: t = u = e_1, f = g = 0.
+    and <u|pi> != 0.  Defaults: t = u = e_1, f = g = 0.  A chain whose fixed
+    space has dimension > 1 is refused with :class:`NotIrreducibleError`,
+    decided on the cut that gives pi (:func:`qmc.stationary_density`).
     """
     t, u, f, g, pi, e_I = _hunter_parameters(q, t, u, f, g)
     A = np.eye(q.dim) - q.rep
@@ -284,7 +293,8 @@ def hunter_special(q, u=None, f=None) -> np.ndarray:
 
     This is the Hunter family at t = u, bra fixed to <e_I|, which makes the
     plain kernel D(I - G + G_d E) valid without the fixed-map correction;
-    it makes the parameter checks of :func:`hunter_ginverse`.
+    it makes the parameter checks and the irreducibility refusal of
+    :func:`hunter_ginverse`.
 
     An induced chain (``q.channel`` set by :func:`qmc.induce`) is inverted
     at order n^2.  Its map is Phi = C R with R = [I I] and R C = S, and

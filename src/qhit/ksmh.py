@@ -10,15 +10,16 @@ the goal subspace V and site 1 its complement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import ginverse, monitor
-from .channel import (GoalSubspace, check_shapes, diagnose, is_density,
-                      randomize)
+from .channel import (ChannelDiagnostics, GoalSubspace, check_shapes, diagnose,
+                      is_density, randomize)
 from .errors import (NoGroupInverseError, NotIrreducibleError, NumericalError,
                      SpectralObstructionError, ValidationError)
-from .hitting import analytic_HK, tau_from_K
+from .hitting import HittingMaps, analytic_HK, tau_from_K
 from .matrep import SuperOp, real_form, vec
 from .qmc import QMC, induce, induced_group_inverse, site_slice
 from .tolerances import NORM_GROWTH_REL_TOL, STATE_TOL, near_one, real_trace
@@ -232,6 +233,73 @@ class TauReport:
     artifacts: dict = field(default_factory=dict)
 
 
+class _Problem:
+    """The rho-independent work of :func:`tau_channel` on one (S, V).
+
+    Each field is built on first use by the public call that computes it,
+    and kept: a second route or a second state reads it.  The calls go
+    through this module's names at call time, so a wrapper installed at
+    those names (``ksmh.induce``, ``ginverse.hunter_special``, ...) sees
+    each one.  A call that raises stores nothing and runs again on the next
+    use.  The arrays that artifacts hand out are made read-only.
+    """
+
+    def __init__(self, S: SuperOp, V: GoalSubspace):
+        self.S, self.V = S, V
+
+    @cached_property
+    def maps(self) -> HittingMaps:
+        return analytic_HK(self.S, self.V)
+
+    @cached_property
+    def qmc(self) -> QMC:
+        return induce(self.S, self.V)
+
+    @cached_property
+    def sites(self) -> tuple:
+        """(D, availability) of :func:`qmc_hitting_operators`; its K_ops
+        enter no route."""
+        ops = qmc_hitting_operators(self.qmc)
+        ops.D.flags.writeable = False
+        return ops.D, ops.availability
+
+    @cached_property
+    def diag(self) -> ChannelDiagnostics:
+        return diagnose(self.S)
+
+    @cached_property
+    def hunter(self) -> tuple:
+        """(G, kernel) of the ksmh-ginverse route."""
+        return self._kernel(ginverse.hunter_special(self.qmc))
+
+    @cached_property
+    def group(self) -> tuple:
+        """(G, kernel) of the ksmh-group route."""
+        return self._kernel(induced_group_inverse(self.qmc))
+
+    def _kernel(self, G) -> tuple:
+        kern = ksmh_kernel(self.qmc, self.sites[0], G)
+        G.flags.writeable = kern.flags.writeable = False
+        return G, kern
+
+
+_last: _Problem | None = None  # the record of the last (S, V) solved
+
+
+def _problem(S: SuperOp, V: GoalSubspace) -> _Problem:
+    """The record of (S, V), keyed by the identity of both objects.  Their
+    arrays are read-only, and the record holds S and V, so neither can
+    change or be replaced by a new object at the same address while it is
+    kept.  One problem is kept: the next (S, V) replaces it.  A caller keeps
+    the record it was handed, so threads that solve different problems stay
+    correct; threads on one problem may build a field twice, with the same
+    bits."""
+    global _last
+    if _last is None or _last.S is not S or _last.V is not V:
+        _last = _Problem(S, V)
+    return _last
+
+
 def tau_channel(S: SuperOp, V: GoalSubspace, rho, method: str,
                 keep_artifacts: bool = False) -> TauReport:
     """Mean hitting time to V from a density in its complement, by one route.
@@ -244,6 +312,16 @@ def tau_channel(S: SuperOp, V: GoalSubspace, rho, method: str,
     Every route refuses a map that is not trace and Hermiticity preserving
     at its entry (:func:`monitor.first_visit_series`,
     :func:`hitting.analytic_HK`, :func:`qmc.induce`).
+
+    Only the series and the final trace depend on rho.  Everything else
+    (K; the induced chain, its site operators D and :func:`channel.diagnose`;
+    each KSMH route's G and kernel) is kept in one record per (S, V),
+    keyed by the identity of the two objects, and only the last problem's
+    record is held.  Routes and states that follow on the same objects read
+    it, so every check runs once per problem, and a warning such as the
+    rank rule's ``RuntimeWarning`` fires on the call that builds the field,
+    not on every route.  A refusal that raises is not kept.  The shape,
+    density and support checks on rho run on every call.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -265,9 +343,10 @@ def tau_channel(S: SuperOp, V: GoalSubspace, rho, method: str,
         return TauReport(method=method, tau=series.tau, ok=series.converged,
                          preconditions=pre, artifacts=art)
 
+    record = _problem(S, V)
     if method == "analytic-K":
         try:
-            maps = analytic_HK(S, V)
+            maps = record.maps
         except SpectralObstructionError:
             pre["assumption_one"] = False
             return TauReport(method=method, tau=None, ok=False, preconditions=pre,
@@ -278,29 +357,27 @@ def tau_channel(S: SuperOp, V: GoalSubspace, rho, method: str,
         return TauReport(method=method, tau=tau_from_K(maps, rho, "in-V-perp"),
                          ok=True, preconditions=pre, artifacts=art)
 
-    q = induce(S, V)
-    ops = qmc_hitting_operators(q)
-    pre["site0_operator_available"] = ops.availability[0][0]
-    pre["site1_operator_available"] = ops.availability[1][0]
-    if not ops.availability[0][0]:
+    q = record.qmc
+    D, availability = record.sites
+    pre["site0_operator_available"] = availability[0][0]
+    pre["site1_operator_available"] = availability[1][0]
+    if not availability[0][0]:
         return TauReport(method=method, tau=None, ok=False, preconditions=pre,
                          detail="1 lies in the spectrum of Q_0 Phi "
                                 "(equivalently of Q.T)")
 
     if method == "ksmh-ginverse":
-        diag = diagnose(S)
-        pre["channel_irreducible"] = diag.is_irreducible
-        if not diag.is_irreducible:
+        pre["channel_irreducible"] = record.diag.is_irreducible
+        if not record.diag.is_irreducible:
             return TauReport(method=method, tau=None, ok=False, preconditions=pre,
                              detail="channel is not irreducible; use ksmh-group")
-        G = ginverse.hunter_special(q)
+        G, kern = record.hunter
     else:  # ksmh-group
-        G = induced_group_inverse(q)
+        G, kern = record.group
 
-    kern = ksmh_kernel(q, ops.D, G)
     tau = tau_irreducible_qmc(q, kern, 0, 1, rho)
     if keep_artifacts:
-        art.update({"qmc": q, "D": ops.D, "G": G, "kernel": kern})
+        art.update({"qmc": q, "D": D, "G": G, "kernel": kern})
     return TauReport(method=method, tau=tau, ok=True, preconditions=pre,
                      artifacts=art)
 

@@ -33,6 +33,16 @@ def as_complex(A) -> np.ndarray:
     return M
 
 
+def _owned_read_only(M: np.ndarray, source) -> np.ndarray:
+    """M made read-only, copied first when it shares memory with the
+    caller's ``source`` (:func:`as_complex` returns complex128 input
+    itself), so that the caller's array stays writable and cannot change M."""
+    if np.may_share_memory(M, source):
+        M = M.copy()
+    M.flags.writeable = False
+    return M
+
+
 def as_matrix(A) -> np.ndarray:
     """float64 for real input, complex128 otherwise; rejects non-finite entries."""
     M = np.asarray(A, dtype=np.float64 if np.isrealobj(A) else np.complex128)
@@ -123,7 +133,11 @@ def from_hermitian_basis(C, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SuperOp:
-    """Matrix representation of a linear map on M_dim (a dim^2 x dim^2 matrix)."""
+    """Matrix representation of a linear map on M_dim (a dim^2 x dim^2 matrix).
+
+    ``mat`` is read-only, so a SuperOp names one map for its whole life and
+    :func:`ksmh.tau_channel` may key its shared work on the object itself.
+    """
 
     dim: int
     mat: np.ndarray
@@ -135,7 +149,7 @@ class SuperOp:
                 f"superoperator on M_{self.dim} must be "
                 f"{self.dim**2}x{self.dim**2}, got {mat.shape}"
             )
-        object.__setattr__(self, "mat", mat)
+        object.__setattr__(self, "mat", _owned_read_only(mat, self.mat))
 
     def __call__(self, X) -> np.ndarray:
         return apply(self, X)

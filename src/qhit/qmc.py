@@ -6,6 +6,7 @@ induced chain also refuses a channel that does not preserve Hermiticity.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,7 +14,8 @@ import numpy as np
 from . import ginverse
 from .channel import GoalSubspace, _tp_defect, check_channel, hermitize
 from .errors import DimensionError, NotIrreducibleError, ValidationError
-from .matrep import SuperOp, as_complex, conj_kron, real_form, unvec, vec
+from .matrep import (SuperOp, _owned_read_only, as_complex, conj_kron,
+                     real_form, unvec, vec)
 from .tolerances import TP_TOL
 
 
@@ -35,18 +37,19 @@ class QMC:
     the chain is trace preserving to ``TP_TOL``.  ``channel`` is the map S
     of a chain built by :func:`induce`, whose rep factors as C R with C its
     column block 0, R = [I I] and R C = S; it is None for any other chain.
+    ``rep`` is read-only: the chain caches the cut of its fixed space.
     """
 
     def __init__(self, n_sites: int, k: int, rep, channel: SuperOp | None = None):
-        rep = as_complex(rep)
+        M = as_complex(rep)
         N = n_sites * k * k
-        if rep.shape != (N, N):
-            raise DimensionError(f"QMC representation must be {N}x{N}, got {rep.shape}")
+        if M.shape != (N, N):
+            raise DimensionError(f"QMC representation must be {N}x{N}, got {M.shape}")
         self.n_sites = n_sites
         self.k = k
-        self.rep = rep
+        self.rep = _owned_read_only(M, rep)
         self.channel = channel
-        defect = _tp_defect(rep, k)
+        defect = _tp_defect(M, k)
         if defect > TP_TOL:
             raise ValidationError(f"QMC is not trace preserving (defect {defect:.3e})")
 
@@ -65,6 +68,20 @@ class QMC:
     def stationary_vec(self) -> np.ndarray:
         """Vectorized stationary density, :func:`stationary_density`."""
         return stationary_density(self).data
+
+    @functools.cached_property
+    def _fixed(self) -> tuple:
+        """``(dimension, x)`` of the chain's fixed space, from the one cut of
+        :func:`ginverse.fixed_space`: x is its fixed vector of unit trace,
+        or None.  An induced chain is cut on S and x lifted to C x (see
+        :func:`stationary_density`)."""
+        if self.channel is None:
+            kernel, x = ginverse.fixed_space(self.rep, self.k)
+        else:
+            kernel, x = ginverse.fixed_space(self.channel.mat, self.k)
+            if x is not None:
+                x = self.rep[:, site_slice(0, self.k)] @ x
+        return kernel.shape[1], x
 
 
 @dataclass(frozen=True)
@@ -158,8 +175,10 @@ def induced_group_inverse(q: QMC) -> np.ndarray:
 def stationary_density(q: QMC) -> VecState:
     """A fixed density of the chain, of unit total trace.
 
-    The fixed space is cut once, by :func:`ginverse.fixed_space` (the rank
-    rule of :func:`ginverse.rank_with_margin`): on a line its null vector is
+    The fixed space is cut once per chain, by :func:`ginverse.fixed_space`
+    (the rank rule of :func:`ginverse.rank_with_margin`), and the cut is kept
+    on the chain for the Hunter family's irreducibility test (see
+    :func:`ginverse.hunter_ginverse`): on a line its null vector is
     taken, otherwise the site-uniform seed |e_I> is pushed through the
     ergodic projector I - A^# A.
 
@@ -174,12 +193,7 @@ def stationary_density(q: QMC) -> VecState:
     cut as :func:`channel.diagnose` makes on S.  Any other chain is cut at
     its full order.
     """
-    if q.channel is None:
-        _, fixed = ginverse.fixed_space(q.rep, q.k)
-    else:
-        _, fixed = ginverse.fixed_space(q.channel.mat, q.k)
-        if fixed is not None:
-            fixed = q.rep[:, site_slice(0, q.k)] @ fixed
+    _, fixed = q._fixed
     if fixed is None:
         raise ValidationError("fixed space holds no state of nonzero trace")
     # re-hermitize blockwise to absorb roundoff; blocks of an induced chain's

@@ -142,6 +142,18 @@ def test_hunter_ginverse_matches_reference(capsys):
     assert np.max(np.abs(G - G_QMC)) < 1e-9
 
 
+@pytest.mark.parametrize("name", ["hadamard", "order4"])
+def test_hunter_ginverse_on_a_reducible_chain_exits_3(capsys, name):
+    # the induced chain's fixed space has dimension 2 (hadamard) or 4
+    # (order4): no rank-one update makes I - Phi invertible, so the Hunter
+    # family refuses up front rather than failing A G A = A (exit 4)
+    assert main(["ginverse", f"{CORPUS}/{name}.json", "--kind", "hunter",
+                 "--json"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("no applicable method") and "one-dimensional" in err
+
+
 def test_sweep_taus_match_closed_form(capsys):
     # tau(p) = 4 / (1 - p + 2 p s) with s = 1/2 is identically 4
     code, out = run_cli(capsys, "sweep", f"{CORPUS}/randomization.json",

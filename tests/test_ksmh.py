@@ -1,6 +1,10 @@
 """KSMH kernel assembly, route agreement and the kernel-limit study."""
 
+import gc
 import inspect
+import warnings
+import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +15,7 @@ from conftest import (make_sec6_T, random_goal_qubit, random_irreducible_qubit,
                       random_tp_channel, site_projector)
 from expected_matrices import D_QMC, H0, HADAMARD_KERNEL, ORDER4_QFORM
 from qhit.cli import load_spec, parse_channel, parse_subspace
-from qhit.errors import (NotIrreducibleError, NumericalError,
+from qhit.errors import (NotIrreducibleError, NumericalError, QhitError,
                          SpectralObstructionError, ValidationError)
 from qhit.qmc import site_slice
 from qhit.tolerances import EIG_ONE_TOL
@@ -424,19 +428,23 @@ def test_tau_channel_routes_agree_random():
         assert max(vals) - min(vals) < 1e-6 * max(1.0, max(vals))
 
 
-def test_near_trace_preserving_channel_on_four_routes():
-    # amplitude damping (gamma = 0.3) with K0 scaled by sqrt(1 + 5e-10), mixed
-    # 1:1 with Hadamard: TP defect 2.5e-10, which the channel accepts and the
-    # induced chain inherits exactly.  From |1> each step hits |0> with
-    # probability p = 0.4 and keeps mass s = 0.6 + 1.75e-10 on |1>, so
-    # tau = p / (1 - s)^2.
+def _near_tp_mixture() -> tuple:
+    """Amplitude damping (gamma = 0.3) with K0 scaled by sqrt(1 + 5e-10),
+    mixed 1:1 with Hadamard, with V = span |0>: (S, V)."""
     gamma = 0.3
     K0 = np.sqrt(1 + 5e-10) * np.diag([1.0, np.sqrt(1 - gamma)])
     K1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]])
     AD = qhit.represent(qhit.KrausChannel(2, (K0, K1)))
     H = qhit.unitary_superop(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
-    S = qhit.randomize(AD, H, 0.5)
-    V = qhit.GoalSubspace.from_vectors([[1, 0]])
+    return qhit.randomize(AD, H, 0.5), qhit.GoalSubspace.from_vectors([[1, 0]])
+
+
+def test_near_trace_preserving_channel_on_four_routes():
+    # the mixture of _near_tp_mixture has TP defect 2.5e-10, which the channel
+    # accepts and the induced chain inherits exactly.  From |1> each step hits
+    # |0> with probability p = 0.4 and keeps mass s = 0.6 + 1.75e-10 on |1>,
+    # so tau = p / (1 - s)^2.
+    S, V = _near_tp_mixture()
     rho = np.diag([0.0, 1.0])
     # the rank rule flags its decision on I - S, whose smallest singular value
     # lies 1.6e-10 relative, just above the cut; the KSMH routes may refuse,
@@ -454,6 +462,151 @@ def test_near_trace_preserving_channel_on_four_routes():
             except NumericalError:
                 continue
             assert not rep.ok or abs(rep.tau - expected) < 1e-8, method
+
+
+def _states_in_perp(rng, V, count: int = 2) -> list:
+    """Random mixed densities supported in V-perp."""
+    n = V.ambient_dim
+    out = []
+    for _ in range(count):
+        X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        rho = V.Q @ X @ X.conj().T @ V.Q
+        rho = (rho + rho.conj().T) / 2
+        out.append(rho / np.trace(rho).real)
+    return out
+
+
+def _route_outcome(S, V, rho, method) -> tuple:
+    """Everything a route reports, compared bit for bit by repr."""
+    try:
+        rep = qhit.tau_channel(S, V, rho, method)
+    except QhitError as exc:
+        return ("raised", repr(exc))
+    return (repr(rep.tau), rep.ok, rep.detail, repr(rep.preconditions))
+
+
+def _fresh(S, V) -> tuple:
+    return (qhit.SuperOp(S.dim, S.mat.copy()),
+            qhit.GoalSubspace(V.ambient_dim, V.basis.copy()))
+
+
+def _record_problems() -> list:
+    """(label, S, V, two states): random channels n = 2..6 with a random goal
+    line, four corpus specs, and the near trace-preserving mixture."""
+    rng = np.random.default_rng(31)
+    problems = []
+    for n in range(2, 7):
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        problems.append((f"random-{n}", random_tp_channel(rng, n),
+                         qhit.GoalSubspace.from_vectors([v])))
+    for name in ("sec5", "hadamard", "order4", "goal2"):
+        problems.append((name, *_corpus_problem(name)))
+    problems.append(("near-tp", *_near_tp_mixture()))
+    return [(label, S, V, _states_in_perp(rng, V)) for label, S, V in problems]
+
+
+def test_shared_record_reports_the_same_bits_as_fresh_objects():
+    # every route from two states on the same (S, V) objects reads one record
+    # per problem; the same calls on fresh copies of S and V rebuild it every
+    # time.  Outcomes agree bit for bit, refusals included.  The problems run
+    # one after another, and sec5 and hadamard share their shapes, so a
+    # record keyed on anything weaker than identity would hand one problem's
+    # work to the next.
+    problems = _record_problems()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # near-tp's rank rule
+        shared = [_route_outcome(S, V, rho, m) for _, S, V, states in problems
+                  for rho in states for m in qhit.ksmh.METHODS]
+        fresh = [_route_outcome(*_fresh(S, V), rho, m) for _, S, V, states in problems
+                 for rho in states for m in qhit.ksmh.METHODS]
+    assert shared == fresh
+    labels = [label for label, *_ in problems for _ in range(8)]
+    assert any(out[0] == "raised" for out in shared)  # near-tp's KSMH refusal
+    assert {label for label, out in zip(labels, shared) if out[1] is False} >= {
+        "hadamard", "order4"}  # the ksmh-ginverse refusals
+
+
+def test_alternating_problems_of_equal_shape_keep_their_own_records():
+    # two channels of one dimension with goal lines, solved in turn: each
+    # call replaces the held record by the other problem's.  The reference
+    # solves fresh copies of each problem alone, after a problem of another
+    # dimension, so that no record of either is held when it starts.
+    rng = np.random.default_rng(32)
+    pair = []
+    for _ in range(2):
+        S = random_tp_channel(rng, 3)
+        V = qhit.GoalSubspace.from_vectors([rng.normal(size=3)])
+        pair.append((S, V, _states_in_perp(rng, V)))
+    other = (random_tp_channel(rng, 2), qhit.GoalSubspace.from_vectors([[1, 0]]),
+             np.diag([0.0, 1.0]), "analytic-K")
+
+    def alone(S, V, rho, m):
+        _route_outcome(*other)
+        return _route_outcome(*_fresh(S, V), rho, m)
+
+    for j in range(2):
+        for m in qhit.ksmh.METHODS:
+            expected = [alone(S, V, states[j], m) for S, V, states in pair]
+            alternating = [_route_outcome(S, V, states[j], m) for S, V, states in pair]
+            assert alternating == expected, (j, m)
+            assert alternating[0] != alternating[1]
+
+
+def test_one_problem_runs_each_factorization_once(monkeypatch):
+    # one (S, V) from two states through the four routes: the record builds
+    # each rho-independent result once, and one kernel per KSMH route
+    counts = Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("induce", "analytic_HK", "qmc_hitting_operators", "diagnose",
+                 "induced_group_inverse", "ksmh_kernel"):
+        count(qhit.ksmh, name)
+    count(qhit.ginverse, "hunter_special")
+    rng = np.random.default_rng(33)
+    S = random_tp_channel(rng, 4)
+    V = qhit.GoalSubspace.from_vectors([rng.normal(size=4)])
+    for rho in _states_in_perp(rng, V):
+        for m in qhit.ksmh.METHODS:
+            assert qhit.tau_channel(S, V, rho, m).ok, m
+    assert counts == {"induce": 1, "analytic_HK": 1, "qmc_hitting_operators": 1,
+                      "diagnose": 1, "hunter_special": 1,
+                      "induced_group_inverse": 1, "ksmh_kernel": 2}
+
+
+def test_record_key_objects_are_read_only_and_one_problem_is_held():
+    rng = np.random.default_rng(34)
+    S = random_tp_channel(rng, 3)
+    V = qhit.GoalSubspace.from_vectors([rng.normal(size=3)])
+    for arr in (S.mat, V.basis, V.P, V.Q):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 0
+    # the caller's own complex128 array is copied, not frozen or aliased
+    own = S.mat.copy()
+    basis = np.eye(3, 1, dtype=np.complex128)
+    T, W = qhit.SuperOp(3, own), qhit.GoalSubspace(3, basis)
+    own[0, 0] = basis[0, 0] = 7.0
+    assert T.mat[0, 0] == S.mat[0, 0] and W.basis[0, 0] == 1.0
+    # the artifacts that the held record hands out are read-only too
+    rho = _states_in_perp(rng, V, 1)[0]
+    rep = qhit.tau_channel(S, V, rho, "ksmh-group", keep_artifacts=True)
+    for arr in (rep.artifacts["qmc"].rep, rep.artifacts["D"], rep.artifacts["G"],
+                rep.artifacts["kernel"]):
+        assert not arr.flags.writeable
+    # the record holds its problem until another is solved, and then only that
+    ref = weakref.ref(S)
+    del S, rep
+    gc.collect()
+    assert ref() is not None
+    assert qhit.tau_channel(T, W, np.diag([0.0, 0.5, 0.5]), "analytic-K").ok
+    gc.collect()
+    assert ref() is None
 
 
 def test_tau_channel_rejects_bad_inputs(sec5):

@@ -9,7 +9,7 @@ import qhit
 from conftest import random_tp_channel
 from expected_matrices import A0_SHARP, HADAMARD_ASHARP, PHI_QMC, PI_QMC
 from qhit.cli import load_spec, parse_channel, parse_subspace
-from qhit.errors import NotIrreducibleError, NumericalError, ValidationError
+from qhit.errors import NotIrreducibleError, ValidationError
 
 RNG = np.random.default_rng(5)
 CORPUS = Path(__file__).parent / "corpus"
@@ -155,14 +155,17 @@ def test_lifted_hunter_special_matches_chain_hunter_ginverse(case):
     q = qhit.induce(S, V)
     rng = np.random.default_rng(7)
     u, f = (rng.normal(size=q.dim) + 1j * rng.normal(size=q.dim) for _ in range(2))
-    if qhit.fixed_space_dim(q) > 1:
-        # no rank-one update makes I - Phi invertible: both forms refuse
-        for build in (lambda: qhit.hunter_special(q, u=u, f=f),
-                      lambda: qhit.hunter_ginverse(q, t=u, u=q.identity_vec(), g=f)):
-            with pytest.raises((NumericalError, np.linalg.LinAlgError)):
-                build()
-        return
     chain_only = qhit.QMC(q.n_sites, q.k, q.rep)  # no channel: the dense path
+    if qhit.fixed_space_dim(q) > 1:
+        # no rank-one update makes I - Phi invertible: both forms refuse up
+        # front, on either path, from the cut that gives the fixed density
+        for chain in (q, chain_only):
+            for build in (lambda: qhit.hunter_special(chain, u=u, f=f),
+                          lambda: qhit.hunter_ginverse(chain, t=u,
+                                                       u=chain.identity_vec(), g=f)):
+                with pytest.raises(NotIrreducibleError, match="one-dimensional"):
+                    build()
+        return
     for uu, ff in ((None, None), (u, f)):
         lifted = qhit.hunter_special(q, u=uu, f=ff)
         dense = qhit.hunter_ginverse(q, t=uu, u=q.identity_vec(), g=ff)

@@ -22,12 +22,11 @@ from .channel import (ChannelDiagnostics, GoalSubspace, KrausChannel,
 from .errors import (DimensionError, NoGroupInverseError, NotIrreducibleError,
                      NumericalError, QhitError, SpectralObstructionError,
                      ValidationError)
-from .ginverse import (GroupInverse, drazin_limit, group_inverse,
-                       hunter_ginverse, hunter_special, index)
-from .hitting import HittingMaps, analytic_HK, fundamental_map, mhtf_tau, tau_from_K
-from .ksmh import (QmcHittingOperators, first_step_operator_L,
-                   kernel_limit_study, ksmh_kernel, qmc_hitting_operators,
-                   tau_channel, tau_irreducible_qmc)
+from .ginverse import (GroupInverse, group_inverse, hunter_ginverse, hunter_special,
+                       index)
+from .hitting import HittingMaps, analytic_HK, tau_from_K
+from .ksmh import (QmcHittingOperators, kernel_limit_study, ksmh_kernel,
+                   qmc_hitting_operators, tau_channel, tau_irreducible_qmc)
 from .matrep import SuperOp, apply, conj_kron, identity_superop, unvec, vec
 from .monitor import MonitorSeries, first_visit_series, site_visit_series
 from .qmc import (QMC, VecState, fixed_map, fixed_space_dim, from_oqw, induce,

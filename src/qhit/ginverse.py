@@ -1,10 +1,8 @@
-"""Generalized, Drazin and group inverses of A = I - (map representation).
+"""Generalized and group inverses of A = I - (map representation).
 
-Two independent constructions of the group inverse are provided: the
-spectral-projector form (A + cE)^{-1} - E/c, with E the projector onto ker(A)
-along range(A) taken from the kernel pair of one SVD, and the resolvent limit
-(A^2 + zI)^{-1} A as z -> 0.  They cross-check each other.  The Hunter
-g-inverses and the resolvent limit are returned as plain matrices; only
+The group inverse is the spectral-projector form (A + cE)^{-1} - E/c, with
+E the projector onto ker(A) along range(A) taken from the kernel pair of one
+SVD.  The Hunter g-inverses are returned as plain matrices; only
 :func:`group_inverse` returns a record, the matrix with its index and
 ergodic projector.
 """
@@ -19,8 +17,8 @@ import numpy as np
 from .errors import (NoGroupInverseError, NotIrreducibleError, NumericalError,
                      ValidationError)
 from .matrep import as_complex, as_matrix, from_hermitian_basis, real_form
-from .tolerances import (AXIOM_REL_TOL, DRAZIN_Z, RANK_REL_TOL, SCALE_FLOOR,
-                         SPLIT_COND_WARN, ZERO_TOL)
+from .tolerances import (AXIOM_REL_TOL, RANK_REL_TOL, SCALE_FLOOR, SPLIT_COND_WARN,
+                         ZERO_TOL)
 
 
 def _rank_cut(s) -> int:
@@ -187,30 +185,6 @@ def check_group_axioms(A, G) -> np.ndarray:
     if np.max(np.abs(AG - GA)) > tol * max(1.0, np.max(np.abs(G)) / scale):
         raise NumericalError("group inverse candidate violates A G = G A")
     return GA
-
-
-def drazin_limit(A) -> np.ndarray:
-    """Group inverse via the limit (A^2 + zI)^{-1} A, Richardson-extrapolated
-    over the decreasing ``DRAZIN_Z``.
-
-    Independent cross-check of :func:`group_inverse`; requires index(A) <= 1.
-    Raises :class:`NumericalError` unless the residual of A G A = A at the
-    smallest z stays within ten times that at the largest.
-    """
-    A = as_complex(A)
-    evals = []
-    residuals = []
-    I = np.eye(A.shape[0])
-    for z in DRAZIN_Z:
-        G = np.linalg.solve(A @ A + z * I, A)
-        evals.append(G)
-        residuals.append(float(np.max(np.abs(A @ G @ A - A))))
-    if residuals[-1] > 10 * residuals[0] + ZERO_TOL:
-        raise NumericalError(
-            "resolvent-limit residuals are not decreasing; extrapolation unreliable"
-        )
-    # the family G(z) is analytic at z = 0
-    return _lagrange_at_zero(DRAZIN_Z, evals)
 
 
 def _lagrange_at_zero(xs, values) -> np.ndarray:

@@ -1,5 +1,4 @@
-"""Analytic hitting maps H and K, the V-side traces read from them, and the
-fundamental map Z."""
+"""Analytic hitting maps H and K and the V-side traces read from them."""
 
 from __future__ import annotations
 
@@ -8,10 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (GoalSubspace, assumption_one_holds, check_channel,
-                      diagnose, fixed_states, hermitize, is_density,
-                      pure_density)
-from .errors import NotIrreducibleError, SpectralObstructionError, ValidationError
+from .channel import GoalSubspace, assumption_one_holds, check_channel, is_density
+from .errors import SpectralObstructionError, ValidationError
 from .matrep import SuperOp, real_form, vec
 from .tolerances import RESOLVENT_COND_WARN, near_one, real_trace
 
@@ -74,42 +71,3 @@ def tau_from_K(maps: HittingMaps, rho, side: str) -> float:
     else:
         raise ValueError("side must be 'in-V' or 'in-V-perp'")
     return real_trace(complex(np.vdot(vec(V.P), maps.K.mat @ vec(rho))))
-
-
-def fundamental_map(S: SuperOp) -> SuperOp:
-    """Z = (I - T + Omega_T)^{-1} for an irreducible map.
-
-    Omega_T is the rank-one representation |vec(pi)><vec(I)| of rho -> Tr(rho) pi.
-    Z is a distinguished g-inverse of I - T fixing vec(pi).
-    """
-    diag = diagnose(S)
-    if not diag.is_irreducible:
-        raise NotIrreducibleError(
-            "fundamental map requires an irreducible map with a faithful fixed state"
-        )
-    pi = hermitize(fixed_states(S)[0])
-    pi = pi / np.trace(pi).real
-    n = S.dim
-    omega = np.outer(vec(pi), vec(np.eye(n)).conj())
-    Z = np.linalg.inv(np.eye(n * n) - S.mat + omega)
-    return SuperOp(n, Z)
-
-
-def mhtf_tau(Z: SuperOp, maps: HittingMaps, psi, phi) -> float:
-    """Mean hitting time from the fundamental map:
-
-    tau(phi -> V) = Tr(K_11 (Z_11 rho_psi - Z_12 rho_phi)) for any psi in V,
-    phi in V-perp, read as <vec P|K y> with y = (I - Q.Q) Z (vec rho_psi -
-    vec rho_phi).  psi and phi are normalized (:func:`channel.pure_density`).
-    """
-    V = maps.subspace
-    if np.size(psi) != V.ambient_dim or np.size(phi) != V.ambient_dim:
-        raise ValidationError(f"psi and phi must have length {V.ambient_dim}")
-    rho_psi, rho_phi = pure_density(psi), pure_density(phi)
-    if not V.contains(rho_psi):
-        raise ValidationError("psi must lie in V")
-    if not V.contains_perp(rho_phi):
-        raise ValidationError("phi must lie in the complement of V")
-    x = Z.mat @ (vec(rho_psi) - vec(rho_phi))
-    y = x - V.sandwich(x)
-    return real_trace(complex(np.vdot(vec(V.P), maps.K.mat @ y)))

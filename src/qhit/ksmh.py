@@ -201,25 +201,6 @@ def tau_irreducible_qmc(q: QMC, kernel: np.ndarray, i: int, j: int, rho_j) -> fl
     return real_trace(complex(np.vdot(vec(np.eye(q.k)), block @ vec(rho_j))))
 
 
-def first_step_operator_L(q: QMC, ops: QmcHittingOperators) -> np.ndarray:
-    """L = K - (K - D) Phi with K assembled row-wise from the target operators.
-
-    Exposed so the first-step identity Tr(L_ij rho_j) = Tr(rho_j) can be
-    asserted; requires every site's hitting operator.
-    """
-    missing = [i for i in range(q.n_sites) if i not in ops.K_ops]
-    if missing:
-        raise SpectralObstructionError(
-            f"hitting operators unavailable for sites {missing}",
-            eigenvalues=sum((ops.availability[i][1] for i in missing), []),
-        )
-    K = np.zeros((q.dim, q.dim), dtype=np.complex128)
-    for i in range(q.n_sites):
-        sl = site_slice(i, q.k)
-        K[sl] = ops.K_ops[i][sl]
-    return K - (K - ops.D) @ q.rep
-
-
 METHODS = ("series", "analytic-K", "ksmh-ginverse", "ksmh-group")
 
 

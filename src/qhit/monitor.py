@@ -15,11 +15,14 @@ so that pi_r = g M^{r-1} v0:
 Six doublings build the rows W = [g; g M; ...; g M^63] together with the
 jump M^64. Each block then costs one product W v, giving the next 64 terms,
 and one v <- M^64 v. For order N that is about 6 N^3 multiply-adds of set-up
-and N^2 + 64 N per block; on order 36 (a six-level channel) the per-term
-Python bookkeeping, about 0.6 us on a 2-vCPU VM, dominates. Each term is
-checked for an imaginary part, clamped to [0, 1], summed and tested for
-stopping one at a time, in order; terms computed past the stop are dropped
-unread.
+and N^2 + 64 N per block. Blocks are filled a chunk at a time, the chunk
+growing 1, 2, 4, ... blocks up to ``CHUNK_BLOCKS``, so a series that stops
+in its first block makes no more products than that block. numpy then does
+the bookkeeping of the whole chunk in order: the imaginary-part check, the
+clamp to [0, 1], the stop test, and sequential running sums
+(``np.add.accumulate``, seeded by the sums so far, never a pairwise
+``np.sum``), so every term and every sum has the bits of a term-by-term
+loop. Terms computed past the stop are dropped unread and unchecked.
 
 The series stops after max(BLOCK, N) consecutive negligible increments
 r pi_r, with N the order of M, or at MAX_STEPS terms (``converged=False``).
@@ -40,19 +43,25 @@ from .channel import GoalSubspace, check_channel, check_shapes, is_density
 from .errors import ValidationError
 from .matrep import SuperOp, vec
 from .qmc import QMC, VecState, site_slice
-from .tolerances import HIT_PROB_TOL, ZERO_TOL, real_trace
+from .tolerances import HIT_PROB_TOL, IMAG_TOL, ZERO_TOL, real_trace
 
 BLOCK = 64  # terms per block; a power of two, so the jump is built by squaring
+CHUNK_BLOCKS = 64  # blocks per chunk of bookkeeping, once the chunks have grown
 MAX_STEPS = 10**6  # terms summed before the series gives up unconverged
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonitorSeries:
-    terms: tuple  # (r, pi_r) pairs
+    probs: np.ndarray  # pi_1, ..., pi_r, read-only
     cumulative_prob: float
     partial_tau: float
     truncated_at: int
     converged: bool
+
+    @property
+    def terms(self) -> tuple:
+        """The (r, pi_r) pairs."""
+        return tuple(enumerate(self.probs.tolist(), start=1))
 
     @property
     def tau(self) -> float:
@@ -74,38 +83,53 @@ def _block_rows(step, first):
     return rows, power
 
 
+def _running_sum(start: float, xs) -> float:
+    """start + xs[0] + xs[1] + ..., added left to right."""
+    return float(np.add.accumulate(np.concatenate(([start], xs)))[-1])
+
+
 def _run_series(step, first, v0):
     """Sum pi_r = first . step^{r-1} v0 until convergence, BLOCK terms per product."""
     rows, jump = _block_rows(step, first)
     window = max(BLOCK, step.shape[0])
     v = v0
-    terms = []
+    probs = [np.empty(0)]
     cum = 0.0
     tau = 0.0
-    quiet = 0
+    quiet = 0  # negligible increments ending the terms read so far
     r = 0
     converged = False
+    n_blocks = 1
     while r < MAX_STEPS and not converged:
-        if r:
-            v = jump @ v
-        # terms past MAX_STEPS or the stop are never read, so never checked
-        for x in (rows @ v)[: MAX_STEPS - r].tolist():
-            r += 1
-            pi_r = real_trace(x)
-            pi_r = 0.0 if pi_r < 0.0 else (1.0 if pi_r > 1.0 else pi_r)
-            terms.append((r, pi_r))
-            cum += pi_r
-            increment = r * pi_r
-            tau += increment
-            if increment < ZERO_TOL:
-                quiet += 1
-                if quiet >= window:
-                    converged = True
-                    break
-            else:
-                quiet = 0
+        # products past MAX_STEPS are never made
+        blocks = []
+        for _ in range(min(n_blocks, -(-(MAX_STEPS - r) // BLOCK))):
+            if r or blocks:
+                v = jump @ v
+            blocks.append(rows @ v)
+        n_blocks = min(2 * n_blocks, CHUNK_BLOCKS)
+        x = np.concatenate(blocks)[: MAX_STEPS - r]
+        pi = np.clip(x.real, 0.0, 1.0)
+        increments = np.arange(r + 1, r + 1 + x.size, dtype=float) * pi
+        # run[i]: negligible increments ending at term i; a loud term resets it
+        at = np.arange(x.size)
+        run = at - np.maximum.accumulate(np.where(increments < ZERO_TOL, -1 - quiet, at))
+        stops = np.flatnonzero(run >= window)
+        read = int(stops[0]) + 1 if stops.size else x.size
+        # terms past the stop are never read, so never checked
+        bad = np.flatnonzero(np.abs(x.imag[:read]) > IMAG_TOL)
+        if bad.size:
+            real_trace(complex(x[bad[0]]))  # raises, naming the first bad term
+        probs.append(pi[:read])
+        cum = _running_sum(cum, pi[:read])
+        tau = _running_sum(tau, increments[:read])
+        quiet = int(run[read - 1])
+        r += read
+        converged = bool(stops.size)
+    probs = np.concatenate(probs)
+    probs.flags.writeable = False
     return MonitorSeries(
-        terms=tuple(terms),
+        probs=probs,
         cumulative_prob=cum,
         partial_tau=tau,
         truncated_at=r,

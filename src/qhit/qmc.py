@@ -209,8 +209,11 @@ def fixed_space_dim(q: QMC) -> int:
 
 def fixed_map(q: QMC) -> np.ndarray:
     """Omega = |pi><e_I|, the rank-one map sending every density to the
-    stationary one, for a chain with a unique stationary density."""
-    if fixed_space_dim(q) != 1:
+    stationary one, for a chain with a unique stationary density.
+
+    Uniqueness is read from the chain's one cut of its fixed space
+    (:func:`stationary_density`), at order n^2 for an induced chain."""
+    if q._fixed[0] != 1:
         raise NotIrreducibleError(
             "fixed space is not one-dimensional; use the group-inverse route instead"
         )

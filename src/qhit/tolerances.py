@@ -35,7 +35,7 @@ RANK_REL_TOL = 1e-10
 # group and g-inverse axioms, relative to max|A|
 AXIOM_REL_TOL = 1e-9
 # absolute zero for order-one quantities: the trace of a fixed state, the
-# pairings <e_I|t> and <u|pi>, the Drazin residual slack, a negligible r pi_r
+# pairings <e_I|t> and <u|pi>, a negligible r pi_r
 ZERO_TOL = 1e-12
 # floor on max|A| when a relative tolerance is scaled by it
 SCALE_FLOOR = 1e-30
@@ -47,8 +47,6 @@ RESOLVENT_COND_WARN = 1e10
 IMAG_TOL = 1e-9
 # series: a hitting probability below 1 - HIT_PROB_TOL makes tau infinite
 HIT_PROB_TOL = 1e-6
-# regularizations z of the resolvent limit (A^2 + zI)^{-1} A, extrapolated to 0
-DRAZIN_Z = (1e-4, 1e-5, 1e-6)
 # relative slack when the Hunter g-inverse norms are tested for growth
 NORM_GROWTH_REL_TOL = 1e-9
 

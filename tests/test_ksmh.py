@@ -13,6 +13,7 @@ import pytest
 import qhit
 from conftest import (make_sec6_T, random_goal_qubit, random_irreducible_qubit,
                       random_tp_channel, site_projector)
+from dense_oracles import first_step_operator_L
 from expected_matrices import D_QMC, H0, HADAMARD_KERNEL, ORDER4_QFORM
 from qhit.cli import load_spec, parse_channel, parse_subspace
 from qhit.errors import (NotIrreducibleError, NumericalError, QhitError,
@@ -384,7 +385,7 @@ def test_tau_irreducible_qmc_validates_density_shape(sec5):
 def test_first_step_operator_traces(sec5):
     q = sec5["q"]
     ops = qhit.qmc_hitting_operators(q)
-    L = qhit.first_step_operator_L(q, ops)
+    L = first_step_operator_L(q, ops)
     eI = np.eye(2).reshape(-1)
     k2 = 4
     for i in range(2):
@@ -398,7 +399,7 @@ def test_first_step_operator_requires_all_sites(hadamard):
     q = hadamard["q"]
     ops = qhit.qmc_hitting_operators(q)
     with pytest.raises(SpectralObstructionError):
-        qhit.first_step_operator_L(q, ops)
+        first_step_operator_L(q, ops)
 
 
 def test_tau_channel_four_routes_sec5(sec5):

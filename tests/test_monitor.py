@@ -6,8 +6,8 @@ import pytest
 import qhit
 from conftest import random_tp_channel, site_projector
 from qhit.errors import ValidationError
-from qhit.monitor import BLOCK, MAX_STEPS, _run_series
-from qhit.tolerances import IMAG_TOL, ZERO_TOL
+from qhit.monitor import BLOCK, MAX_STEPS, _block_rows, _run_series
+from qhit.tolerances import IMAG_TOL, ZERO_TOL, real_trace
 
 RNG = np.random.default_rng(11)
 
@@ -213,6 +213,139 @@ def test_terms_past_the_stop_are_never_checked(monkeypatch):
     monkeypatch.setattr(qhit.monitor, "MAX_STEPS", 70)
     with pytest.raises(ValidationError, match="imaginary"):
         _run_series(step, first, v0)
+
+
+def _loop_series(step, first, v0):
+    """The per-term loop over the block products of ``_run_series``: each term
+    checked, clamped, summed and tested for the stop one at a time.  Returns
+    (probs, cumulative_prob, partial_tau, truncated_at, converged)."""
+    max_steps = qhit.monitor.MAX_STEPS
+    rows, jump = _block_rows(step, first)
+    window = _window(step.shape[0])
+    v = v0
+    probs, cum, tau, quiet, r, converged = [], 0.0, 0.0, 0, 0, False
+    while r < max_steps and not converged:
+        if r:
+            v = jump @ v
+        for x in (rows @ v)[: max_steps - r].tolist():
+            r += 1
+            pi_r = real_trace(x)
+            pi_r = 0.0 if pi_r < 0.0 else (1.0 if pi_r > 1.0 else pi_r)
+            probs.append(pi_r)
+            cum += pi_r
+            increment = r * pi_r
+            tau += increment
+            if increment < ZERO_TOL:
+                quiet += 1
+                if quiet >= window:
+                    converged = True
+                    break
+            else:
+                quiet = 0
+    return np.array(probs), cum, tau, r, converged
+
+
+def _assert_bitwise(ser, ref):
+    probs, cum, tau, r, converged = ref
+    assert ser.truncated_at == r
+    assert ser.converged == converged
+    assert ser.cumulative_prob == cum
+    assert ser.partial_tau == tau
+    assert ser.probs.dtype == probs.dtype and ser.probs.tobytes() == probs.tobytes()
+
+
+def _bitwise_against_loop(monkeypatch, call):
+    """Run ``call``, and the per-term loop over the step map it folds."""
+    seen = []
+    run = qhit.monitor._run_series
+
+    def spy(*args):
+        seen.append(args)
+        return run(*args)
+
+    monkeypatch.setattr(qhit.monitor, "_run_series", spy)
+    ser = call()
+    _assert_bitwise(ser, _loop_series(*seen[0]))
+    return ser
+
+
+@pytest.mark.parametrize("kind,n,seed", CHANNEL_CASES + [("lazy", 6, 4)])
+def test_series_has_the_bits_of_the_per_term_loop(monkeypatch, kind, n, seed):
+    # the lazy n = 6 channel is the slow-mixing recipe: hundreds of blocks,
+    # so every chunk size up to the largest is filled
+    S, V, rho = _channel_case(kind, n, seed)
+    ser = _bitwise_against_loop(monkeypatch, lambda: qhit.first_visit_series(S, V, rho))
+    if (kind, n) == ("lazy", 6):
+        assert ser.truncated_at > 2 * BLOCK * qhit.monitor.CHUNK_BLOCKS
+
+
+@pytest.mark.parametrize("kind,n,seed", CHANNEL_CASES[:4])
+def test_site_series_has_the_bits_of_the_per_term_loop(monkeypatch, kind, n, seed):
+    S, V, rho = _channel_case(kind, n, seed)
+    q = qhit.induce(S, V)
+    state = qhit.VecState.from_blocks([np.zeros((n, n)), rho])
+    _bitwise_against_loop(monkeypatch, lambda: qhit.site_visit_series(q, 0, state))
+
+
+@pytest.mark.parametrize("max_steps", [1, 100, 300, 1000, 4032, 5000])
+def test_series_bits_when_max_steps_cuts_a_chunk(monkeypatch, max_steps):
+    # chunks of 1, 2, 4, ... blocks end at terms 64, 192, 448, 960, ..., 4032
+    S, V, rho = _channel_case("lazy", 3, 3)
+    monkeypatch.setattr(qhit.monitor, "MAX_STEPS", max_steps)
+    ser = _bitwise_against_loop(monkeypatch, lambda: qhit.first_visit_series(S, V, rho))
+    assert ser.truncated_at == max_steps and not ser.converged
+
+
+@pytest.mark.parametrize("order,arrival", [(64, 50), (130, 1), (150, 150), (300, 100)])
+def test_series_bits_when_the_stop_window_straddles_a_chunk(order, arrival):
+    # one arrival, then max(64, order) quiet terms that begin in one chunk and
+    # end in the next: the quiet count is carried across the boundary
+    step, first, v0 = _conveyor(order, np.eye(order)[arrival - 1])
+    ser = _run_series(step, first, v0)
+    _assert_bitwise(ser, _loop_series(step, first, v0))
+    assert ser.converged and ser.truncated_at == arrival + _window(order)
+
+
+def _growing_imaginary(order: int, bad: int):
+    """pi_1 = 1, then pi_r = 1.5e-9 2^(r - bad) i: the first term past IMAG_TOL
+    is pi_bad; every increment after pi_1 is 0, so the series stops at
+    r = 1 + max(64, order)."""
+    step = np.zeros((order, order), dtype=complex)
+    step[1, 1] = 2.0
+    first = np.zeros(order, dtype=complex)
+    first[:2] = 1.0, 1.5e-9 * 2.0 ** (1 - bad) * 1j
+    v0 = np.zeros(order, dtype=complex)
+    v0[:2] = 1.0
+    return step, first, v0
+
+
+@pytest.mark.parametrize("order,bad", [(2, 66), (2, 150), (200, 202), (200, 400)])
+def test_imaginary_terms_past_the_stop_in_its_chunk_are_not_read(order, bad):
+    args = _growing_imaginary(order, bad)
+    ser = _run_series(*args)
+    _assert_bitwise(ser, _loop_series(*args))
+    assert ser.converged and ser.truncated_at == 1 + _window(order) and ser.tau == 1.0
+
+
+@pytest.mark.parametrize("order,bad", [(2, 30), (2, 65), (200, 150), (200, 193), (200, 201)])
+def test_an_imaginary_term_up_to_the_stop_raises(order, bad):
+    # the message names the first bad term, 1.5e-9 i, not a later one
+    args = _growing_imaginary(order, bad)
+    for run in (_run_series, _loop_series):
+        with pytest.raises(ValidationError, match="imaginary part 1.500e-09"):
+            run(*args)
+
+
+def test_series_probs_are_read_only_and_terms_pair_them_with_r(sec5):
+    ser = qhit.first_visit_series(sec5["S"], sec5["V"], sec5["rho_phi"])
+    assert type(ser.truncated_at) is int and type(ser.converged) is bool
+    assert type(ser.cumulative_prob) is float and type(ser.partial_tau) is float
+    assert not ser.probs.flags.writeable
+    with pytest.raises(ValueError):
+        ser.probs[0] = 0.5
+    assert ser.terms == tuple((r, p) for r, p in
+                              zip(range(1, ser.truncated_at + 1), ser.probs.tolist()))
+    assert all(type(p) is float for _, p in ser.terms)
 
 
 def test_step_prob_matches_first_series_term(sec5):

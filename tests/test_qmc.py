@@ -95,6 +95,25 @@ def test_fixed_map_requires_unique_fixed_state(hadamard):
         qhit.fixed_map(hadamard["q"])
 
 
+@pytest.mark.parametrize("case", ["sec5", 2, 3, 4, 5])
+def test_fixed_map_factors_no_matrix_of_the_chains_order(monkeypatch, case):
+    # uniqueness is read from the lifted cut of order n^2 that
+    # stationary_density takes, not from an SVD of the chain's order 2n^2
+    S, V = _lift_problem(case)
+    orders = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        orders.append(np.shape(a)[0])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    omega = qhit.fixed_map(qhit.induce(S, V))
+    n = S.dim
+    assert omega.shape == (2 * n * n, 2 * n * n)
+    assert n * n in orders and 2 * n * n not in orders
+
+
 PRINTED_ASHARP = {"hadamard": HADAMARD_ASHARP, "rotation": A0_SHARP}
 
 

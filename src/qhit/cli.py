@@ -28,7 +28,7 @@ from .errors import (NoGroupInverseError, NotIrreducibleError, NumericalError,
                      QhitError, SpectralObstructionError, ValidationError)
 from .ksmh import kernel_limit_study, tau_channel
 from .matrep import SuperOp
-from .qmc import induce
+from .qmc import induce, induced_group_inverse
 from .tolerances import SPEC_STATE_TOL, near_one
 
 EXIT_OK = 0
@@ -317,43 +317,33 @@ def _parse_cli_vector(text: str, name: str) -> np.ndarray:
 
 
 def cmd_ginverse(args) -> int:
+    """Print the inverse that the KSMH routes use: on a spec with a subspace,
+    the induced chain's A^# of :func:`qmc.induced_group_inverse` or the
+    Hunter member of :func:`ginverse.hunter_ginverse`, whose u defaults to
+    e_I (the special form of :func:`ginverse.hunter_special`)."""
     spec = load_spec(args.spec)
     S = parse_channel(spec)
-    if "subspace" in spec:
-        V = parse_subspace(spec["subspace"], S.dim)
-        q = induce(S, V)
-        A = np.eye(q.dim) - q.rep
-        scope = "induced-qmc"
-    else:
-        q = None
-        A = np.eye(S.dim**2) - S.mat
-        scope = "channel"
-
-    report = {"command": "ginverse", "input": args.spec, "scope": scope,
-              "kind": args.kind}
+    q = induce(S, parse_subspace(spec["subspace"], S.dim)) if "subspace" in spec else None
+    report = {"command": "ginverse", "input": args.spec,
+              "scope": "channel" if q is None else "induced-qmc", "kind": args.kind}
+    given = [name for name in ("t", "u", "f", "g") if getattr(args, name) is not None]
     if args.kind == "group":
-        gs = ginv.group_inverse(A)
-        G = gs.Asharp
+        if given:
+            raise SpecError(f"--{given[0]}",
+                            "is a Hunter parameter; --kind group takes none")
+        gs = (ginv.group_inverse(np.eye(S.dim**2) - S.mat) if q is None
+              else induced_group_inverse(q))
         report["index"] = gs.index
-        report["residuals"] = {
-            "AGA-A": _fmt(np.max(np.abs(A @ G @ A - A))),
-            "GAG-G": _fmt(np.max(np.abs(G @ A @ G - G))),
-            "AG-GA": _fmt(np.max(np.abs(A @ G - G @ A))),
-        }
-        report["Asharp"] = _jmatrix(G)
+        report["residuals"] = {k: _fmt(v) for k, v in gs.residuals.items()}
+        report["Asharp"] = _jmatrix(gs.Asharp)
     else:  # hunter
         if q is None:
             raise SpecError("$.subspace",
                             "missing (the Hunter family acts on the induced QMC)")
-        kw = {}
-        for name in ("t", "u", "f", "g"):
-            val = getattr(args, name)
-            if val is not None:
-                kw[name] = _parse_cli_vector(val, name)
-        if "t" in kw or "g" in kw:
-            G = ginv.hunter_ginverse(q, **kw)
-        else:
-            G = ginv.hunter_special(q, u=kw.get("u"), f=kw.get("f"))
+        params = {name: _parse_cli_vector(getattr(args, name), name) for name in given}
+        params.setdefault("u", q.identity_vec())
+        G = ginv.hunter_ginverse(q, **params)
+        A = np.eye(q.dim) - q.rep
         report["residuals"] = {"AGA-A": _fmt(np.max(np.abs(A @ G @ A - A)))}
         report["G"] = _jmatrix(G)
     emit(report, args.json)
@@ -418,9 +408,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("ginverse", parents=[common],
                         help="generalized inverse of I - Phi")
     sp.add_argument("--kind", default="group", choices=["group", "hunter"])
-    for name in ("t", "u", "f", "g"):
+    for name, role in (("t", "column"), ("u", "row, default e_I"), ("f", "row"),
+                       ("g", "column")):
         sp.add_argument(f"--{name}", default=None,
-                        help=f"JSON vector for Hunter parameter {name}")
+                        help=f"JSON vector: Hunter parameter {name} ({role})")
     sp.set_defaults(func=cmd_ginverse)
 
     sp = sub.add_parser("sweep", parents=[common],

@@ -2,9 +2,9 @@
 
 The group inverse is the spectral-projector form (A + cE)^{-1} - E/c, with
 E the projector onto ker(A) along range(A) taken from the kernel pair of one
-SVD.  The Hunter g-inverses are returned as plain matrices; only
-:func:`group_inverse` returns a record, the matrix with its index and
-ergodic projector.
+SVD.  The Hunter g-inverses are returned as plain matrices; the group
+inverse as a :class:`GroupInverse` record, which :func:`check_group_axioms`
+builds for both :func:`group_inverse` and :func:`qmc.induced_group_inverse`.
 """
 
 from __future__ import annotations
@@ -125,9 +125,14 @@ def _index_and_rank(A) -> tuple:
 
 @dataclass(frozen=True)
 class GroupInverse:
+    """A^# with index(A), the ergodic projector I - A^# A and the axiom
+    residuals max|A G A - A|, max|G A G - G| and max|A G - G A| (keys
+    ``AGA-A``, ``GAG-G``, ``AG-GA``) of :func:`check_group_axioms`."""
+
     Asharp: np.ndarray
     index: int
     ergodic_projector: np.ndarray
+    residuals: dict
 
 
 def group_inverse(A) -> GroupInverse:
@@ -167,24 +172,29 @@ def group_inverse(A) -> GroupInverse:
         c = np.max(np.abs(A))
         Asharp = np.linalg.inv(A + c * E) - E / c
 
-    GA = check_group_axioms(A, Asharp)
-    return GroupInverse(Asharp=Asharp, index=ind, ergodic_projector=np.eye(n) - GA)
+    return check_group_axioms(A, Asharp, ind)
 
 
-def check_group_axioms(A, G) -> np.ndarray:
+def check_group_axioms(A, G, index: int) -> GroupInverse:
     """Raise unless A G A = A, G A G = G and A G = G A hold to
-    ``AXIOM_REL_TOL`` relative to max|A|; return the product G A."""
+    ``AXIOM_REL_TOL`` relative to max|A|; return G's record, with the three
+    residuals and I - G A, from the products the check makes."""
     scale = max(np.max(np.abs(A)), SCALE_FLOOR)
     tol = AXIOM_REL_TOL * scale
     AG = A @ G
     GA = G @ A
-    if np.max(np.abs(AG @ A - A)) > tol:
+    residuals = {"AGA-A": np.max(np.abs(AG @ A - A)),
+                 "GAG-G": np.max(np.abs(GA @ G - G)),
+                 "AG-GA": np.max(np.abs(AG - GA))}
+    if residuals["AGA-A"] > tol:
         raise NumericalError("group inverse candidate violates A G A = A")
-    if np.max(np.abs(GA @ G - G)) > tol * max(1.0, np.max(np.abs(G)) / scale):
+    if residuals["GAG-G"] > tol * max(1.0, np.max(np.abs(G)) / scale):
         raise NumericalError("group inverse candidate violates G A G = G")
-    if np.max(np.abs(AG - GA)) > tol * max(1.0, np.max(np.abs(G)) / scale):
+    if residuals["AG-GA"] > tol * max(1.0, np.max(np.abs(G)) / scale):
         raise NumericalError("group inverse candidate violates A G = G A")
-    return GA
+    return GroupInverse(Asharp=G, index=index,
+                        ergodic_projector=np.eye(A.shape[0]) - GA,
+                        residuals=residuals)
 
 
 def _lagrange_at_zero(xs, values) -> np.ndarray:
@@ -253,11 +263,36 @@ def hunter_ginverse(q, t=None, u=None, f=None, g=None) -> np.ndarray:
     and <u|pi> != 0.  Defaults: t = u = e_1, f = g = 0.  A chain whose fixed
     space has dimension > 1 is refused with :class:`NotIrreducibleError`,
     decided on the cut that gives pi (:func:`qmc.stationary_density`).
+
+    An induced chain (``q.channel`` set by :func:`qmc.induce`) is inverted
+    at order n^2 when u and f repeat one block per site, u = R*u' and
+    f = R*f'.  Its map is Phi = C R with R = [I I] and R C = S, and
+    <e_I| = <e| R with e = vec(I_n).  With M = C - |t><u'|,
+    I - Phi + |t><u| = I - M R, and the push-through identity
+    (I - M R)^{-1} = I + M (I - R M)^{-1} R gives
+
+        G = I + [B B],  B = (C - |t><u'|) W + |pi><f'| + |g><e|,
+        W = (I - S + |R t><u'|)^{-1}.
+
+    By Sylvester's identity det(I - M R) = det(I - R M), so W exists
+    exactly when the chain's inverse does.  Any other member, and any other
+    chain, is inverted at its full order.  The g-inverse axiom is checked
+    on the chain's own (I - Phi, G).
     """
     t, u, f, g, pi, e_I = _hunter_parameters(q, t, u, f, g)
     A = np.eye(q.dim) - q.rep
-    G = np.linalg.inv(A + np.outer(t, u.conj()))
-    G = G + np.outer(pi, f.conj()) + np.outer(g, e_I.conj())
+    k2 = q.k * q.k
+    if (q.channel is not None and np.array_equal(u[:k2], u[k2:])
+            and np.array_equal(f[:k2], f[k2:])):
+        e = e_I[:k2]  # vec(I_n), real: <e| needs no conjugate
+        u1, f1 = u[:k2].conj(), f[:k2].conj()
+        W = np.linalg.inv(np.eye(k2) - q.channel.mat + np.outer(t[:k2] + t[k2:], u1))
+        B = ((q.rep[:, :k2] - np.outer(t, u1)) @ W + np.outer(pi, f1)
+             + np.outer(g, e))
+        G = np.eye(q.dim) + np.hstack([B, B])
+    else:
+        G = np.linalg.inv(A + np.outer(t, u.conj()))
+        G = G + np.outer(pi, f.conj()) + np.outer(g, e_I.conj())
     verify_ginverse(A, G)
     return G
 
@@ -266,32 +301,7 @@ def hunter_special(q, u=None, f=None) -> np.ndarray:
     """The KSMH-ready special form G = (I - Phi + |u><e_I|)^{-1} + |f><e_I|.
 
     This is the Hunter family at t = u, bra fixed to <e_I|, which makes the
-    plain kernel D(I - G + G_d E) valid without the fixed-map correction;
-    it makes the parameter checks and the irreducibility refusal of
-    :func:`hunter_ginverse`.
-
-    An induced chain (``q.channel`` set by :func:`qmc.induce`) is inverted
-    at order n^2.  Its map is Phi = C R with R = [I I] and R C = S, and
-    <e_I| = <e| R with e = vec(I_n).  With M = C - |u><e|,
-    I - Phi + |u><e_I| = I - M R, and the push-through identity
-    (I - M R)^{-1} = I + M (I - R M)^{-1} R gives
-
-        G = I + [B B],  B = (C - |u><e|) W + |f><e|,
-        W = (I - S + |R u><e|)^{-1}.
-
-    By Sylvester's identity det(I - M R) = det(I - R M), so W exists
-    exactly when the chain's inverse does.  The g-inverse axiom is checked
-    on the chain's own (I - Phi, G).  Any other chain is inverted at its
-    full order.
+    plain kernel D(I - G + G_d E) valid without the fixed-map correction.
+    On an induced chain it is lifted to order n^2 (:func:`hunter_ginverse`).
     """
-    if q.channel is None:
-        return hunter_ginverse(q, t=u, u=q.identity_vec(), f=None, g=f)
-    u, _, _, f, _, e_I = _hunter_parameters(q, t=u, u=q.identity_vec(), f=None, g=f)
-    k2 = q.k * q.k
-    e = e_I[:k2]  # vec(I_n), real: <e| needs no conjugate
-    Ru = u[:k2] + u[k2:]
-    W = np.linalg.inv(np.eye(k2) - q.channel.mat + np.outer(Ru, e))
-    B = (q.rep[:, :k2] - np.outer(u, e)) @ W + np.outer(f, e)
-    G = np.eye(q.dim) + np.hstack([B, B])
-    verify_ginverse(np.eye(q.dim) - q.rep, G)
-    return G
+    return hunter_ginverse(q, t=u, u=q.identity_vec(), g=f)

@@ -256,7 +256,7 @@ class _Problem:
     @cached_property
     def group(self) -> tuple:
         """(G, kernel) of the ksmh-group route."""
-        return self._kernel(induced_group_inverse(self.qmc))
+        return self._kernel(induced_group_inverse(self.qmc).Asharp)
 
     def _kernel(self, G) -> tuple:
         kern = ksmh_kernel(self.qmc, self.sites[0], G)

@@ -14,8 +14,7 @@ import numpy as np
 from . import ginverse
 from .channel import GoalSubspace, _tp_defect, check_channel, hermitize
 from .errors import DimensionError, NotIrreducibleError, ValidationError
-from .matrep import (SuperOp, _owned_read_only, as_complex, conj_kron,
-                     real_form, unvec, vec)
+from .matrep import SuperOp, _owned_read_only, as_complex, conj_kron, unvec, vec
 from .tolerances import TP_TOL
 
 
@@ -129,7 +128,7 @@ def induce(S: SuperOp, V: GoalSubspace) -> QMC:
     :meth:`GoalSubspace.sandwich` of S, and (I - Q.Q) S is S minus it.
     The chain records S as :attr:`QMC.channel`: its map is C R with
     C = [(I - Q.Q) S; Q.Q S] and R = [I I], and :func:`stationary_density`,
-    :func:`induced_group_inverse` and :func:`ginverse.hunter_special` lift
+    :func:`induced_group_inverse` and :func:`ginverse.hunter_ginverse` lift
     their results from S at order n^2 instead of factoring the chain.
     Raises :class:`ValidationError` unless S is a trace and Hermiticity
     preserving map (:func:`channel.check_channel`).
@@ -143,7 +142,7 @@ def induce(S: SuperOp, V: GoalSubspace) -> QMC:
     return QMC(n_sites=2, k=S.dim, rep=rep, channel=S)
 
 
-def induced_group_inverse(q: QMC) -> np.ndarray:
+def induced_group_inverse(q: QMC) -> ginverse.GroupInverse:
     """Group inverse of A = I - Phi for the induced chain q = induce(S, V),
     lifted from the channel's (I - S)^#: one group inverse of order n^2, not 2n^2.
 
@@ -159,8 +158,11 @@ def induced_group_inverse(q: QMC) -> np.ndarray:
     using S E = E - Z E = E.  The nonzero Jordan blocks of C R and R C agree,
     so index(A) = index(Z) and the lift exists exactly when (I - S)^# does;
     :func:`ginverse.group_inverse` raises otherwise.  The group axioms are
-    checked on (A, X) itself.  S is read from :attr:`QMC.channel`; a chain
-    that :func:`induce` did not build raises :class:`ValidationError`.
+    checked on (A, X) itself, and the returned record, the one that
+    :func:`ginverse.group_inverse` returns, holds X with index(Z), the
+    residuals of that check and the chain's ergodic projector I - X A.  S is
+    read from :attr:`QMC.channel`; a chain that :func:`induce` did not build
+    raises :class:`ValidationError`.
     """
     S = q.channel
     if S is None:
@@ -168,8 +170,7 @@ def induced_group_inverse(q: QMC) -> np.ndarray:
     gs = ginverse.group_inverse(np.eye(S.dim**2) - S.mat)
     CW = q.rep[:, site_slice(0, q.k)] @ (gs.Asharp - gs.ergodic_projector)
     X = np.eye(q.dim) + np.hstack([CW, CW])
-    ginverse.check_group_axioms(np.eye(q.dim) - q.rep, X)
-    return X
+    return ginverse.check_group_axioms(np.eye(q.dim) - q.rep, X, gs.index)
 
 
 def stationary_density(q: QMC) -> VecState:
@@ -201,10 +202,6 @@ def stationary_density(q: QMC) -> VecState:
     return VecState.from_blocks(
         [hermitize(unvec(fixed[site_slice(i, q.k)], q.k, q.k))
          for i in range(q.n_sites)])
-
-
-def fixed_space_dim(q: QMC) -> int:
-    return q.dim - ginverse.rank_with_margin(np.eye(q.dim) - real_form(q.rep, q.k))
 
 
 def fixed_map(q: QMC) -> np.ndarray:

@@ -135,11 +135,39 @@ def test_no_finite_tau_exits_3(capsys):
 def test_hunter_ginverse_matches_reference(capsys):
     e1 = "[1,0,0,0,0,0,0,0]"
     code, out = run_cli(capsys, "ginverse", f"{CORPUS}/sec5.json",
-                        "--kind", "hunter", "--u", e1, "--f", e1, "--json")
+                        "--kind", "hunter", "--t", e1, "--g", e1, "--json")
     assert code == 0
     doc = json.loads(out)
     G = np.array([[complex(re, im) for re, im in row] for row in doc["G"]])
     assert np.max(np.abs(G - G_QMC)) < 1e-9
+
+
+@pytest.mark.parametrize("kind,method,spec", [
+    ("group", "ksmh-group", "hadamard"), ("group", "ksmh-group", "sec5"),
+    ("hunter", "ksmh-g", "sec5"), ("hunter", "ksmh-g", "goal2")])
+def test_ginverse_prints_the_inverse_of_the_route(capsys, kind, method, spec):
+    # `qhit ginverse` and the KSMH route call the same constructor: the
+    # printed A^# (group) or default Hunter G is the route's own G
+    code, out = run_cli(capsys, "ginverse", f"{CORPUS}/{spec}.json", "--kind", kind,
+                        "--json")
+    assert code == 0
+    printed = json.loads(out)["Asharp" if kind == "group" else "G"]
+    code, out = run_cli(capsys, "hitting", f"{CORPUS}/{spec}.json", "--method", method,
+                        "--dump-intermediates", "--json")
+    assert code == 0
+    assert printed == json.loads(out)["methods"][method]["intermediates"]["G"]
+
+
+@pytest.mark.parametrize("flag", ["t", "u", "f", "g"])
+def test_group_ginverse_refuses_hunter_flags(capsys, flag):
+    # a Hunter parameter, malformed or not, is refused with the flag named
+    # rather than ignored; group is the default kind
+    for kind in (["--kind", "group"], []):
+        assert main(["ginverse", f"{CORPUS}/sec5.json", *kind, f"--{flag}", "[9]",
+                     "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"validation error: --{flag}: is a Hunter parameter")
 
 
 @pytest.mark.parametrize("name", ["hadamard", "order4"])

@@ -2,6 +2,7 @@
 
 import gc
 import inspect
+import json
 import warnings
 import weakref
 from collections import Counter
@@ -15,7 +16,7 @@ from conftest import (make_sec6_T, random_goal_qubit, random_irreducible_qubit,
                       random_tp_channel, site_projector)
 from dense_oracles import first_step_operator_L
 from expected_matrices import D_QMC, H0, HADAMARD_KERNEL, ORDER4_QFORM
-from qhit.cli import load_spec, parse_channel, parse_subspace
+from qhit.cli import load_spec, main, parse_channel, parse_subspace
 from qhit.errors import (NotIrreducibleError, NumericalError, QhitError,
                          SpectralObstructionError, ValidationError)
 from qhit.qmc import site_slice
@@ -265,7 +266,7 @@ def test_induced_chain_ginverses_satisfy_the_column_identity(request, case, rout
         eye = np.eye(q.k * q.k)
         for route in routes:
             G = (qhit.hunter_special(q) if route == "hunter"
-                 else qhit.induced_group_inverse(q))
+                 else qhit.induced_group_inverse(q).Asharp)
             assert np.max(np.abs(block(G, 0, 0) - block(G, 0, 1) - eye)) <= 1e-12
             assert np.max(np.abs(block(G, 1, 1) - block(G, 1, 0) - eye)) <= 1e-12
             kernel = qhit.ksmh_kernel(q, D, G)
@@ -315,10 +316,9 @@ def test_group_route_factors_only_the_channel(monkeypatch):
     assert orders and set(orders) == {9}
 
 
-def test_ksmh_routes_factor_no_matrix_of_the_chains_order(monkeypatch):
-    # both KSMH routes lift what they factor from S: no svd, inv, eigvals,
-    # eigvalsh or solve of the induced chain's order 2n^2 on tau's path
-    n = 5
+def _record_factorization_orders(monkeypatch) -> list:
+    """The list that np.linalg's svd, inv, eigvals, eigvalsh and solve
+    append the order of their matrix argument to, from now on."""
     orders = []
     for name in ("svd", "inv", "eigvals", "eigvalsh", "solve"):
         def recording(a, *args, _f=getattr(np.linalg, name), **kwargs):
@@ -326,6 +326,14 @@ def test_ksmh_routes_factor_no_matrix_of_the_chains_order(monkeypatch):
             return _f(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, recording)
+    return orders
+
+
+def test_ksmh_routes_factor_no_matrix_of_the_chains_order(monkeypatch):
+    # both KSMH routes lift what they factor from S: no svd, inv, eigvals,
+    # eigvalsh or solve of the induced chain's order 2n^2 on tau's path
+    n = 5
+    orders = _record_factorization_orders(monkeypatch)
     rng = np.random.default_rng(6)
     S = random_tp_channel(rng, n)
     V = qhit.GoalSubspace.from_vectors([np.eye(n)[0]])
@@ -335,6 +343,59 @@ def test_ksmh_routes_factor_no_matrix_of_the_chains_order(monkeypatch):
         assert qhit.tau_channel(S, V, rho, method).ok
         assert n * n in orders
         assert 2 * n * n not in orders, method
+
+
+def _pairs(v) -> list:
+    """A complex vector as the spec's [re, im] pairs."""
+    return [[z.real, z.imag] for z in np.asarray(v, dtype=complex)]
+
+
+@pytest.mark.parametrize("case", ["sec5", "goal2", "random-3"])
+def test_inverse_constructors_factor_no_matrix_of_the_chains_order(monkeypatch,
+                                                                   capsys,
+                                                                   tmp_path, case):
+    # each inverse of the induced chain has one constructor, lifted from S:
+    # the library calls and `qhit ginverse` of either kind factor at order
+    # n^2 only, the Hunter family whenever u and f repeat one block per site
+    if case == "random-3":
+        rng = np.random.default_rng(8)
+        S = random_tp_channel(rng, 3)
+        v = rng.normal(size=3) + 1j * rng.normal(size=3)
+        V = qhit.GoalSubspace.from_vectors([v / np.linalg.norm(v)])
+        spec = tmp_path / "random-3.json"
+        spec.write_text(json.dumps({
+            "kind": "superop", "superop": [_pairs(row) for row in S.mat],
+            "subspace": [_pairs(v)]}))
+    else:
+        S, V = _corpus_problem(case)
+        spec = CORPUS / f"{case}.json"
+    n2 = S.dim**2
+    rng = np.random.default_rng(9)
+    # columns t and g of the chain's length, rows u and f one block of S's
+    t, g, u, f = (rng.normal(size=m) + 1j * rng.normal(size=m)
+                  for m in (2 * n2, 2 * n2, n2, n2))
+    cli = ["ginverse", str(spec), "--json", "--kind"]
+    calls = {
+        "hunter_special": qhit.hunter_special,
+        "hunter_ginverse": lambda q: qhit.hunter_ginverse(
+            q, t=t, u=np.tile(u, 2), f=np.tile(f, 2), g=g),
+        "induced_group_inverse": qhit.induced_group_inverse,
+        "stationary_density": qhit.stationary_density,
+        "fixed_map": qhit.fixed_map,
+        "qmc_hitting_operators": qhit.qmc_hitting_operators,
+        "ginverse --kind group": lambda q: main([*cli, "group"]) == 0,
+        "ginverse --kind hunter": lambda q: main([*cli, "hunter"]) == 0,
+        "ginverse --kind hunter --t --g": lambda q: main(
+            [*cli, "hunter", "--t", json.dumps(_pairs(t)), "--g", json.dumps(_pairs(g))]
+        ) == 0,
+    }
+    orders = _record_factorization_orders(monkeypatch)
+    for name, call in calls.items():
+        q = qhit.induce(S, V)  # a fresh chain: no cut kept from the last call
+        orders.clear()
+        assert call(q) is not False, name  # the CLI exits 0
+        assert capsys.readouterr().err == ""
+        assert n2 in orders and 2 * n2 not in orders, name
 
 
 def test_hadamard_site1_obstructed_donor_fallback(hadamard):

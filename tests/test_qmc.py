@@ -10,6 +10,7 @@ from conftest import random_tp_channel
 from expected_matrices import A0_SHARP, HADAMARD_ASHARP, PHI_QMC, PI_QMC
 from qhit.cli import load_spec, parse_channel, parse_subspace
 from qhit.errors import NotIrreducibleError, ValidationError
+from qhit.matrep import real_form
 
 RNG = np.random.default_rng(5)
 CORPUS = Path(__file__).parent / "corpus"
@@ -77,8 +78,11 @@ def test_from_oqw_column_condition():
 
 
 def test_fixed_space_dim(sec5, hadamard):
-    assert qhit.fixed_space_dim(sec5["q"]) == 1
-    assert qhit.fixed_space_dim(hadamard["q"]) == 2
+    # the chain's one cut (of S, order n^2) against the rank of the chain's
+    # own I - Phi at order 2n^2
+    for q, dim in ((sec5["q"], 1), (hadamard["q"], 2)):
+        A = np.eye(q.dim) - real_form(q.rep, q.k)
+        assert q._fixed[0] == q.dim - qhit.ginverse.rank_with_margin(A) == dim
 
 
 def test_fixed_map_rank_one(sec5):
@@ -130,10 +134,17 @@ def test_induced_group_inverse_matches_chain_group_inverse(case, request):
     q = qhit.induce(S, V)
     A = np.eye(q.dim) - q.rep
     lifted = qhit.induced_group_inverse(q)
-    assert np.max(np.abs(lifted - qhit.group_inverse(A).Asharp)) < 1e-10
+    dense = qhit.group_inverse(A)
+    assert isinstance(lifted, qhit.GroupInverse)
+    assert np.max(np.abs(lifted.Asharp - dense.Asharp)) < 1e-10
+    assert np.max(np.abs(lifted.ergodic_projector - dense.ergodic_projector)) < 1e-10
     if case in PRINTED_ASHARP:
-        assert np.max(np.abs(lifted - PRINTED_ASHARP[case])) < 1e-10
-    assert qhit.index(A) == qhit.index(np.eye(S.dim**2) - S.mat)
+        assert np.max(np.abs(lifted.Asharp - PRINTED_ASHARP[case])) < 1e-10
+    assert lifted.index == dense.index == qhit.index(np.eye(S.dim**2) - S.mat)
+    G = lifted.Asharp
+    assert lifted.residuals == {"AGA-A": np.max(np.abs(A @ G @ A - A)),
+                                "GAG-G": np.max(np.abs(G @ A @ G - G)),
+                                "AG-GA": np.max(np.abs(A @ G - G @ A))}
 
 
 def _lift_problem(case) -> tuple:
@@ -175,7 +186,7 @@ def test_lifted_hunter_special_matches_chain_hunter_ginverse(case):
     rng = np.random.default_rng(7)
     u, f = (rng.normal(size=q.dim) + 1j * rng.normal(size=q.dim) for _ in range(2))
     chain_only = qhit.QMC(q.n_sites, q.k, q.rep)  # no channel: the dense path
-    if qhit.fixed_space_dim(q) > 1:
+    if chain_only._fixed[0] > 1:
         # no rank-one update makes I - Phi invertible: both forms refuse up
         # front, on either path, from the cut that gives the fixed density
         for chain in (q, chain_only):
@@ -187,9 +198,22 @@ def test_lifted_hunter_special_matches_chain_hunter_ginverse(case):
         return
     for uu, ff in ((None, None), (u, f)):
         lifted = qhit.hunter_special(q, u=uu, f=ff)
-        dense = qhit.hunter_ginverse(q, t=uu, u=q.identity_vec(), g=ff)
+        dense = qhit.hunter_ginverse(chain_only, t=uu, u=q.identity_vec(), g=ff)
         assert np.max(np.abs(lifted - dense)) <= 1e-12 * np.max(np.abs(dense))
         assert np.array_equal(qhit.hunter_special(chain_only, u=uu, f=ff), dense)
+    # a general member is lifted when its rows repeat one block per site, and
+    # factored at the chain's order when their blocks differ
+    half = q.dim // 2
+    rows = {"u": np.tile(u[:half], 2), "f": np.tile(f[:half], 2)}
+    lifted = qhit.hunter_ginverse(q, t=f, g=u, **rows)
+    dense = qhit.hunter_ginverse(chain_only, t=f, g=u, **rows)
+    assert np.max(np.abs(lifted - dense)) <= 1e-12 * np.max(np.abs(dense))
+    rows["u"][-1] += 1.0
+    A = np.eye(q.dim) - q.rep
+    full = (np.linalg.inv(A + np.outer(f, rows["u"].conj()))
+            + np.outer(q.stationary_vec(), rows["f"].conj())
+            + np.outer(u, q.identity_vec().conj()))
+    assert np.array_equal(qhit.hunter_ginverse(q, t=f, g=u, **rows), full)
     with pytest.raises(ValidationError, match="length"):
         qhit.hunter_special(q, u=u[:-1])
     with pytest.raises(ValidationError, match="length"):

@@ -14,7 +14,7 @@ from .tolerances import (EIG_ONE_TOL, FAITHFUL_TOL, PSD_TOL, RANK_REL_TOL,
                          STATE_TOL, TP_TOL, ZERO_TOL, near_one)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """A channel X -> sum_i V_i X V_i*, trace preserving by construction."""
 
@@ -189,12 +189,12 @@ def diagnose(S: SuperOp) -> ChannelDiagnostics:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GoalSubspace:
     """Goal subspace V with projectors P, Q = I - P.  The map X -> Q X Q is
     applied by :meth:`sandwich`, never formed as an n^2 x n^2 matrix.
-    ``basis``, ``P`` and ``Q`` are read-only, as :class:`matrep.SuperOp`'s
-    ``mat`` is."""
+    ``basis``, ``P`` and ``Q`` are read-only, and the subspace compares and
+    hashes by identity, as :class:`matrep.SuperOp` does."""
 
     ambient_dim: int
     basis: np.ndarray  # n x d, orthonormal columns

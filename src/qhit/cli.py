@@ -184,7 +184,7 @@ def _jmatrix(M) -> list:
 
 def emit(report: dict, as_json: bool) -> None:
     if as_json:
-        sys.stdout.write(json.dumps(report, indent=2) + "\n")
+        sys.stdout.write(json.dumps(report, indent=2, allow_nan=False) + "\n")
         return
     _emit_text(report, indent="")
 
@@ -229,7 +229,8 @@ def _diagnostics_dict(S: SuperOp, V: GoalSubspace | None) -> dict:
         "is_irreducible": d.is_irreducible,
         "jordan_trivial_at_1": d.jordan_trivial_at_1,
         "peripheral_eigenvalues": [_jcomplex(z) for z in d.peripheral_eigenvalues],
-        "fixed_density_min_eig": _fmt(d.fixed_density_min_eig),
+        "fixed_density_min_eig": (None if np.isnan(d.fixed_density_min_eig)
+                                  else _fmt(d.fixed_density_min_eig)),
     }
     if V is not None:
         holds, eigs = assumption_one_holds(S, V)
@@ -319,8 +320,8 @@ def _parse_cli_vector(text: str, name: str) -> np.ndarray:
 def cmd_ginverse(args) -> int:
     """Print the inverse that the KSMH routes use: on a spec with a subspace,
     the induced chain's A^# of :func:`qmc.induced_group_inverse` or the
-    Hunter member of :func:`ginverse.hunter_ginverse`, whose u defaults to
-    e_I (the special form of :func:`ginverse.hunter_special`)."""
+    Hunter member of :func:`ginverse.hunter_ginverse`, whose defaults give
+    the special form of :func:`ginverse.hunter_special`."""
     spec = load_spec(args.spec)
     S = parse_channel(spec)
     q = induce(S, parse_subspace(spec["subspace"], S.dim)) if "subspace" in spec else None
@@ -341,7 +342,6 @@ def cmd_ginverse(args) -> int:
             raise SpecError("$.subspace",
                             "missing (the Hunter family acts on the induced QMC)")
         params = {name: _parse_cli_vector(getattr(args, name), name) for name in given}
-        params.setdefault("u", q.identity_vec())
         G = ginv.hunter_ginverse(q, **params)
         A = np.eye(q.dim) - q.rep
         report["residuals"] = {"AGA-A": _fmt(np.max(np.abs(A @ G @ A - A)))}

@@ -123,7 +123,7 @@ def _index_and_rank(A) -> tuple:
     return n, rank, Y, X  # unreachable: ranks strictly decrease at most n times
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupInverse:
     """A^# with index(A), the ergodic projector I - A^# A and the axiom
     residuals max|A G A - A|, max|G A G - G| and max|A G - G A| (keys
@@ -245,7 +245,7 @@ def _hunter_parameters(q, t, u, f, g) -> tuple:
     e1[0] = 1.0
     zero = np.zeros(N, dtype=np.complex128)
     t = _vec(t, e1)
-    u = _vec(u, e1)
+    u = _vec(u, e_I)
     f = _vec(f, zero)
     g = _vec(g, zero)
 
@@ -260,9 +260,11 @@ def hunter_ginverse(q, t=None, u=None, f=None, g=None) -> np.ndarray:
     """Parametric g-inverse family of I - Phi for an irreducible QMC.
 
     G = (I - Phi + |t><u|)^{-1} + |pi><f| + |g><e_I|, requiring <e_I|t> != 0
-    and <u|pi> != 0.  Defaults: t = u = e_1, f = g = 0.  A chain whose fixed
-    space has dimension > 1 is refused with :class:`NotIrreducibleError`,
-    decided on the cut that gives pi (:func:`qmc.stationary_density`).
+    and <u|pi> != 0.  Defaults: t = e_1, u = e_I, f = g = 0, the member
+    (I - Phi + |e_1><e_I|)^{-1} that :func:`hunter_special` gives and the
+    ksmh-ginverse route uses.  A chain whose fixed space has dimension > 1
+    is refused with :class:`NotIrreducibleError`, decided on the cut that
+    gives pi (:func:`qmc.stationary_density`).
 
     An induced chain (``q.channel`` set by :func:`qmc.induce`) is inverted
     at order n^2 when u and f repeat one block per site, u = R*u' and
@@ -300,8 +302,9 @@ def hunter_ginverse(q, t=None, u=None, f=None, g=None) -> np.ndarray:
 def hunter_special(q, u=None, f=None) -> np.ndarray:
     """The KSMH-ready special form G = (I - Phi + |u><e_I|)^{-1} + |f><e_I|.
 
-    This is the Hunter family at t = u, bra fixed to <e_I|, which makes the
-    plain kernel D(I - G + G_d E) valid without the fixed-map correction.
-    On an induced chain it is lifted to order n^2 (:func:`hunter_ginverse`).
+    This is the Hunter family at t = u, bra fixed to <e_I| (its default),
+    which makes the plain kernel D(I - G + G_d E) valid without the
+    fixed-map correction.  On an induced chain it is lifted to order n^2
+    (:func:`hunter_ginverse`).
     """
-    return hunter_ginverse(q, t=u, u=q.identity_vec(), g=f)
+    return hunter_ginverse(q, t=u, g=f)

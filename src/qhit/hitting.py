@@ -56,18 +56,14 @@ def analytic_HK(S: SuperOp, V: GoalSubspace) -> HittingMaps:
     return HittingMaps(H=H, K=K, subspace=V)
 
 
-def tau_from_K(maps: HittingMaps, rho, side: str) -> float:
-    """Mean hitting time Tr(K_11 rho) (rho in V) or Tr(K_12 rho) (rho in
-    V-perp), both <vec P|K|vec rho>."""
+def tau_from_K(maps: HittingMaps, rho) -> float:
+    """<vec P|K|vec rho>: the mean hitting time Tr(K_12 rho) of V from a
+    density rho in V-perp, or the mean return time Tr(K_11 rho) to V from a
+    density rho in V.  rho's support picks the side; a density supported in
+    neither is refused with :class:`ValidationError`."""
     if not is_density(rho):
         raise ValidationError("not a density matrix")
     V = maps.subspace
-    if side == "in-V":
-        if not V.contains(rho):
-            raise ValidationError("density is not supported in V")
-    elif side == "in-V-perp":
-        if not V.contains_perp(rho):
-            raise ValidationError("density is not supported in the complement of V")
-    else:
-        raise ValueError("side must be 'in-V' or 'in-V-perp'")
+    if not (V.contains_perp(rho) or V.contains(rho)):
+        raise ValidationError("density is supported neither in V nor in its complement")
     return real_trace(complex(np.vdot(vec(V.P), maps.K.mat @ vec(rho))))

@@ -10,7 +10,7 @@ the goal subspace V and site 1 its complement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -36,13 +36,6 @@ def _diagonal_blocks(M, n_sites: int, k: int) -> list:
     return [M[site_slice(i, k), site_slice(i, k)] for i in range(n_sites)]
 
 
-def _diag_blocks_E(M, n_sites: int, k: int) -> np.ndarray:
-    """M_d E, with E the grid of identity blocks: row block i is M_ii repeated
-    across every column block."""
-    return np.vstack([np.tile(block, (1, n_sites))
-                      for block in _diagonal_blocks(M, n_sites, k)])
-
-
 def _block(M, i: int, j: int, k: int) -> np.ndarray:
     return M[site_slice(i, k), site_slice(j, k)]
 
@@ -65,7 +58,7 @@ def _hitting_operator(Phi, sl: slice, r, rest) -> np.ndarray:
     return K
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QmcHittingOperators:
     """Per-target-site hitting operators K^(i) = Phi (I - Q_i Phi)^{-2}.
 
@@ -175,19 +168,23 @@ def ksmh_kernel(q: QMC, D, G, omega=None) -> np.ndarray:
     an irreducible chain (``omega`` is Omega = |pi><e_I|, see
     :func:`qmc.fixed_map`).  E is the grid of identity blocks, so row block i
     of G_d E is G_ii tiled across the row; D is block diagonal, so row block
-    i of the kernel is D_ii times row block i of the bracket.  Neither E nor
-    the zero blocks of D are formed.
+    i of the kernel is D_ii times row block i of the bracket, which is built
+    from row block i of G (and of Omega G) alone.  Neither E, the zero blocks
+    of D nor the whole bracket are formed.
     """
     D = np.asarray(D, dtype=np.complex128)
     G = np.asarray(G, dtype=np.complex128)
     n, k = q.n_sites, q.k
-    core = np.eye(q.dim) - G + _diag_blocks_E(G, n, k)
-    if omega is not None:
-        OG = np.asarray(omega) @ G
-        core = OG - _diag_blocks_E(OG, n, k) + core
-    kernel = np.empty_like(core)
-    for i, D_ii in enumerate(_diagonal_blocks(D, n, k)):
-        kernel[site_slice(i, k)] = D_ii @ core[site_slice(i, k)]
+    eye = np.eye(q.dim)
+    kernel = np.empty_like(G)
+    for i, (D_ii, G_ii) in enumerate(zip(_diagonal_blocks(D, n, k),
+                                         _diagonal_blocks(G, n, k))):
+        sl = site_slice(i, k)
+        row = eye[sl] - G[sl] + np.tile(G_ii, (1, n))
+        if omega is not None:
+            OG = np.asarray(omega)[sl] @ G
+            row = OG - np.tile(OG[:, sl], (1, n)) + row
+        kernel[sl] = D_ii @ row
     return kernel
 
 
@@ -264,21 +261,14 @@ class _Problem:
         return G, kern
 
 
-_last: _Problem | None = None  # the record of the last (S, V) solved
-
-
-def _problem(S: SuperOp, V: GoalSubspace) -> _Problem:
-    """The record of (S, V), keyed by the identity of both objects.  Their
-    arrays are read-only, and the record holds S and V, so neither can
-    change or be replaced by a new object at the same address while it is
-    kept.  One problem is kept: the next (S, V) replaces it.  A caller keeps
-    the record it was handed, so threads that solve different problems stay
-    correct; threads on one problem may build a field twice, with the same
-    bits."""
-    global _last
-    if _last is None or _last.S is not S or _last.V is not V:
-        _last = _Problem(S, V)
-    return _last
+# The record of (S, V), keyed by the identity of both objects (SuperOp and
+# GoalSubspace compare and hash by identity).  Their arrays are read-only,
+# and the cache holds S and V, so neither can change or be replaced by a new
+# object at the same address while the record is kept.  One problem is kept:
+# the next (S, V) replaces it.  A caller keeps the record it was handed, so
+# threads that solve different problems stay correct; threads on one problem
+# may build a field twice, with the same bits.
+_problem = lru_cache(maxsize=1)(_Problem)
 
 
 def tau_channel(S: SuperOp, V: GoalSubspace, rho, method: str,
@@ -296,13 +286,15 @@ def tau_channel(S: SuperOp, V: GoalSubspace, rho, method: str,
 
     Only the series and the final trace depend on rho.  Everything else
     (K; the induced chain, its site operators D and :func:`channel.diagnose`;
-    each KSMH route's G and kernel) is kept in one record per (S, V),
-    keyed by the identity of the two objects, and only the last problem's
-    record is held.  Routes and states that follow on the same objects read
-    it, so every check runs once per problem, and a warning such as the
-    rank rule's ``RuntimeWarning`` fires on the call that builds the field,
-    not on every route.  A refusal that raises is not kept.  The shape,
-    density and support checks on rho run on every call.
+    each KSMH route's G and kernel) is kept in one record per (S, V), held
+    by a one-entry ``functools.lru_cache`` keyed by the two objects, which
+    compare and hash by identity; only the last problem's record is held.
+    Routes and states that follow on the same objects read it, so every
+    check runs once per problem, and a warning such as the rank rule's
+    ``RuntimeWarning`` fires on the call that builds the field, not on every
+    route.  A refusal that raises is not kept.  The shape, density and
+    support checks on rho run on every call: rho must lie in V-perp here,
+    although :func:`hitting.tau_from_K` also reads the return side.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -335,7 +327,7 @@ def tau_channel(S: SuperOp, V: GoalSubspace, rho, method: str,
         pre["assumption_one"] = True
         if keep_artifacts:
             art["K"] = maps.K.mat
-        return TauReport(method=method, tau=tau_from_K(maps, rho, "in-V-perp"),
+        return TauReport(method=method, tau=tau_from_K(maps, rho),
                          ok=True, preconditions=pre, artifacts=art)
 
     q = record.qmc
@@ -363,7 +355,7 @@ def tau_channel(S: SuperOp, V: GoalSubspace, rho, method: str,
                      artifacts=art)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelLimitPoint:
     p: float
     tau: float
@@ -371,7 +363,7 @@ class KernelLimitPoint:
     kernel: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelLimitReport:
     points: tuple
     H0_extrapolated: np.ndarray

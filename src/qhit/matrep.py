@@ -131,12 +131,13 @@ def from_hermitian_basis(C, k: int) -> np.ndarray:
     return X.reshape(np.shape(C))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SuperOp:
     """Matrix representation of a linear map on M_dim (a dim^2 x dim^2 matrix).
 
-    ``mat`` is read-only, so a SuperOp names one map for its whole life and
-    :func:`ksmh.tau_channel` may key its shared work on the object itself.
+    ``mat`` is read-only, so a SuperOp names one map for its whole life.  It
+    compares and hashes by identity, so :func:`ksmh.tau_channel` may key its
+    shared work on the object itself.
     """
 
     dim: int

@@ -83,7 +83,7 @@ class QMC:
         return kernel.shape[1], x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VecState:
     """Stacked vec'd site blocks [vec(rho_1); ...; vec(rho_n)]."""
 

@@ -126,6 +126,18 @@ def test_validate_reports_a_superop_that_does_not_preserve_hermiticity(capsys,
     assert doc["valid"] is False and "Hermiticity" in doc["error"]
 
 
+@pytest.mark.parametrize("name", ["hadamard", "order4", "hadamard_bad_alpha"])
+def test_validate_json_is_strict_json(capsys, name):
+    # these maps have no fixed density: the field is null, not NaN, which
+    # strict JSON parsers reject
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    code, out = run_cli(capsys, "validate", f"{CORPUS}/{name}.json", "--json")
+    assert code == 0
+    doc = json.loads(out, parse_constant=refuse)
+    assert doc["diagnostics"]["fixed_density_min_eig"] is None
+
+
 def test_no_finite_tau_exits_3(capsys):
     code, _ = run_cli(capsys, "hitting", f"{CORPUS}/hadamard_bad_alpha.json",
                       "--json")

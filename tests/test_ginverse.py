@@ -146,6 +146,12 @@ def test_hunter_ginverse_matches_printed(sec5):
     assert np.max(np.abs(G - G_QMC)) < 1e-10
 
 
+def test_hunter_ginverse_default_member_is_hunter_special(sec5):
+    # one default member: t = e_1 and u = e_I, the special form of the route
+    q = sec5["q"]
+    assert np.array_equal(qhit.hunter_ginverse(q), qhit.hunter_special(q))
+
+
 def test_hunter_family_members_are_ginverses(sec5):
     q = sec5["q"]
     A = np.eye(8) - q.rep

@@ -44,7 +44,7 @@ def test_H_gives_hitting_probability_one(sec5):
 
 def test_tau_from_K_six(sec5):
     maps = qhit.analytic_HK(sec5["S"], sec5["V"])
-    tau = qhit.tau_from_K(maps, sec5["rho_phi"], "in-V-perp")
+    tau = qhit.tau_from_K(maps, sec5["rho_phi"])
     assert abs(tau - 6.0) < 1e-10
 
 
@@ -60,7 +60,7 @@ def test_tau_from_K_matches_series_on_random_channels():
             continue
         rho = qhit.pure_density(v / np.linalg.norm(v))
         maps = qhit.analytic_HK(S, V)
-        tau_k = qhit.tau_from_K(maps, rho, "in-V-perp")
+        tau_k = qhit.tau_from_K(maps, rho)
         tau_s = qhit.first_visit_series(S, V, rho).tau
         assert abs(tau_k - tau_s) < 1e-6
 
@@ -79,7 +79,8 @@ def _dense_block_tau(maps, rho, side: str) -> float:
 
 @pytest.mark.parametrize("n,d", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 3), (5, 2)])
 def test_tau_from_K_is_the_dense_block_trace(n, d):
-    # <vec P|K|vec rho> is Tr(K_11 rho) for rho in V and Tr(K_12 rho) in V-perp
+    # <vec P|K|vec rho> is Tr(K_11 rho) for rho in V and Tr(K_12 rho) in
+    # V-perp; rho's support picks the side, and a density in neither is refused
     rng = np.random.default_rng(40 + 10 * n + d)
     S = random_tp_channel(rng, n)
     V = qhit.GoalSubspace.from_vectors(
@@ -90,7 +91,9 @@ def test_tau_from_K_is_the_dense_block_trace(n, d):
         rho = proj @ W @ W.conj().T @ proj
         rho = (rho + rho.conj().T) / (2 * np.trace(rho).real)
         ref = _dense_block_tau(maps, rho, side)
-        assert abs(qhit.tau_from_K(maps, rho, side) - ref) <= 1e-12 * abs(ref)
+        assert abs(qhit.tau_from_K(maps, rho) - ref) <= 1e-12 * abs(ref)
+    with pytest.raises(ValidationError, match="neither in V nor"):
+        qhit.tau_from_K(maps, np.eye(n) / n)
 
 
 def test_analytic_HK_requires_assumption_one(hadamard):
@@ -153,6 +156,6 @@ def test_analytic_HK_refuses_a_map_that_is_not_a_channel(sec5):
     # tau = -8 for a state in V-perp
     S = qhit.SuperOp(2, np.diag([0.5, 1, 1, 1]))
     with pytest.raises(ValidationError, match="not trace preserving"):
-        qhit.tau_from_K(qhit.analytic_HK(S, sec5["V"]), sec5["rho_phi"], "in-V-perp")
+        qhit.tau_from_K(qhit.analytic_HK(S, sec5["V"]), sec5["rho_phi"])
     with pytest.raises(ValidationError, match="Hermiticity"):
         qhit.analytic_HK(qhit.SuperOp(2, np.diag([1, 1j, 1, 1])), sec5["V"])

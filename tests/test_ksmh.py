@@ -671,6 +671,38 @@ def test_record_key_objects_are_read_only_and_one_problem_is_held():
     assert ref() is None
 
 
+def _value_objects() -> dict:
+    """Name -> builder of one object of each array-holding value type; two
+    calls build equal arrays in distinct objects."""
+    S = qhit.unitary_superop(np.array([[0, 1], [1, 0]]))
+    V = qhit.GoalSubspace.from_vectors([[1, 0]])
+    q = qhit.induce(S, V)
+    kernel = np.eye(2)
+    return {
+        "SuperOp": lambda: qhit.identity_superop(2),
+        "GoalSubspace": lambda: qhit.GoalSubspace.from_vectors([[1, 0]]),
+        "KrausChannel": lambda: qhit.KrausChannel.from_unitary(np.eye(2)),
+        "VecState": lambda: qhit.VecState.from_blocks([np.eye(2) / 2, np.zeros((2, 2))]),
+        "GroupInverse": lambda: qhit.group_inverse(np.diag([1.0, 0.0])),
+        "QmcHittingOperators": lambda: qhit.qmc_hitting_operators(q),
+        "KernelLimitPoint": lambda: qhit.ksmh.KernelLimitPoint(0.5, 1.0, 1.0, kernel),
+        "KernelLimitReport": lambda: qhit.ksmh.KernelLimitReport(
+            (), kernel, 1.0, kernel, 1.0, 0.0, False),
+        "HittingMaps": lambda: qhit.analytic_HK(S, V),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_value_objects()))
+def test_value_types_compare_and_hash_by_identity(name):
+    # equality on array fields would raise ("truth value of an array is
+    # ambiguous"), and so would the hash of a frozen dataclass
+    build = _value_objects()[name]
+    a, b = build(), build()
+    assert a != b and not a == b
+    assert a == a
+    assert {a: 1, b: 2} == {a: 1, b: 2} and len({a: 1, b: 2}) == 2
+
+
 def test_tau_channel_rejects_bad_inputs(sec5):
     with pytest.raises(ValueError):
         qhit.tau_channel(sec5["S"], sec5["V"], sec5["rho_phi"], "bogus")

@@ -692,7 +692,10 @@ def _value_objects() -> dict:
     }
 
 
-@pytest.mark.parametrize("name", sorted(_value_objects()))
+@pytest.mark.parametrize("name", [
+    "GoalSubspace", "GroupInverse", "HittingMaps", "KernelLimitPoint",
+    "KernelLimitReport", "KrausChannel", "QmcHittingOperators", "SuperOp",
+    "VecState"])
 def test_value_types_compare_and_hash_by_identity(name):
     # equality on array fields would raise ("truth value of an array is
     # ambiguous"), and so would the hash of a frozen dataclass
@@ -700,7 +703,8 @@ def test_value_types_compare_and_hash_by_identity(name):
     a, b = build(), build()
     assert a != b and not a == b
     assert a == a
-    assert {a: 1, b: 2} == {a: 1, b: 2} and len({a: 1, b: 2}) == 2
+    keyed = {a: 1, b: 2}
+    assert keyed[a] == 1 and keyed[b] == 2
 
 
 def test_tau_channel_rejects_bad_inputs(sec5):

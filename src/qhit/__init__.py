@@ -12,9 +12,14 @@ Only the series and the final trace depend on the initial state.
 each KSMH route's G and kernel) in one record per (S, V), a one-entry
 ``functools.lru_cache`` keyed by those objects, whose arrays are read-only;
 the last problem's record is held.  Further routes and states on the same
-objects read it, so each check runs once per problem, and a rank-rule
-``RuntimeWarning`` fires on the call that builds the record, not on every
-route.  The value types that hold arrays compare and hash by identity.
+objects read it, so each factorization runs once per problem, and a
+rank-rule ``RuntimeWarning`` fires on the call that builds the record, not on
+every route.  ``tau_channel`` raises only on invalid input; every other
+refusal comes back in its ``TauReport`` as a typed ``refusal``
+(``SpectralObstructionError``, ``NotIrreducibleError``,
+``NoGroupInverseError`` or ``NumericalError``), next to the preconditions
+found and references to the route's read-only results.  The value types
+that hold arrays, and the reports, compare and hash by identity.
 ``tau_from_K(maps, rho)`` reads the mean hitting time of V from rho in
 V-perp or the mean return time to V from rho in V; rho's support decides.
 The Hunter functions default to t = e_1 and u = e_I, so

@@ -121,7 +121,7 @@ class ChannelDiagnostics:
     peripheral_eigenvalues: tuple
     jordan_trivial_at_1: bool
     tp_defect: float = 0.0
-    fixed_density_min_eig: float = float("nan")
+    fixed_density_min_eig: float | None = None  # None: no fixed density
 
 
 def _tp_defect(M, k: int) -> float:
@@ -166,7 +166,7 @@ def diagnose(S: SuperOp) -> ChannelDiagnostics:
     fixed_dim = n * n - r1
     jordan_trivial = ginverse.index(A) <= 1
 
-    min_eig = float("nan")
+    min_eig = None
     irreducible = False
     if fixed_dim == 1:
         fs = fixed_states(S)

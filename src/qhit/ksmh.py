@@ -18,7 +18,7 @@ from . import ginverse, monitor
 from .channel import (ChannelDiagnostics, GoalSubspace, check_shapes, diagnose,
                       is_density, randomize)
 from .errors import (NoGroupInverseError, NotIrreducibleError, NumericalError,
-                     SpectralObstructionError, ValidationError)
+                     QhitError, SpectralObstructionError, ValidationError)
 from .hitting import HittingMaps, analytic_HK, tau_from_K
 from .matrep import SuperOp, real_form, vec
 from .qmc import QMC, induce, induced_group_inverse, site_slice
@@ -201,14 +201,25 @@ def tau_irreducible_qmc(q: QMC, kernel: np.ndarray, i: int, j: int, rho_j) -> fl
 METHODS = ("series", "analytic-K", "ksmh-ginverse", "ksmh-group")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TauReport:
+    """One route's answer.  ``refusal`` is None when the route gives tau, and
+    otherwise the typed reason it cannot; ``artifacts`` references what the
+    route computed (read-only arrays, not copies)."""
+
     method: str
     tau: float | None
-    ok: bool
     preconditions: dict
-    detail: str = ""
+    refusal: QhitError | None = None
     artifacts: dict = field(default_factory=dict)
+
+    @property
+    def ok(self) -> bool:
+        return self.refusal is None
+
+    @property
+    def detail(self) -> str:
+        return "" if self.refusal is None else str(self.refusal)
 
 
 class _Problem:
@@ -271,8 +282,7 @@ class _Problem:
 _problem = lru_cache(maxsize=1)(_Problem)
 
 
-def tau_channel(S: SuperOp, V: GoalSubspace, rho, method: str,
-                keep_artifacts: bool = False) -> TauReport:
+def tau_channel(S: SuperOp, V: GoalSubspace, rho, method: str) -> TauReport:
     """Mean hitting time to V from a density in its complement, by one route.
 
     Routes: direct monitoring series; analytic mean-hitting-time map K;
@@ -280,21 +290,33 @@ def tau_channel(S: SuperOp, V: GoalSubspace, rho, method: str,
     channels), lifted from S by :func:`ginverse.hunter_special`; KSMH kernel
     with the group inverse (spectral condition only), lifted from the
     channel's (I - S)^# by :func:`qmc.induced_group_inverse`.
-    Every route refuses a map that is not trace and Hermiticity preserving
-    at its entry (:func:`monitor.first_visit_series`,
-    :func:`hitting.analytic_HK`, :func:`qmc.induce`).
+
+    Invalid input raises: :class:`ValidationError` (a map that is not trace
+    and Hermiticity preserving, refused at each route's entry by
+    :func:`monitor.first_visit_series`, :func:`hitting.analytic_HK` and
+    :func:`qmc.induce`; a bad shape, density or support of rho) and
+    ``ValueError`` for an unknown method.  Every other refusal is returned:
+    the report's ``refusal`` is a :class:`SpectralObstructionError` (1 in
+    the spectrum of Q.T, carrying the eigenvalues), a
+    :class:`NotIrreducibleError`, a :class:`NoGroupInverseError` or a
+    :class:`NumericalError` (an inverse that fails its axioms, a series
+    that does not converge), with the preconditions found so far.  numpy's
+    ``LinAlgError`` is not caught.  ``artifacts`` always references the
+    route's results: ``series``; ``K``; or ``qmc``, ``D``, ``G`` and
+    ``kernel``.
 
     Only the series and the final trace depend on rho.  Everything else
     (K; the induced chain, its site operators D and :func:`channel.diagnose`;
     each KSMH route's G and kernel) is kept in one record per (S, V), held
     by a one-entry ``functools.lru_cache`` keyed by the two objects, which
     compare and hash by identity; only the last problem's record is held.
-    Routes and states that follow on the same objects read it, so every
-    check runs once per problem, and a warning such as the rank rule's
-    ``RuntimeWarning`` fires on the call that builds the field, not on every
-    route.  A refusal that raises is not kept.  The shape, density and
-    support checks on rho run on every call: rho must lie in V-perp here,
-    although :func:`hitting.tau_from_K` also reads the return side.
+    Routes and states that follow on the same objects read it, so each
+    factorization runs once per problem, and a warning such as the rank
+    rule's ``RuntimeWarning`` fires on the call that builds the field, not
+    on every route.  A field whose build raises is not kept.  The series,
+    which keeps no record, checks S on every call, and the shape, density
+    and support checks on rho run on every call: rho must lie in V-perp
+    here, although :func:`hitting.tau_from_K` also reads the return side.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -304,55 +326,47 @@ def tau_channel(S: SuperOp, V: GoalSubspace, rho, method: str,
     if not V.contains_perp(rho):
         raise ValidationError("initial density must be supported in the complement of V")
 
-    pre: dict = {}
-    art: dict = {}
-
     if method == "series":
         series = monitor.first_visit_series(S, V, rho)
-        pre["series_converged"] = series.converged
-        pre["hitting_probability"] = series.cumulative_prob
-        if keep_artifacts:
-            art["series"] = series
-        return TauReport(method=method, tau=series.tau, ok=series.converged,
-                         preconditions=pre, artifacts=art)
+        pre = {"series_converged": series.converged,
+               "hitting_probability": series.cumulative_prob}
+        refusal = None if series.converged else NumericalError(
+            f"series did not converge in {series.truncated_at} terms")
+        return TauReport(method, series.tau, pre, refusal, {"series": series})
 
     record = _problem(S, V)
     if method == "analytic-K":
         try:
             maps = record.maps
-        except SpectralObstructionError:
-            pre["assumption_one"] = False
-            return TauReport(method=method, tau=None, ok=False, preconditions=pre,
-                             detail="1 lies in the spectrum of Q.T")
-        pre["assumption_one"] = True
-        if keep_artifacts:
-            art["K"] = maps.K.mat
-        return TauReport(method=method, tau=tau_from_K(maps, rho),
-                         ok=True, preconditions=pre, artifacts=art)
+        except SpectralObstructionError as exc:
+            return TauReport(method, None, {"assumption_one": False},
+                             SpectralObstructionError("1 lies in the spectrum of Q.T",
+                                                      eigenvalues=exc.eigenvalues))
+        return TauReport(method, tau_from_K(maps, rho), {"assumption_one": True},
+                         artifacts={"K": maps.K.mat})
 
-    q = record.qmc
     D, availability = record.sites
-    pre["site0_operator_available"] = availability[0][0]
-    pre["site1_operator_available"] = availability[1][0]
+    pre = {"site0_operator_available": availability[0][0],
+           "site1_operator_available": availability[1][0]}
     if not availability[0][0]:
-        return TauReport(method=method, tau=None, ok=False, preconditions=pre,
-                         detail="1 lies in the spectrum of Q_0 Phi "
-                                "(equivalently of Q.T)")
-
-    if method == "ksmh-ginverse":
-        pre["channel_irreducible"] = record.diag.is_irreducible
-        if not record.diag.is_irreducible:
-            return TauReport(method=method, tau=None, ok=False, preconditions=pre,
-                             detail="channel is not irreducible; use ksmh-group")
-        G, kern = record.hunter
-    else:  # ksmh-group
-        G, kern = record.group
-
-    tau = tau_irreducible_qmc(q, kern, 0, 1, rho)
-    if keep_artifacts:
-        art.update({"qmc": q, "D": D, "G": G, "kernel": kern})
-    return TauReport(method=method, tau=tau, ok=True, preconditions=pre,
-                     artifacts=art)
+        return TauReport(method, None, pre, SpectralObstructionError(
+            "1 lies in the spectrum of Q_0 Phi (equivalently of Q.T)",
+            eigenvalues=availability[0][1]))
+    try:
+        if method == "ksmh-ginverse":
+            pre["channel_irreducible"] = record.diag.is_irreducible
+            if not record.diag.is_irreducible:
+                return TauReport(method, None, pre, NotIrreducibleError(
+                    "channel is not irreducible; use ksmh-group"))
+            G, kern = record.hunter
+        else:  # ksmh-group
+            G, kern = record.group
+    except (NotIrreducibleError, NoGroupInverseError, NumericalError) as exc:
+        # without its traceback the refusal pins no frame of the failed build
+        return TauReport(method, None, pre, exc.with_traceback(None))
+    q = record.qmc
+    return TauReport(method, tau_irreducible_qmc(q, kern, 0, 1, rho), pre,
+                     artifacts={"qmc": q, "D": D, "G": G, "kernel": kern})
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,13 +390,11 @@ class KernelLimitReport:
 
 def _route_or_raise(S: SuperOp, V: GoalSubspace, rho, method: str,
                     p: float) -> TauReport:
-    """:func:`tau_channel` with artifacts, raising on a refusal with p named."""
-    rep = tau_channel(S, V, rho, method, keep_artifacts=True)
-    if rep.ok:
-        return rep
-    if not rep.preconditions["site0_operator_available"]:
-        raise SpectralObstructionError(f"p = {p}: {rep.detail}")
-    raise NotIrreducibleError(f"p = {p}: {rep.detail}")
+    """:func:`tau_channel`, raising its refusal's type with p named."""
+    rep = tau_channel(S, V, rho, method)
+    if rep.refusal is not None:
+        raise type(rep.refusal)(f"p = {p}: {rep.refusal}") from rep.refusal
+    return rep
 
 
 def kernel_limit_study(T: SuperOp, Mprime: SuperOp, V: GoalSubspace, p_values,
@@ -394,10 +406,11 @@ def kernel_limit_study(T: SuperOp, Mprime: SuperOp, V: GoalSubspace, p_values,
     kernel limit H_0 is extrapolated from the three smallest p values and
     compared with the ``ksmh-group`` route on M' itself.  Both limits' tau
     are read from block (0, 1) by :func:`tau_irreducible_qmc`.  Every check
-    of :func:`tau_channel` applies; a route's refusal raises
-    :class:`SpectralObstructionError` (site 0 unavailable) or
-    :class:`NotIrreducibleError`, naming p.  On the induced chain H_p does
-    not depend on G_p (D tiled), so ||G_p|| may diverge while H_p converges.
+    of :func:`tau_channel` applies; a route's refusal is raised as its own
+    type (:class:`SpectralObstructionError` when site 0 is unavailable,
+    :class:`NotIrreducibleError` when the mixture is not irreducible, ...),
+    naming p.  On the induced chain H_p does not depend on G_p (D tiled), so
+    ||G_p|| may diverge while H_p converges.
     """
     if rho is None:
         # default initial state: normalized projection of the mixed state onto V-perp

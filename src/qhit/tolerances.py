@@ -43,7 +43,9 @@ SCALE_FLOOR = 1e-30
 SPLIT_COND_WARN = 1e8
 # condition number of I - QT above which analytic_HK warns
 RESOLVENT_COND_WARN = 1e10
-# imaginary part of a trace (a probability or a hitting time) that is roundoff
+# imaginary part of a trace (a probability or a hitting time) that is
+# roundoff, relative to max(1, |real part|): a hitting time's roundoff grows
+# with it
 IMAG_TOL = 1e-9
 # series: a hitting probability below 1 - HIT_PROB_TOL makes tau infinite
 HIT_PROB_TOL = 1e-6
@@ -58,6 +60,6 @@ def near_one(eigvals) -> list:
 
 def real_trace(x: complex) -> float:
     """The real part of a trace, after checking its imaginary part is roundoff."""
-    if abs(x.imag) > IMAG_TOL:
+    if abs(x.imag) > IMAG_TOL * max(1.0, abs(x.real)):
         raise ValidationError(f"trace has non-negligible imaginary part {x.imag:.3e}")
     return x.real

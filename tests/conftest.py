@@ -63,16 +63,20 @@ def rotation():
     return {"S": S, "V": V, "rho_phi": np.diag([0.0, 1.0])}
 
 
-def random_tp_channel(rng, n: int, m: int = 3) -> qhit.SuperOp:
-    """Random trace-preserving channel: QR of a stacked Gaussian block column.
+def random_kraus(rng, n: int, m: int = 3) -> tuple:
+    """m random Kraus operators on C^n: QR of a stacked Gaussian block column.
 
     The Q factor of an (m*n) x n complex Gaussian matrix is an isometry; its
     n x n blocks are Kraus operators with sum V*V = I exactly.
     """
     Z = rng.normal(size=(m * n, n)) + 1j * rng.normal(size=(m * n, n))
     Q, _ = np.linalg.qr(Z)
-    kraus = tuple(Q[i * n:(i + 1) * n, :] for i in range(m))
-    return qhit.represent(qhit.KrausChannel(n, kraus))
+    return tuple(Q[i * n:(i + 1) * n, :] for i in range(m))
+
+
+def random_tp_channel(rng, n: int, m: int = 3) -> qhit.SuperOp:
+    """Random trace-preserving channel of :func:`random_kraus`."""
+    return qhit.represent(qhit.KrausChannel(n, random_kraus(rng, n, m)))
 
 
 def random_irreducible_qubit(rng) -> qhit.SuperOp:

@@ -53,6 +53,15 @@ def test_diagnose_hadamard_reducible(hadamard):
     assert d.jordan_trivial_at_1
 
 
+def test_diagnostics_without_a_fixed_density_compare_equal():
+    # the bit flip fixes I and X, so it has no unique fixed density; "none"
+    # is None, which equals itself, where a NaN did not
+    S = qhit.unitary_superop(np.array([[0, 1], [1, 0]]))
+    d = qhit.diagnose(S)
+    assert d.fixed_density_min_eig is None
+    assert d == qhit.diagnose(S)
+
+
 def test_fixed_states_contain_maximally_mixed(hadamard):
     states = qhit.fixed_states(hadamard["S"])
     assert len(states) == 2

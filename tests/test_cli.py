@@ -4,14 +4,16 @@ import copy
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from expected_matrices import G_QMC
-from qhit import cli
+from qhit import cli, ginverse
 from qhit.cli import main
+from qhit.errors import NotIrreducibleError
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = "tests/corpus"
@@ -340,6 +342,47 @@ def test_mutated_corpus_specs_never_crash_the_cli(monkeypatch, capsys, name):
                                    and value == [[1, 0], [1]]):
                     assert code == 2, (where, value, cmd)
             capsys.readouterr()
+
+
+def test_a_route_refusal_leaves_the_other_routes_reported(capsys, monkeypatch):
+    # a refusal raised while one route builds its inverse is that route's
+    # report: the other three still print, and the command succeeds
+    def refuse(q, u=None, f=None):
+        raise NotIrreducibleError("stand-in refusal")
+    monkeypatch.setattr(ginverse, "hunter_special", refuse)
+    code, out = run_cli(capsys, "hitting", f"{CORPUS}/sec5.json", "--json")
+    assert code == 0
+    methods = json.loads(out)["methods"]
+    assert list(methods) == ["series", "analytic", "ksmh-g", "ksmh-group"]
+    assert methods["ksmh-g"]["ok"] is False
+    assert methods["ksmh-g"]["detail"] == "stand-in refusal"
+    assert all(methods[m]["ok"] for m in ("series", "analytic", "ksmh-group"))
+
+
+def test_a_ksmh_refusal_prints_its_preconditions(capsys, tmp_path):
+    # amplitude damping with K0 scaled by sqrt(1 + 5e-10), mixed 1:1 with
+    # Hadamard: the group inverse fails its axioms, and the entry keeps the
+    # shape of every other entry
+    K0 = np.sqrt(1 + 5e-10) * np.diag([1.0, np.sqrt(0.7)])
+    K1 = [[0.0, np.sqrt(0.3)], [0.0, 0.0]]
+    H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    spec = {"kind": "randomization",
+            "mix": {"p": 0.5,
+                    "left": {"kind": "kraus", "kraus": [K0.tolist(), K1]},
+                    "right": {"kind": "unitary", "unitary": H.tolist()}},
+            "subspace": [[1, 0]], "initial_state": [0, 1]}
+    path = tmp_path / "near_tp.json"
+    path.write_text(json.dumps(spec))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the rank rule
+        code, out = run_cli(capsys, "hitting", str(path), "--method",
+                            "ksmh-group", "--json")
+    assert code == 3
+    entry = json.loads(out)["methods"]["ksmh-group"]
+    assert entry == {"ok": False, "tau": None,
+                     "preconditions": {"site0_operator_available": True,
+                                       "site1_operator_available": True},
+                     "detail": "group inverse candidate violates A G A = A"}
 
 
 def test_hitting_dump_intermediates(capsys):

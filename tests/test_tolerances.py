@@ -70,3 +70,8 @@ def test_real_trace_refuses_an_imaginary_part_past_the_tolerance():
     assert real_trace(complex(0.25, 0.5 * IMAG_TOL)) == 0.25
     with pytest.raises(ValidationError, match="imaginary"):
         real_trace(complex(0.25, 2 * IMAG_TOL))
+    # past 1 the tolerance is relative: a lazy unitary walk's tau = 7883.47
+    # came with an imaginary part of 1.1e-8, which is roundoff
+    assert real_trace(complex(7883.47, 1.1e-8)) == 7883.47
+    with pytest.raises(ValidationError, match="imaginary"):
+        real_trace(complex(7883.47, 2 * IMAG_TOL * 7883.47))

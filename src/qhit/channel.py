@@ -10,8 +10,8 @@ from . import ginverse
 from .errors import DimensionError, ValidationError
 from .matrep import (SuperOp, _owned_read_only, as_complex, conj_kron,
                      real_form, unvec, vec)
-from .tolerances import (EIG_ONE_TOL, FAITHFUL_TOL, PSD_TOL, RANK_REL_TOL,
-                         STATE_TOL, TP_TOL, ZERO_TOL, near_one)
+from .tolerances import (EIG_ONE_TOL, FAITHFUL_TOL, PSD_TOL, STATE_TOL, TP_TOL,
+                         ZERO_TOL, near_one)
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,14 +66,15 @@ def is_positive_semidefinite(X, tol: float = PSD_TOL) -> bool:
     return bool(w.min() >= -tol)
 
 
-def is_density(rho, tol: float = STATE_TOL) -> bool:
-    """Square, hermitian and of unit trace to ``tol``, and PSD to ``PSD_TOL``."""
+def is_density(rho) -> bool:
+    """Square, hermitian and of unit trace to ``STATE_TOL``, and PSD to
+    ``PSD_TOL``."""
     rho = as_complex(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         return False
-    if np.max(np.abs(rho - rho.conj().T)) > tol:
+    if np.max(np.abs(rho - rho.conj().T)) > STATE_TOL:
         return False
-    if abs(np.trace(rho) - 1.0) > tol:
+    if abs(np.trace(rho) - 1.0) > STATE_TOL:
         return False
     return is_positive_semidefinite(rho)
 
@@ -229,19 +230,21 @@ class GoalSubspace:
 
     @classmethod
     def from_vectors(cls, vectors, ambient_dim: int | None = None) -> "GoalSubspace":
-        """Build from spanning vectors; orthonormalizes with QR."""
-        vecs = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in vectors]
+        """Build from spanning vectors: the basis is the leading left singular
+        vectors of the n x d matrix of vectors, as many as the rank rule
+        (:func:`ginverse._rank_cut`) keeps.  The SVD is of vectors, not of a
+        map, so it is taken in complex arithmetic."""
+        vecs = [as_complex(v).reshape(-1) for v in vectors]
         if not vecs:
             raise ValidationError("a goal subspace needs at least one spanning vector")
         n = ambient_dim if ambient_dim is not None else vecs[0].size
         if any(v.size != n for v in vecs):
             raise DimensionError("subspace vectors have wrong length")
-        V = np.column_stack(vecs)
-        Qmat, Rmat = np.linalg.qr(V)
-        keep = np.abs(np.diag(Rmat)) > RANK_REL_TOL * max(1.0, np.abs(Rmat).max())
-        if not np.any(keep):
+        U, s, _ = np.linalg.svd(np.column_stack(vecs), full_matrices=False)
+        rank = ginverse._rank_cut(s)
+        if rank == 0:
             raise ValidationError("subspace vectors are linearly dependent to zero")
-        return cls(ambient_dim=n, basis=Qmat[:, keep])
+        return cls(ambient_dim=n, basis=U[:, :rank])
 
     def contains(self, rho) -> bool:
         """Whether a density is supported in V: P rho P = rho."""

@@ -29,7 +29,7 @@ from .errors import (NoGroupInverseError, NotIrreducibleError, QhitError,
 from .ksmh import kernel_limit_study, tau_channel
 from .matrep import SuperOp
 from .qmc import induce, induced_group_inverse
-from .tolerances import SPEC_STATE_TOL, near_one
+from .tolerances import near_one
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -144,13 +144,16 @@ def parse_subspace(node, dim: int, path: str = "$.subspace") -> GoalSubspace:
 
 
 def parse_state(node, dim: int, path: str = "$.initial_state") -> np.ndarray:
-    if isinstance(node, list) and node and isinstance(node[0], list):
+    """A density matrix when the node has n rows of length n (n = 2 reads two
+    [re, im] pairs as a matrix), else a state vector of numbers or pairs."""
+    if (isinstance(node, list) and node
+            and all(isinstance(row, list) and len(row) == len(node) for row in node)):
         rho = parse_matrix(node, path)
     else:
         rho = pure_density(parse_vector(node, path))
     if rho.shape != (dim, dim):
         raise SpecError(path, f"state must act on dimension {dim}")
-    if not is_density(rho, tol=SPEC_STATE_TOL):
+    if not is_density(rho):
         raise SpecError(path, "not a density matrix")
     return rho
 

@@ -30,11 +30,8 @@ class HittingMaps:
 def _resolvent(S: SuperOp, V: GoalSubspace) -> np.ndarray:
     ok, eigvals = assumption_one_holds(S, V)
     if not ok:
-        raise SpectralObstructionError(
-            "1 lies in the spectrum of Q.T; the hitting maps do not exist "
-            "(fall back to the monitoring series)",
-            eigenvalues=near_one(eigvals),
-        )
+        raise SpectralObstructionError("1 lies in the spectrum of Q.T",
+                                       eigenvalues=near_one(eigvals))
     M = np.eye(S.dim**2) - V.sandwich(S.mat)
     if np.linalg.cond(real_form(M, S.dim)) > RESOLVENT_COND_WARN:
         warnings.warn("resolvent I - QT is badly conditioned", RuntimeWarning,

@@ -15,8 +15,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import ginverse, monitor
-from .channel import (ChannelDiagnostics, GoalSubspace, check_shapes, diagnose,
-                      is_density, randomize)
+from .channel import (ChannelDiagnostics, GoalSubspace, _tp_defect, check_shapes,
+                      diagnose, is_density, randomize)
 from .errors import (NoGroupInverseError, NotIrreducibleError, NumericalError,
                      QhitError, SpectralObstructionError, ValidationError)
 from .hitting import HittingMaps, analytic_HK, tau_from_K
@@ -137,7 +137,6 @@ def qmc_hitting_operators(q: QMC) -> QmcHittingOperators:
     # Phi B^# is Phi_ii + Phi_ir X, and that of Phi (B^#)^2 adds Phi_ir C^# X.
     fallback = []
     donor = next((j for j in sites if availability[j][0]), None)
-    eIk = vec(np.eye(q.k))
     for i, (sl, r, rest) in obstructed.items():
         filled = False
         try:
@@ -145,7 +144,7 @@ def qmc_hitting_operators(q: QMC) -> QmcHittingOperators:
             X = (g.Asharp - g.ergodic_projector) @ q.rep[r, sl]
             Phi_ir = q.rep[sl, r]
             ret = q.rep[sl, sl] + Phi_ir @ X
-            if np.max(np.abs(eIk.conj() @ ret - eIk.conj())) < STATE_TOL:
+            if _tp_defect(ret, q.k) < STATE_TOL:
                 D[sl, sl] = ret + Phi_ir @ (g.Asharp @ X)
                 fallback.append((i, "abel-return"))
                 filled = True
@@ -340,8 +339,7 @@ def tau_channel(S: SuperOp, V: GoalSubspace, rho, method: str) -> TauReport:
             maps = record.maps
         except SpectralObstructionError as exc:
             return TauReport(method, None, {"assumption_one": False},
-                             SpectralObstructionError("1 lies in the spectrum of Q.T",
-                                                      eigenvalues=exc.eigenvalues))
+                             exc.with_traceback(None))
         return TauReport(method, tau_from_K(maps, rho), {"assumption_one": True},
                          artifacts={"K": maps.K.mat})
 

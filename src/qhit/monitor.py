@@ -22,7 +22,11 @@ the bookkeeping of the whole chunk in order: the imaginary-part check, the
 clamp to [0, 1], the stop test, and sequential running sums
 (``np.add.accumulate``, seeded by the sums so far, never a pairwise
 ``np.sum``), so every term and every sum has the bits of a term-by-term
-loop. Terms computed past the stop are dropped unread and unchecked.
+loop. The imaginary-part check is the one roundoff rule of
+:func:`tolerances.real_trace`, :func:`tolerances.imag_exceeds`, applied to
+every term up to the stop; the first term that fails it is refused by
+``real_trace``, which names its imaginary part. Terms computed past the
+stop are dropped unread and unchecked.
 
 The series stops after max(BLOCK, N) consecutive negligible increments
 r pi_r, with N the order of M, or at MAX_STEPS terms (``converged=False``).
@@ -43,7 +47,7 @@ from .channel import GoalSubspace, check_channel, check_shapes, is_density
 from .errors import ValidationError
 from .matrep import SuperOp, vec
 from .qmc import QMC, VecState, site_slice
-from .tolerances import HIT_PROB_TOL, IMAG_TOL, ZERO_TOL, real_trace
+from .tolerances import HIT_PROB_TOL, ZERO_TOL, imag_exceeds, real_trace
 
 BLOCK = 64  # terms per block; a power of two, so the jump is built by squaring
 CHUNK_BLOCKS = 64  # blocks per chunk of bookkeeping, once the chunks have grown
@@ -117,7 +121,7 @@ def _run_series(step, first, v0):
         stops = np.flatnonzero(run >= window)
         read = int(stops[0]) + 1 if stops.size else x.size
         # terms past the stop are never read, so never checked
-        bad = np.flatnonzero(np.abs(x.imag[:read]) > IMAG_TOL)
+        bad = np.flatnonzero(imag_exceeds(x[:read]))
         if bad.size:
             real_trace(complex(x[bad[0]]))  # raises, naming the first bad term
         probs.append(pi[:read])

@@ -10,6 +10,8 @@ matrix they judge.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import ValidationError
 
 # trace preservation and unitality: max entry of <vec I| S - <vec I|, S(I) - I
@@ -23,14 +25,13 @@ EIG_ONE_TOL = 1e-9
 FAITHFUL_TOL = 1e-9
 # smallest eigenvalue of a density above -PSD_TOL in is_density
 PSD_TOL = 1e-10
-# state and basis checks on computed data: hermiticity, unit trace, support in
-# V or V-perp, orthonormal columns, a fixed density's PSD test, the residual
-# that keeps a fixed-space basis vector, the Abel return defect
+# state and basis checks: hermiticity and unit trace of a density (computed
+# or read from a spec file), support in V or V-perp, orthonormal columns, a
+# fixed density's PSD test, the residual that keeps a fixed-space basis
+# vector, the Abel return defect
 STATE_TOL = 1e-8
-# hermiticity and trace of a density read from a spec file (decimal entries)
-SPEC_STATE_TOL = 1e-6
-# numerical rank: singular values above this times the largest count; also
-# the cosine test of index <= 1 and the QR cut of GoalSubspace.from_vectors
+# numerical rank (ginverse._rank_cut): singular values above this times the
+# largest count; also the cosine test of index <= 1
 RANK_REL_TOL = 1e-10
 # group and g-inverse axioms, relative to max|A|
 AXIOM_REL_TOL = 1e-9
@@ -45,7 +46,7 @@ SPLIT_COND_WARN = 1e8
 RESOLVENT_COND_WARN = 1e10
 # imaginary part of a trace (a probability or a hitting time) that is
 # roundoff, relative to max(1, |real part|): a hitting time's roundoff grows
-# with it
+# with it; decided by imag_exceeds alone
 IMAG_TOL = 1e-9
 # series: a hitting probability below 1 - HIT_PROB_TOL makes tau infinite
 HIT_PROB_TOL = 1e-6
@@ -58,8 +59,16 @@ def near_one(eigvals) -> list:
     return [lam for lam in eigvals if abs(lam - 1.0) < EIG_ONE_TOL]
 
 
+def imag_exceeds(x):
+    """Elementwise: whether the imaginary part of x is more than roundoff,
+    |Im x| > ``IMAG_TOL`` max(1, |Re x|)."""
+    x = np.asarray(x)
+    return np.abs(x.imag) > IMAG_TOL * np.maximum(1.0, np.abs(x.real))
+
+
 def real_trace(x: complex) -> float:
-    """The real part of a trace, after checking its imaginary part is roundoff."""
-    if abs(x.imag) > IMAG_TOL * max(1.0, abs(x.real)):
+    """The real part of a trace, after checking its imaginary part is roundoff
+    (:func:`imag_exceeds`)."""
+    if imag_exceeds(x):
         raise ValidationError(f"trace has non-negligible imaginary part {x.imag:.3e}")
     return x.real

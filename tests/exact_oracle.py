@@ -4,7 +4,8 @@ A binary64 number is the rational it denotes (``Fraction(float)`` is exact),
 so nothing here rounds.  For a channel S, a goal subspace spanned by the
 vectors b_j and a density rho in its complement:
 
-    P   = B (B* B)^-1 B*            (B has the b_j as columns)
+    P   = B (B* B)^-1 B*            (B has as columns the b_j that are not
+                                     combinations of earlier ones)
     QQ  = Q (x) conj(Q),  Q = I - P  (row-stacking vec, as in qhit.matrep)
     tau = <vec I| (I - QQ S)^-1 |vec rho>
 
@@ -109,6 +110,28 @@ def _solve(A, B) -> list:
     return [row[n:] for row in M]
 
 
+def _independent(vectors) -> list:
+    """The vectors that are not exact combinations of earlier ones.
+
+    Each kept vector is also kept reduced against the earlier kept ones, so
+    it vanishes at their leading entries; a vector reduced against all of
+    them in order vanishes at every leading entry, and is zero exactly when
+    it lies in their span.
+    """
+    kept, reduced = [], []
+    for v in vectors:
+        r = list(v)
+        for e in reduced:
+            lead = next(i for i, z in enumerate(e) if z)
+            if r[lead]:
+                f = r[lead] / e[lead]
+                r = [x - f * y for x, y in zip(r, e)]
+        if any(r):
+            kept.append(v)
+            reduced.append(r)
+    return kept
+
+
 def binary64(array) -> list:
     """The exact Gaussian rationals of a complex numpy matrix's entries."""
     return [[Qi(z.real, z.imag) for z in row] for row in array.tolist()]
@@ -131,8 +154,9 @@ def channel(node) -> list:
 
 
 def state(node) -> list:
-    """rho from a density matrix, or phi phi* / <phi|phi> from a vector."""
-    if isinstance(node[0], list) and isinstance(node[0][0], list):
+    """rho from a density matrix (n rows of length n, as the CLI reads one),
+    or phi phi* / <phi|phi> from a vector of numbers or [re, im] pairs."""
+    if all(isinstance(row, list) and len(row) == len(node) for row in node):
         return _matrix(node)
     phi = [_entry(x) for x in node]
     norm = sum((z * z.conj() for z in phi), ZERO)
@@ -147,9 +171,9 @@ def spec_problem(spec: dict) -> tuple:
 
 def exact_tau(S: list, vectors: list, rho: list) -> Fraction:
     """tau = <vec I| (I - QQ S)^-1 |vec rho>, exactly, with P = B (B* B)^-1 B*
-    for B the vectors as columns."""
+    for B the independent vectors (:func:`_independent`) as columns."""
     n = len(rho)
-    B = [list(row) for row in zip(*vectors)]
+    B = [list(row) for row in zip(*_independent(vectors))]
     Bh = _adjoint(B)
     P = _matmul(B, _solve(_matmul(Bh, B), Bh))
     Q = _minus_from_identity(P)

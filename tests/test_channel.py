@@ -183,13 +183,38 @@ def test_goal_subspace_contains(sec5):
 
 
 def test_goal_subspace_from_two_vectors():
-    # the kept columns of the QR factor are a non-contiguous view
     V = qhit.GoalSubspace.from_vectors([[1, 0, 0], [1, 1, 0]])
     assert V.dim == 2
     assert np.allclose(V.P, np.diag([1.0, 1.0, 0.0]))
     assert V.contains(np.diag([0.5, 0.5, 0.0]))
     assert V.contains_perp(np.diag([0.0, 0.0, 1.0]))
     assert not V.contains(np.eye(3) / 3)
+
+
+def test_goal_subspace_keeps_an_independent_vector_after_a_near_duplicate():
+    # the near-duplicate must not hide e_1: the rank is cut on the singular
+    # values of all the vectors, not vector by vector as an unpivoted QR does
+    # (the kept columns of U are a non-contiguous view)
+    e0, e1 = np.eye(3)[:2]
+    V = qhit.GoalSubspace.from_vectors([e0, e0 + 1e-12 * e1, e1])
+    assert V.dim == 2
+    assert np.max(np.abs(V.P - np.diag([1.0, 1.0, 0.0]))) < 1e-15
+
+
+def test_goal_subspace_rank_cut_is_relative():
+    # tiny vectors span a subspace as well as unit ones; only zero is refused
+    V = qhit.GoalSubspace.from_vectors([[1e-20, 0, 0], [0, 1e-20, 0]])
+    assert V.dim == 2
+    assert np.max(np.abs(V.P - np.diag([1.0, 1.0, 0.0]))) < 1e-15
+    with pytest.raises(ValidationError, match="dependent to zero"):
+        qhit.GoalSubspace.from_vectors([[0, 0, 0], [0, 0, 0]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_goal_subspace_refuses_a_vector_that_is_not_finite(bad):
+    # invalid input, not the SVD's convergence failure or a NaN projector
+    with pytest.raises(ValidationError, match="NaN or Inf"):
+        qhit.GoalSubspace.from_vectors([[1, 0, 0], [bad, 1, 0]])
 
 
 @pytest.mark.parametrize("ambient_dim", [None, 2])

@@ -40,6 +40,8 @@ CORPUS_CASES = [
     (["hitting", f"{CORPUS}/randomization.json", "--json"],
      "hitting_randomization.json"),
     (["hitting", f"{CORPUS}/goal2.json", "--json"], "hitting_goal2.json"),
+    (["hitting", f"{CORPUS}/goal2_dependent.json", "--json"],
+     "hitting_goal2_dependent.json"),
     (["ginverse", f"{CORPUS}/hadamard.json", "--json"], "ginverse_hadamard.json"),
     (["sweep", f"{CORPUS}/randomization.json", "--values", "1,0.5,0.1,0.01",
       "--json"], "sweep_randomization.json"),
@@ -52,6 +54,19 @@ def test_corpus_regression(capsys, argv, expected):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert json.loads(out) == json.loads((EXPECTED / expected).read_text())
+
+
+def test_dependent_spanning_vectors_give_the_subspace_they_span(capsys):
+    # goal2's channel with V spanned by e_0, e_0 + 1e-12 e_1 and e_1: that is
+    # goal2's own V = span{e_0, e_1}, so every route gives its tau = 1.2, not
+    # the 1.92592592593 of span{e_0}
+    taus = {}
+    for name in ("goal2", "goal2_dependent"):
+        code, out = run_cli(capsys, "hitting", f"{CORPUS}/{name}.json", "--json")
+        assert code == 0
+        taus[name] = {m: e["tau"] for m, e in json.loads(out)["methods"].items()}
+    assert taus["goal2_dependent"] == taus["goal2"]
+    assert set(taus["goal2"].values()) == {1.2}
 
 
 def test_json_output_is_deterministic(capsys):
@@ -383,6 +398,63 @@ def test_a_ksmh_refusal_prints_its_preconditions(capsys, tmp_path):
                      "preconditions": {"site0_operator_available": True,
                                        "site1_operator_available": True},
                      "detail": "group inverse candidate violates A G A = A"}
+
+
+def test_text_mode_prints_a_matrix_at_twelve_digits(capsys):
+    # each [re, im] entry of the JSON run, one row per line
+    code, out = run_cli(capsys, "ginverse", f"{CORPUS}/hadamard.json", "--json")
+    assert code == 0
+    rows = json.loads(out)["Asharp"]
+    code, text = run_cli(capsys, "ginverse", f"{CORPUS}/hadamard.json")
+    assert code == 0
+    lines = text.splitlines()
+    start = lines.index("Asharp:") + 1
+    for row, line in zip(rows, lines[start:start + len(rows)], strict=True):
+        cells = [f"{re:.12g}" if im == 0 else f"{re:.12g}{im:+.12g}j" for re, im in row]
+        assert line.split() == cells
+
+
+@pytest.mark.parametrize("cmd,name,opts,drop,path", [
+    ("sweep", "randomization", ["--values", ","], None, "--values"),
+    ("ginverse", "sec5", ["--kind", "hunter"], "subspace", "$.subspace"),
+    ("hitting", "sec5", [], "initial_state", "$.initial_state"),
+], ids=["sweep-empty-values", "hunter-without-subspace", "hitting-without-state"])
+def test_cli_refusals_exit_2_naming_their_path(capsys, tmp_path, cmd, name, opts,
+                                               drop, path):
+    spec = _corpus_spec(name)
+    spec.pop(drop, None)
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    assert main([cmd, str(tmp_path / "spec.json"), *opts]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"validation error: {path}: ")
+
+
+def test_spec_state_is_held_to_the_library_density_check(capsys, tmp_path):
+    # a state of trace 1 + 6e-7 is refused by the spec parser itself, naming
+    # its path, not by the library after parsing
+    rho = [[0.5000003, -0.5], [-0.5, 0.5000003]]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_corpus_spec("sec5", initial_state=rho)))
+    assert main(["hitting", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "validation error: $.initial_state: not a density matrix\n"
+
+
+def test_a_complex_state_vector_in_pair_form(capsys, tmp_path):
+    # a vector of [re, im] entries is a list of lists, but not a square one:
+    # order4 (n = 4) prints its golden from e_3 in pair form
+    path = tmp_path / "order4.json"
+    path.write_text(json.dumps(_corpus_spec(
+        "order4", initial_state=[[0, 0], [0, 0], [0, 0], [1, 0]])))
+    code, out = run_cli(capsys, "hitting", str(path), "--json")
+    assert code == 0
+    doc = json.loads(out)
+    golden = json.loads((EXPECTED / "hitting_order4.json").read_text())
+    assert doc.pop("input") == str(path)
+    golden.pop("input")
+    assert doc == golden
 
 
 def test_hitting_dump_intermediates(capsys):

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from exact_oracle import binary64, exact_tau, spec_problem
+from exact_oracle import binary64, exact_tau, spec_problem, state
 from qhit.cli import load_spec, parse_channel, parse_state, parse_subspace
 from qhit.ksmh import METHODS, tau_channel
 
@@ -25,7 +25,7 @@ def _problem(name: str) -> tuple:
 
 
 @pytest.mark.parametrize("name", ["sec5", "hadamard", "order4", "randomization",
-                                  "goal2"])
+                                  "goal2", "goal2_dependent"])
 def test_every_route_is_within_the_bound_of_the_exact_tau(name):
     spec, S, V, rho = _problem(name)
     exact = float(exact_tau(*spec_problem(spec)))
@@ -48,3 +48,11 @@ def test_the_obstructed_hadamard_tau_is_decided_by_roundoff():
     received = exact_tau(binary64(S.mat), binary64(V.basis.T), binary64(rho))
     assert float(received) == 2**52 - 1
     assert exact_tau(*spec_problem(spec)) > 1.25 * received
+
+
+@pytest.mark.parametrize("node", [[[0.5, 0], [0, 0.5]], [[0, 0], [0, 0], [0, 0], [1, 0]],
+                                  [0.6, [0, 0.8]], [[0.5, [0, -0.5]], [[0, 0.5], 0.5]]])
+def test_the_oracle_reads_a_spec_state_as_the_cli_does(node):
+    exact = np.array([[complex(float(z.re), float(z.im)) for z in row]
+                      for row in state(node)])
+    assert np.max(np.abs(exact - parse_state(node, len(node)))) < 1e-15

@@ -408,6 +408,30 @@ def test_hadamard_site1_obstructed_donor_fallback(hadamard):
         ops.K_block(1, 0)
 
 
+def test_k_block_of_an_available_site_is_the_dense_block(sec5, hadamard):
+    # block (i, j) of K^(i) = Phi (I - Q_i Phi)^{-2}, taken with dense projectors
+    for q in (sec5["q"], hadamard["q"]):
+        ops = qhit.qmc_hitting_operators(q)
+        ref = _dense_hitting_operator(q, 0)
+        for j in range(q.n_sites):
+            block = ref[site_slice(0, q.k), site_slice(j, q.k)]
+            assert np.max(np.abs(ops.K_block(0, j) - block)) < 1e-12, j
+
+
+def test_abel_fill_falls_back_to_the_donor_when_the_group_inverse_fails(monkeypatch,
+                                                                      rotation):
+    # rotation's site 1 takes the abel-return fill; when the principal
+    # block's group inverse refuses, block (1, 1) is the donor's
+    def refuse(A):
+        raise qhit.errors.NoGroupInverseError("stand-in refusal")
+    q = qhit.induce(rotation["S"], rotation["V"])
+    monkeypatch.setattr(qhit.ginverse, "group_inverse", refuse)
+    ops = qhit.qmc_hitting_operators(q)
+    assert ops.fallback_sites == ((1, "donor-0"),)
+    sl = site_slice(1, q.k)
+    assert np.array_equal(ops.D[sl, sl], ops.K_ops[0][sl, sl])
+
+
 def test_rotation_site1_obstructed_abel_fallback(rotation):
     q = qhit.induce(rotation["S"], rotation["V"])
     ops = qhit.qmc_hitting_operators(q)
@@ -433,6 +457,22 @@ def test_tau_irreducible_qmc_sec5(sec5):
     kern = qhit.ksmh_kernel(q, ops.D, qhit.hunter_special(q))
     tau = qhit.tau_irreducible_qmc(q, kern, 0, 1, sec5["rho_phi"])
     assert abs(tau - 6.0) < 1e-10
+
+
+def test_a_hermitian_unit_trace_matrix_with_a_negative_eigenvalue_is_refused():
+    # rho = diag(0, 3/2, -1/2) has the right shape, trace 1 and support in
+    # V-perp: only the PSD test of is_density refuses it, at every entry
+    S = random_tp_channel(np.random.default_rng(23), 3)
+    V = qhit.GoalSubspace.from_vectors([np.eye(3)[0]])
+    rho = np.diag([0.0, 1.5, -0.5])
+    assert V.contains_perp(rho)
+    for method in qhit.ksmh.METHODS:
+        with pytest.raises(ValidationError, match="initial state must be a density"):
+            qhit.tau_channel(S, V, rho, method)
+    with pytest.raises(ValidationError, match="not a density matrix"):
+        qhit.tau_from_K(qhit.analytic_HK(S, V), rho)
+    with pytest.raises(ValidationError, match="initial state must be a density"):
+        qhit.first_visit_series(S, V, rho)
 
 
 def test_tau_irreducible_qmc_validates_density_shape(sec5):
@@ -728,6 +768,13 @@ def test_refusals_are_typed_and_carry_their_evidence():
     assert rep.detail == "1 lies in the spectrum of Q_0 Phi (equivalently of Q.T)"
     assert qhit.tau_channel(S, V, rho, "analytic-K").detail == (
         "1 lies in the spectrum of Q.T")
+    # analytic-K returns the refusal that building K raised
+    with pytest.raises(SpectralObstructionError) as raised:
+        qhit.analytic_HK(S, V)
+    refusal = qhit.tau_channel(S, V, rho, "analytic-K").refusal
+    assert str(raised.value) == str(refusal)
+    assert raised.value.eigenvalues == refusal.eigenvalues
+    assert refusal.__traceback__ is None
     # a refusal raised while an inverse is built is returned with the
     # preconditions found before it
     S, V = _near_tp_mixture()
@@ -778,14 +825,15 @@ def test_tau_channel_refuses_a_map_that_is_not_a_channel(sec5, method):
 def test_spectral_decisions_run_in_real_arithmetic(monkeypatch):
     # Every eigenvalue problem and condition number, and the SVDs of
     # fixed_space, rank_with_margin and index, run on the real
-    # Hermitian-basis form; the one complex SVD is group_inverse's, whose
-    # kernel pair builds A^# that tau is read from.
+    # Hermitian-basis form.  Two SVDs are complex: group_inverse's, whose
+    # kernel pair builds A^# that tau is read from, and from_vectors', whose
+    # input is the n x d matrix of spanning vectors, not a map.
     calls = []
 
     def recording(name, fn):
         def wrapped(a, *args, **kwargs):
             callers = {frame.function for frame in inspect.stack(0)[1:]}
-            calls.append((name, np.asarray(a).dtype, callers))
+            calls.append((name, np.asarray(a).dtype, np.shape(a), callers))
             return fn(a, *args, **kwargs)
         return wrapped
 
@@ -801,13 +849,15 @@ def test_spectral_decisions_run_in_real_arithmetic(monkeypatch):
 
     real = np.dtype(np.float64)
     for name in ("eigvals", "cond"):
-        dtypes = [dt for fn, dt, _ in calls if fn == name]
+        dtypes = [dt for fn, dt, _, _ in calls if fn == name]
         assert dtypes and set(dtypes) == {real}, name
-    svds = [(dt, callers) for fn, dt, callers in calls if fn == "svd"]
+    svds = [(dt, shape, callers) for fn, dt, shape, callers in calls if fn == "svd"]
     for decision in ("fixed_space", "rank_with_margin", "index"):
-        assert any(decision in callers for _, callers in svds), decision
-    assert {dt for dt, callers in svds if "group_inverse" not in callers} == {real}
-    assert any(dt == np.complex128 for dt, callers in svds
+        assert any(decision in callers for _, _, callers in svds), decision
+    assert [shape for _, shape, callers in svds if "from_vectors" in callers] == [(3, 1)]
+    assert {dt for dt, _, callers in svds
+            if not {"group_inverse", "from_vectors"} & callers} == {real}
+    assert any(dt == np.complex128 for dt, _, callers in svds
                if "group_inverse" in callers)
 
 

@@ -215,6 +215,15 @@ def test_terms_past_the_stop_are_never_checked(monkeypatch):
         _run_series(step, first, v0)
 
 
+def test_every_term_up_to_the_stop_has_its_imaginary_part_checked():
+    # pi_2 = 5 + 2e-9 i is roundoff by the relative rule and pi_3 = 0.25 +
+    # 1e-3 i is not: the series must judge each term by that one rule
+    args = _conveyor(3, [0.5, 5 + 2e-9j, 0.25 + 1e-3j])
+    for run in (_run_series, _loop_series):
+        with pytest.raises(ValidationError, match="imaginary part 1.000e-03"):
+            run(*args)
+
+
 def _loop_series(step, first, v0):
     """The per-term loop over the block products of ``_run_series``: each term
     checked, clamped, summed and tested for the stop one at a time.  Returns

@@ -6,11 +6,12 @@ import pkgutil
 import tokenize
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qhit
 from qhit.errors import ValidationError
-from qhit.tolerances import EIG_ONE_TOL, IMAG_TOL, near_one, real_trace
+from qhit.tolerances import EIG_ONE_TOL, IMAG_TOL, imag_exceeds, near_one, real_trace
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qhit"
 
@@ -51,14 +52,14 @@ def _public_callables():
                         yield f"{module.__name__}.{name}.{attr}", member
 
 
-def test_only_two_functions_take_a_tolerance_argument():
-    # a tolerance is a policy constant, not a per-call setting; the two
-    # exceptions each have two values in use
+def test_only_one_function_takes_a_tolerance_argument():
+    # a tolerance is a policy constant, not a per-call setting; the one
+    # exception has two values in use (PSD_TOL for a density, STATE_TOL for
+    # a computed fixed density)
     params = [f"{qualname}({param})" for qualname, fn in _public_callables()
               for param in inspect.signature(fn).parameters
               if param == "config" or param.endswith("tol")]
-    assert sorted(params) == ["qhit.channel.is_density(tol)",
-                              "qhit.channel.is_positive_semidefinite(tol)"]
+    assert params == ["qhit.channel.is_positive_semidefinite(tol)"]
 
 
 def test_near_one_keeps_the_eigenvalues_within_the_tolerance():
@@ -75,3 +76,18 @@ def test_real_trace_refuses_an_imaginary_part_past_the_tolerance():
     assert real_trace(complex(7883.47, 1.1e-8)) == 7883.47
     with pytest.raises(ValidationError, match="imaginary"):
         real_trace(complex(7883.47, 2 * IMAG_TOL * 7883.47))
+
+
+def test_imag_exceeds_is_real_traces_rule_elementwise():
+    xs = [complex(0.25, 0.5 * IMAG_TOL), complex(0.25, 2 * IMAG_TOL),
+          complex(7883.47, 1.1e-8), complex(-7883.47, -2 * IMAG_TOL * 7883.47),
+          complex(5, 2e-9)]
+    expected = [False, True, False, True, False]
+    assert imag_exceeds(np.array(xs)).tolist() == expected
+    for x, bad in zip(xs, expected):
+        assert bool(imag_exceeds(x)) == bad
+        if bad:
+            with pytest.raises(ValidationError, match="imaginary"):
+                real_trace(x)
+        else:
+            assert real_trace(x) == x.real

@@ -115,14 +115,17 @@ def fixed_states(S: SuperOp) -> list:
 
 @dataclass(frozen=True)
 class ChannelDiagnostics:
+    """What :func:`diagnose` finds; ``qhit validate`` prints the fields in
+    this order."""
+
     is_trace_preserving: bool
+    tp_defect: float
     is_unital: bool
     fixed_space_dim: int
     is_irreducible: bool
-    peripheral_eigenvalues: tuple
     jordan_trivial_at_1: bool
-    tp_defect: float = 0.0
-    fixed_density_min_eig: float | None = None  # None: no fixed density
+    peripheral_eigenvalues: tuple  # of Python complex
+    fixed_density_min_eig: float | None  # None: no fixed density
 
 
 def _tp_defect(M, k: int) -> float:
@@ -160,7 +163,8 @@ def diagnose(S: SuperOp) -> ChannelDiagnostics:
 
     R = real_form(S.mat, n)
     eigvals = np.linalg.eigvals(R)
-    peripheral = tuple(lam for lam in eigvals if abs(abs(lam) - 1.0) < EIG_ONE_TOL)
+    peripheral = tuple(complex(lam) for lam in eigvals
+                       if abs(abs(lam) - 1.0) < EIG_ONE_TOL)
 
     A = np.eye(n * n) - R
     r1 = ginverse.rank_with_margin(A)
@@ -180,12 +184,12 @@ def diagnose(S: SuperOp) -> ChannelDiagnostics:
                 irreducible = min_eig > FAITHFUL_TOL
     return ChannelDiagnostics(
         is_trace_preserving=is_tp,
+        tp_defect=tp_defect,
         is_unital=is_unital,
         fixed_space_dim=fixed_dim,
         is_irreducible=irreducible,
-        peripheral_eigenvalues=peripheral,
         jordan_trivial_at_1=jordan_trivial,
-        tp_defect=tp_defect,
+        peripheral_eigenvalues=peripheral,
         fixed_density_min_eig=min_eig,
     )
 

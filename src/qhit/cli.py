@@ -8,13 +8,14 @@ ginverse   group inverse or Hunter-family g-inverse of I - Phi, with residuals
 sweep      tau over a grid of mixing probabilities, with the p -> 0 limit
 
 Spec files are JSON.  Complex entries are written as [re, im] pairs; plain
-numbers are taken as reals.  Exit codes: 0 success, 2 validation failure,
-3 no applicable method, 4 numerical failure.
+numbers are taken as reals, and every number must be finite.  Exit codes: 0
+success, 2 validation failure, 3 no applicable method, 4 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -56,8 +57,11 @@ class SpecError(ValidationError):
 # ----------------------------------------------------------------- parsing
 
 def _is_number(x) -> bool:
-    """A JSON number: json reads true and false as bools, which are ints."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A finite JSON number.  json reads true and false as bools, which are
+    ints, NaN and Infinity as floats, 1e400 as inf, and integers of any
+    size, so each is refused here."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
 
 
 def _entry(x, path: str) -> complex:
@@ -65,7 +69,7 @@ def _entry(x, path: str) -> complex:
         return complex(x)
     if isinstance(x, list) and len(x) == 2 and all(map(_is_number, x)):
         return complex(x[0], x[1])
-    raise SpecError(path, "expected a number or an [re, im] pair")
+    raise SpecError(path, "expected a finite number or an [re, im] pair")
 
 
 def parse_matrix(node, path: str) -> np.ndarray:
@@ -172,20 +176,30 @@ def load_spec(filename: str) -> dict:
 
 def _fmt(x: float) -> float:
     """Round-trip through 12 significant digits for stable output."""
-    return float(f"{float(x):.12g}")
+    return float(f"{x:.12g}")
 
 
-def _jcomplex(z) -> list:
-    z = complex(z)
-    return [_fmt(z.real), _fmt(z.imag)]
-
-
-def _jmatrix(M) -> list:
-    M = np.asarray(M, dtype=np.complex128)
-    return [[_jcomplex(z) for z in row] for row in M]
+def _plain(node):
+    """A report value as JSON types, by the one output rule: floats at 12
+    significant digits (:func:`_fmt`), complex numbers and every array as
+    [re, im] pairs, numpy scalars as Python ones, tuples as lists."""
+    if isinstance(node, np.ndarray):
+        node = node.astype(np.complex128).tolist()
+    elif isinstance(node, np.generic):
+        node = node.item()
+    if isinstance(node, dict):
+        return {k: _plain(v) for k, v in node.items()}
+    if isinstance(node, (list, tuple)):
+        return [_plain(v) for v in node]
+    if isinstance(node, complex):
+        return [_fmt(node.real), _fmt(node.imag)]
+    if isinstance(node, float):
+        return _fmt(node)
+    return node
 
 
 def emit(report: dict, as_json: bool) -> None:
+    report = _plain(report)
     if as_json:
         sys.stdout.write(json.dumps(report, indent=2, allow_nan=False) + "\n")
         return
@@ -223,23 +237,12 @@ def _emit_text(node, indent: str, key: str | None = None) -> None:
 # -------------------------------------------------------------- subcommands
 
 def _diagnostics_dict(S: SuperOp, V: GoalSubspace | None) -> dict:
-    d = diagnose(S)
-    out = {
-        "is_trace_preserving": d.is_trace_preserving,
-        "tp_defect": _fmt(d.tp_defect),
-        "is_unital": d.is_unital,
-        "fixed_space_dim": d.fixed_space_dim,
-        "is_irreducible": d.is_irreducible,
-        "jordan_trivial_at_1": d.jordan_trivial_at_1,
-        "peripheral_eigenvalues": [_jcomplex(z) for z in d.peripheral_eigenvalues],
-        "fixed_density_min_eig": (None if d.fixed_density_min_eig is None
-                                  else _fmt(d.fixed_density_min_eig)),
-    }
+    out = dataclasses.asdict(diagnose(S))
     if V is not None:
         holds, eigs = assumption_one_holds(S, V)
         out["assumption_one"] = {
-            "holds": bool(holds),
-            "offending_eigenvalues": [_jcomplex(z) for z in near_one(eigs)],
+            "holds": holds,
+            "offending_eigenvalues": [complex(z) for z in near_one(eigs)],
         }
     return out
 
@@ -277,17 +280,15 @@ def cmd_hitting(args) -> int:
     for name in names:
         rep = tau_channel(S, V, rho, METHOD_ALIASES[name])
         entry = {
-            "ok": bool(rep.ok),
+            "ok": rep.ok,
             "tau": (None if rep.tau is None
-                    else ("inf" if np.isinf(rep.tau) else _fmt(rep.tau))),
-            "preconditions": {k: (bool(v) if isinstance(v, (bool, np.bool_))
-                                  else _fmt(v))
-                              for k, v in rep.preconditions.items()},
+                    else ("inf" if np.isinf(rep.tau) else rep.tau)),
+            "preconditions": rep.preconditions,
         }
         if rep.detail:
             entry["detail"] = rep.detail
         if args.dump_intermediates:
-            mats = {k: _jmatrix(v) for k, v in rep.artifacts.items()
+            mats = {k: v for k, v in rep.artifacts.items()
                     if isinstance(v, np.ndarray)}
             if mats:
                 entry["intermediates"] = mats
@@ -301,7 +302,7 @@ def cmd_hitting(args) -> int:
         spread = max(vals) - min(vals)
         report["agreement"] = {
             "methods_succeeded": sorted(taus),
-            "max_delta": _fmt(spread),
+            "max_delta": spread,
         }
     emit(report, args.json)
     return EXIT_OK if taus else EXIT_NO_METHOD
@@ -333,17 +334,16 @@ def cmd_ginverse(args) -> int:
         gs = (ginv.group_inverse(np.eye(S.dim**2) - S.mat) if q is None
               else induced_group_inverse(q))
         report["index"] = gs.index
-        report["residuals"] = {k: _fmt(v) for k, v in gs.residuals.items()}
-        report["Asharp"] = _jmatrix(gs.Asharp)
+        report["residuals"] = gs.residuals
+        report["Asharp"] = gs.Asharp
     else:  # hunter
         if q is None:
             raise SpecError("$.subspace",
                             "missing (the Hunter family acts on the induced QMC)")
         params = {name: _parse_cli_vector(getattr(args, name), name) for name in given}
         G = ginv.hunter_ginverse(q, **params)
-        A = np.eye(q.dim) - q.rep
-        report["residuals"] = {"AGA-A": _fmt(np.max(np.abs(A @ G @ A - A)))}
-        report["G"] = _jmatrix(G)
+        report["residuals"] = {"AGA-A": ginv.verify_ginverse(np.eye(q.dim) - q.rep, G)}
+        report["G"] = G
     emit(report, args.json)
     return EXIT_OK
 
@@ -366,15 +366,14 @@ def cmd_sweep(args) -> int:
         raise SpecError("--values", "empty")
 
     study = kernel_limit_study(left, right, V, values, rho=rho)
-    rows = [{"p": _fmt(pt.p), "tau": _fmt(pt.tau), "g_norm": _fmt(pt.g_norm)}
-            for pt in study.points]
+    rows = [{"p": pt.p, "tau": pt.tau, "g_norm": pt.g_norm} for pt in study.points]
     report = {
         "command": "sweep", "input": args.spec, "param": "p",
         "table": rows,
-        "extrapolated_p0": {"tau": _fmt(study.tau_extrapolated)},
-        "direct_p0": {"tau": _fmt(study.tau_direct)},
-        "g_norms_diverge": bool(study.g_norms_diverge),
-        "kernel_limit_defect": _fmt(study.extrapolation_defect),
+        "extrapolated_p0": {"tau": study.tau_extrapolated},
+        "direct_p0": {"tau": study.tau_direct},
+        "g_norms_diverge": study.g_norms_diverge,
+        "kernel_limit_defect": study.extrapolation_defect,
     }
     emit(report, args.json)
     return EXIT_OK

@@ -186,11 +186,12 @@ def check_group_axioms(A, G, index: int) -> GroupInverse:
     residuals = {"AGA-A": np.max(np.abs(AG @ A - A)),
                  "GAG-G": np.max(np.abs(GA @ G - G)),
                  "AG-GA": np.max(np.abs(AG - GA))}
-    if residuals["AGA-A"] > tol:
+    # "not <=": a NaN residual fails
+    if not residuals["AGA-A"] <= tol:
         raise NumericalError("group inverse candidate violates A G A = A")
-    if residuals["GAG-G"] > tol * max(1.0, np.max(np.abs(G)) / scale):
+    if not residuals["GAG-G"] <= tol * max(1.0, np.max(np.abs(G)) / scale):
         raise NumericalError("group inverse candidate violates G A G = G")
-    if residuals["AG-GA"] > tol * max(1.0, np.max(np.abs(G)) / scale):
+    if not residuals["AG-GA"] <= tol * max(1.0, np.max(np.abs(G)) / scale):
         raise NumericalError("group inverse candidate violates A G = G A")
     return GroupInverse(Asharp=G, index=index,
                         ergodic_projector=np.eye(A.shape[0]) - GA,
@@ -210,10 +211,10 @@ def _lagrange_at_zero(xs, values) -> np.ndarray:
 
 
 def verify_ginverse(A, G) -> float:
-    """Return the defect max|AGA - A|; raise if it exceeds
-    ``AXIOM_REL_TOL * max|A|``."""
+    """Return the defect max|AGA - A|; raise unless it is at most
+    ``AXIOM_REL_TOL * max|A|`` (a NaN defect raises)."""
     defect = float(np.max(np.abs(A @ G @ A - A)))
-    if defect > AXIOM_REL_TOL * max(np.max(np.abs(A)), SCALE_FLOOR):
+    if not defect <= AXIOM_REL_TOL * max(np.max(np.abs(A)), SCALE_FLOOR):
         raise NumericalError(f"A G A = A fails with defect {defect:.3e}")
     return defect
 
@@ -236,7 +237,7 @@ def _hunter_parameters(q, t, u, f, g) -> tuple:
     def _vec(v, default):
         if v is None:
             return default
-        v = np.asarray(v, dtype=np.complex128).reshape(-1)
+        v = as_complex(v).reshape(-1)
         if v.size != N:
             raise ValidationError(f"parameter vector must have length {N}")
         return v

@@ -415,7 +415,7 @@ def kernel_limit_study(T: SuperOp, Mprime: SuperOp, V: GoalSubspace, p_values,
         rho = V.Q @ (np.eye(V.ambient_dim) / V.ambient_dim) @ V.Q
         rho = rho / np.trace(rho).real
     ps = sorted(set(float(p) for p in p_values), reverse=True)
-    if any(p <= 0 or p > 1 for p in ps):
+    if not all(0 < p <= 1 for p in ps):  # NaN fails
         raise ValidationError("p values must lie in (0, 1]")
 
     points = []

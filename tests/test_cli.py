@@ -13,7 +13,7 @@ import pytest
 from expected_matrices import G_QMC
 from qhit import cli, ginverse
 from qhit.cli import main
-from qhit.errors import NotIrreducibleError
+from qhit.errors import NotIrreducibleError, NumericalError
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = "tests/corpus"
@@ -45,15 +45,26 @@ CORPUS_CASES = [
     (["ginverse", f"{CORPUS}/hadamard.json", "--json"], "ginverse_hadamard.json"),
     (["sweep", f"{CORPUS}/randomization.json", "--values", "1,0.5,0.1,0.01",
       "--json"], "sweep_randomization.json"),
+    (["hitting", f"{CORPUS}/sec5.json", "--json", "--dump-intermediates"],
+     "hitting_sec5_intermediates.json"),
+    (["ginverse", f"{CORPUS}/sec5.json", "--kind", "hunter", "--json"],
+     "ginverse_hunter_sec5.json"),
+    (["validate", f"{CORPUS}/hadamard.json", "--json"], "validate_hadamard.json"),
+    (["validate", f"{CORPUS}/sec5.json"], "validate_sec5.txt"),
+    (["hitting", f"{CORPUS}/hadamard.json"], "hitting_hadamard.txt"),
+    (["sweep", f"{CORPUS}/randomization.json", "--values", "1,0.5,0.1,0.01"],
+     "sweep_randomization.txt"),
+    (["ginverse", f"{CORPUS}/hadamard.json"], "ginverse_hadamard.txt"),
 ]
 
 
 @pytest.mark.parametrize("argv,expected", CORPUS_CASES,
                          ids=[e.removesuffix(".json") for _, e in CORPUS_CASES])
 def test_corpus_regression(capsys, argv, expected):
+    # bytes, not parsed JSON: parsing would accept 6 for 6.0 or reordered keys
     code, out = run_cli(capsys, *argv)
     assert code == 0
-    assert json.loads(out) == json.loads((EXPECTED / expected).read_text())
+    assert out == (EXPECTED / expected).read_text()
 
 
 def test_dependent_spanning_vectors_give_the_subspace_they_span(capsys):
@@ -257,11 +268,13 @@ def _mix_p(p) -> dict:
     (_mix_p("half"), "$.mix.p"),
     (_mix_p("0.5"), "$.mix.p"),
     (_mix_p(True), "$.mix.p"),
+    (_mix_p(float("nan")), "$.mix.p"),
     (_corpus_spec("sec5", dim="two"), "$.dim"),
     (_corpus_spec("sec5", dim=2.5), "$.dim"),
     ({"kind": "unitary", "unitary": [[0, True], [1, 0]], "subspace": [[1, 0]],
       "initial_state": [0, 1]}, "$.unitary[0][1]"),
-], ids=["p-word", "p-string", "p-bool", "dim-word", "dim-fraction", "bool-entry"])
+], ids=["p-word", "p-string", "p-bool", "p-nan", "dim-word", "dim-fraction",
+        "bool-entry"])
 def test_spec_value_of_the_wrong_json_type_exits_2(capsys, tmp_path, spec, where):
     # a string or bool where a number belongs, or a fraction where an integer
     # belongs, is an invalid spec: not a crash, not a silent conversion
@@ -414,20 +427,71 @@ def test_text_mode_prints_a_matrix_at_twelve_digits(capsys):
         assert line.split() == cells
 
 
-@pytest.mark.parametrize("cmd,name,opts,drop,path", [
-    ("sweep", "randomization", ["--values", ","], None, "--values"),
-    ("ginverse", "sec5", ["--kind", "hunter"], "subspace", "$.subspace"),
-    ("hitting", "sec5", [], "initial_state", "$.initial_state"),
-], ids=["sweep-empty-values", "hunter-without-subspace", "hitting-without-state"])
-def test_cli_refusals_exit_2_naming_their_path(capsys, tmp_path, cmd, name, opts,
-                                               drop, path):
+def _without(name: str, key: str) -> dict:
     spec = _corpus_spec(name)
-    spec.pop(drop, None)
-    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    del spec[key]
+    return spec
+
+
+NOT_FINITE = "expected a finite number or an [re, im] pair"
+
+
+@pytest.mark.parametrize("cmd,spec,opts,error", [
+    ("sweep", _corpus_spec("randomization"), ["--values", ","], "--values: "),
+    ("ginverse", _without("sec5", "subspace"), ["--kind", "hunter"], "$.subspace: "),
+    ("hitting", _without("sec5", "initial_state"), [], "$.initial_state: "),
+    ("hitting", _without("hadamard", "unitary"), [], "$.unitary: missing"),
+    ("hitting", {"kind": "superop"}, [], "$.superop: missing"),
+    ("hitting", {"kind": "superop", "superop": np.eye(3).tolist()}, [],
+     "$.superop: must be square"),
+    ("hitting", '{"kind": "unitary",', [], "$: invalid JSON"),
+    ("ginverse", _corpus_spec("sec5"), ["--kind", "hunter", "--t", "[1,"],
+     "--t: invalid JSON"),
+    ("sweep", _without("randomization", "subspace"), ["--values", "0.5"],
+     "$.subspace: missing"),
+    # NaN, Infinity, 1e400 and an integer no float holds are refused where
+    # they stand, not carried into the arithmetic or the strict JSON output
+    ("ginverse", _corpus_spec("sec5"),
+     ["--kind", "hunter", "--t", "[NaN,0,0,0,0,0,0,0]"], f"--t[0]: {NOT_FINITE}"),
+    ("ginverse", _corpus_spec("sec5"),
+     ["--kind", "hunter", "--u", "[1,0,0,1,1,0,0,[1,-Infinity]]"],
+     f"--u[7]: {NOT_FINITE}"),
+    ("hitting", _corpus_spec("sec5", initial_state=[10**400, 1]), [],
+     f"$.initial_state[0]: {NOT_FINITE}"),
+    ("hitting", _corpus_spec("sec5", initial_state=[float("nan"), 1]), [],
+     f"$.initial_state[0]: {NOT_FINITE}"),
+    ("hitting", _corpus_spec("hadamard", subspace=[[1, float("inf")]]), [],
+     f"$.subspace[0][1]: {NOT_FINITE}"),
+    ("hitting", '{"kind": "unitary", "unitary": [[1e400, 0], [0, 1]]}', [],
+     f"$.unitary[0][0]: {NOT_FINITE}"),
+    ("hitting", {"kind": "kraus", "kraus": [[[1, 0], [0, [1, float("nan")]]]]}, [],
+     f"$.kraus[0][1][1]: {NOT_FINITE}"),
+], ids=["sweep-empty-values", "hunter-without-subspace", "hitting-without-state",
+        "missing-unitary", "missing-superop", "superop-of-order-3",
+        "spec-invalid-json", "hunter-flag-invalid-json", "sweep-without-subspace",
+        "hunter-flag-nan", "hunter-flag-pair-infinity", "state-integer-past-float",
+        "state-nan", "subspace-infinity", "unitary-1e400", "kraus-nan-pair"])
+def test_cli_refusals_exit_2_naming_their_path(capsys, tmp_path, cmd, spec, opts,
+                                               error):
+    text = spec if isinstance(spec, str) else json.dumps(spec)
+    (tmp_path / "spec.json").write_text(text)
     assert main([cmd, str(tmp_path / "spec.json"), *opts]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith(f"validation error: {path}: ")
+    assert err.startswith(f"validation error: {error}")
+
+
+@pytest.mark.parametrize("failure", [NumericalError("stand-in failure"),
+                                     np.linalg.LinAlgError("stand-in failure")],
+                         ids=["numerical-error", "lin-alg-error"])
+def test_a_numerical_failure_exits_4(capsys, monkeypatch, failure):
+    def fail(q):
+        raise failure
+    monkeypatch.setattr(cli, "induced_group_inverse", fail)
+    assert main(["ginverse", f"{CORPUS}/sec5.json", "--json"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "numerical failure: stand-in failure\n"
 
 
 def test_spec_state_is_held_to_the_library_density_check(capsys, tmp_path):

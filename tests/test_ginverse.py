@@ -10,7 +10,7 @@ from conftest import ROTATION_U, random_tp_channel
 from dense_oracles import drazin_limit
 from expected_matrices import A0_SHARP, G_QMC, HADAMARD_ASHARP
 from qhit.errors import NoGroupInverseError, NumericalError, ValidationError
-from qhit.ginverse import rank_with_margin, verify_ginverse
+from qhit.ginverse import check_group_axioms, rank_with_margin, verify_ginverse
 
 RNG = np.random.default_rng(17)
 
@@ -67,6 +67,33 @@ def test_group_inverse_splits_kernel_by_rank():
     assert np.max(np.abs(A @ G @ A - A)) < 1e-9 * scale
     assert np.max(np.abs(G @ A @ G - G)) < 1e-9 * np.max(np.abs(G))
     assert np.max(np.abs(A @ G - G @ A)) < 1e-9 * np.max(np.abs(G))
+
+
+def test_group_inverse_of_zero_is_zero():
+    gs = qhit.group_inverse(np.zeros((3, 3)))
+    assert gs.index == 1
+    assert np.array_equal(gs.Asharp, np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("G,axiom", [
+    # A G A = A holds for both; diag(1, 5) is no reflexive inverse, and the
+    # rank-one G is not a commuting one
+    (np.diag([1.0, 5.0]), "G A G = G"),
+    (np.array([[1.0, 1.0], [0.0, 0.0]]), "A G = G A"),
+], ids=["GAG", "AG-GA"])
+def test_check_group_axioms_names_the_axiom_that_fails(G, axiom):
+    with pytest.raises(NumericalError, match=f"violates {axiom}"):
+        check_group_axioms(np.diag([1.0, 0.0]), G, 1)
+
+
+def test_axiom_checks_refuse_a_candidate_that_is_not_finite():
+    # a NaN residual compares False with any tolerance: the checks pass
+    # only a residual that is <= tol
+    G = np.full((2, 2), np.nan)
+    with pytest.raises(NumericalError):
+        verify_ginverse(np.eye(2), G)
+    with pytest.raises(NumericalError, match="violates A G A = A"):
+        check_group_axioms(np.eye(2), G, 0)
 
 
 def test_group_inverse_rejects_index_two():
@@ -171,6 +198,20 @@ def test_hunter_rejects_degenerate_pairings(sec5):
     t = np.array([1.0, 0, 0, -1.0, 0, 0, 0, 0])  # <e_I|t> = 0
     with pytest.raises(ValidationError):
         qhit.hunter_ginverse(q, t=t)
+    # and so does u orthogonal to pi
+    pi = q.stationary_vec()
+    u = np.eye(8)[0] - pi * pi[0].conj() / np.vdot(pi, pi)
+    with pytest.raises(ValidationError, match=r"<u\|pi> vanishes"):
+        qhit.hunter_ginverse(q, u=u)
+
+
+@pytest.mark.parametrize("name", ["t", "u", "f", "g"])
+def test_hunter_ginverse_refuses_a_parameter_that_is_not_finite(sec5, name):
+    # NaN once gave an all-NaN G that passed A G A = A
+    v = np.eye(8)[0]
+    v[1] = np.nan
+    with pytest.raises(ValidationError, match="NaN or Inf"):
+        qhit.hunter_ginverse(sec5["q"], **{name: v})
 
 
 def test_verify_ginverse_accepts_and_rejects():

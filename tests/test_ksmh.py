@@ -966,6 +966,12 @@ def test_kernel_limit_study_refuses_a_mixture_that_is_not_irreducible():
         qhit.kernel_limit_study(S, Mprime, V, (1,))
 
 
+def test_kernel_limit_study_refuses_a_p_that_is_not_a_number(rotation):
+    with pytest.raises(ValidationError, match=r"p values must lie in \(0, 1\]"):
+        qhit.kernel_limit_study(make_sec6_T(0.5), rotation["S"], rotation["V"],
+                                (0.5, float("nan")))
+
+
 def test_kernel_limit_study_rejects_bad_p(rotation):
     with pytest.raises(ValidationError):
         qhit.kernel_limit_study(make_sec6_T(0.5), rotation["S"], rotation["V"],

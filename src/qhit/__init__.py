@@ -39,7 +39,7 @@ from .ksmh import (QmcHittingOperators, kernel_limit_study, ksmh_kernel,
                    qmc_hitting_operators, tau_channel, tau_irreducible_qmc)
 from .matrep import SuperOp, apply, conj_kron, identity_superop, unvec, vec
 from .monitor import MonitorSeries, first_visit_series, site_visit_series
-from .qmc import (QMC, VecState, fixed_map, from_oqw, induce, induced_group_inverse,
+from .qmc import (QMC, fixed_map, from_oqw, induce, induced_group_inverse,
                   stationary_density)
 
 __version__ = "0.1.0"

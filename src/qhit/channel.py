@@ -67,10 +67,10 @@ def is_positive_semidefinite(X, tol: float = PSD_TOL) -> bool:
 
 
 def is_density(rho) -> bool:
-    """Square, hermitian and of unit trace to ``STATE_TOL``, and PSD to
-    ``PSD_TOL``."""
+    """Square of order >= 1, hermitian and of unit trace to ``STATE_TOL``,
+    and PSD to ``PSD_TOL``."""
     rho = as_complex(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.size == 0:
         return False
     if np.max(np.abs(rho - rho.conj().T)) > STATE_TOL:
         return False
@@ -208,8 +208,8 @@ class GoalSubspace:
 
     def __post_init__(self):
         B = as_complex(self.basis)
-        if B.ndim != 2 or B.shape[0] != self.ambient_dim:
-            raise DimensionError("basis must be an n x d matrix of column vectors")
+        if B.ndim != 2 or B.shape[0] != self.ambient_dim or B.shape[1] == 0:
+            raise DimensionError("basis must be an n x d matrix of d >= 1 column vectors")
         if np.max(np.abs(B.conj().T @ B - np.eye(B.shape[1]))) > STATE_TOL:
             raise ValidationError("basis columns are not orthonormal")
         object.__setattr__(self, "basis", _owned_read_only(B, self.basis))

@@ -57,14 +57,12 @@ def fixed_space(rep, k: int) -> tuple:
     with <e_I|x> = 1 (e_I the identity on every site), or None when the
     kernel holds no vector of nonzero trace.  On a line x is the null vector
     itself; on a larger kernel it is E e_I, where E = X (Y* X)^{-1} Y* is the
-    ergodic projector I - A^# A (see :func:`group_inverse`) and Y the basis
+    ergodic projector I - A^# A (:func:`_split_projector`) and Y the basis
     of ker(A*) from the same SVD.  Raises :class:`NoGroupInverseError` when
-    index(A) > 1.
+    index(A) > 1 (:func:`_index_at_most_one`).
     """
     R = real_form(rep, k)
-    ind, _, Y, X = _index_and_rank(np.eye(R.shape[0]) - R)
-    if ind > 1:
-        raise NoGroupInverseError(f"matrix has index {ind} > 1, no group inverse")
+    _, _, _, Y, X = _index_at_most_one(np.eye(R.shape[0]) - R)
     kernel = from_hermitian_basis(X, k)
     if X.shape[1] == 0:
         return kernel, None
@@ -72,7 +70,7 @@ def fixed_space(rep, k: int) -> tuple:
     e_I = np.zeros((R.shape[0] // (k * k), k * k))
     e_I[:, :k] = 1.0
     e_I = e_I.reshape(-1)
-    x = X[:, 0] if X.shape[1] == 1 else X @ np.linalg.solve(Y.T @ X, Y.T @ e_I)
+    x = X[:, 0] if X.shape[1] == 1 else _split_projector(Y, X) @ e_I
     total = e_I @ x
     if abs(total) < ZERO_TOL:
         return kernel, None
@@ -91,13 +89,14 @@ def index(A) -> int:
     Squaring A would square its small singular values and push them under
     the cut; powers of A are formed only once m >= 2 is known.
     """
-    return _index_and_rank(A)[0]
+    return _index_and_rank(A)[1]
 
 
 def _index_and_rank(A) -> tuple:
-    """``(index(A), rank(A), Y, X)``, all from the one SVD A = U S V* of
+    """``(A, index(A), rank(A), Y, X)``, all from the one SVD A = U S V* of
     :func:`index`: Y = U_0 and X = V_0, the singular vectors past the rank
-    cut, are orthonormal bases of ker(A*) and ker(A).  Real input stays
+    cut, are orthonormal bases of ker(A*) and ker(A).  A is returned as
+    checked and coerced by :func:`matrep.as_matrix`: real input stays
     real."""
     A = as_matrix(A)
     n = A.shape[0]
@@ -108,19 +107,42 @@ def _index_and_rank(A) -> tuple:
     Y = U[:, rank:]
     X = Vh[rank:].conj().T
     if rank == n:
-        return 0, rank, Y, X
+        return A, 0, rank, Y, X
     cosines = np.linalg.svd(Y.conj().T @ X, compute_uv=False)
     if cosines[-1] > RANK_REL_TOL:
-        return 1, rank, Y, X
+        return A, 1, rank, Y, X
     power = A @ A
     prev_rank = rank_with_margin(power)
     for m in range(2, n + 1):
         power = power @ A
         r = rank_with_margin(power)
         if r == prev_rank:
-            return m, rank, Y, X
+            return A, m, rank, Y, X
         prev_rank = r
-    return n, rank, Y, X  # unreachable: ranks strictly decrease at most n times
+    return A, n, rank, Y, X  # unreachable: ranks strictly decrease at most n times
+
+
+def _index_at_most_one(A) -> tuple:
+    """:func:`_index_and_rank`, raising :class:`NoGroupInverseError` when
+    index(A) > 1: then ker(A) and range(A) are not complementary, and
+    neither A^# nor the ergodic projector exists."""
+    A, ind, rank, Y, X = _index_and_rank(A)
+    if ind > 1:
+        raise NoGroupInverseError(f"matrix has index {ind} > 1, no group inverse")
+    return A, ind, rank, Y, X
+
+
+def _split_projector(Y, X) -> np.ndarray:
+    """E = X (Y* X)^{-1} Y*, the projector onto ker(A) along range(A), from
+    the kernel pair of :func:`_index_at_most_one` (Meyer, SIAM J. Algebraic
+    Discrete Methods 1, 1980).  Warns when ||E|| = 1 / sigma_min(Y* X)
+    exceeds ``SPLIT_COND_WARN``."""
+    YX_inv = np.linalg.inv(Y.conj().T @ X)
+    if np.linalg.norm(YX_inv, 2) > SPLIT_COND_WARN:
+        warnings.warn(
+            "kernel/range split is badly conditioned", RuntimeWarning, stacklevel=3
+        )
+    return X @ YX_inv @ Y.conj().T
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,29 +172,24 @@ def group_inverse(A) -> GroupInverse:
     c = max|A| keeps the kernel block cI level with C, so the one LU does
     not depend on the scale of A.
     """
-    A = as_complex(A)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ValidationError("group inverse is defined for square matrices only")
-    ind, rank, Y, X = _index_and_rank(A)
-    if ind > 1:
-        raise NoGroupInverseError(f"matrix has index {ind} > 1, no group inverse")
-
-    if rank == n:
+    A, ind, rank, Y, X = _index_at_most_one(A)
+    if rank == A.shape[0]:
         Asharp = np.linalg.inv(A)
     elif rank == 0:
         Asharp = np.zeros_like(A)
     else:
-        YX_inv = np.linalg.inv(Y.conj().T @ X)
-        if np.linalg.norm(YX_inv, 2) > SPLIT_COND_WARN:  # ||E|| = 1 / sigma_min(Y* X)
-            warnings.warn(
-                "kernel/range split is badly conditioned", RuntimeWarning, stacklevel=2
-            )
-        E = X @ YX_inv @ Y.conj().T
+        E = _split_projector(Y, X)
         c = np.max(np.abs(A))
         Asharp = np.linalg.inv(A + c * E) - E / c
 
     return check_group_axioms(A, Asharp, ind)
+
+
+def _check_axiom(residual, bound, message: str) -> None:
+    """Raise :class:`NumericalError` with ``message`` unless residual <= bound;
+    "not <=", so that a NaN residual fails."""
+    if not residual <= bound:
+        raise NumericalError(message)
 
 
 def check_group_axioms(A, G, index: int) -> GroupInverse:
@@ -186,13 +203,10 @@ def check_group_axioms(A, G, index: int) -> GroupInverse:
     residuals = {"AGA-A": np.max(np.abs(AG @ A - A)),
                  "GAG-G": np.max(np.abs(GA @ G - G)),
                  "AG-GA": np.max(np.abs(AG - GA))}
-    # "not <=": a NaN residual fails
-    if not residuals["AGA-A"] <= tol:
-        raise NumericalError("group inverse candidate violates A G A = A")
-    if not residuals["GAG-G"] <= tol * max(1.0, np.max(np.abs(G)) / scale):
-        raise NumericalError("group inverse candidate violates G A G = G")
-    if not residuals["AG-GA"] <= tol * max(1.0, np.max(np.abs(G)) / scale):
-        raise NumericalError("group inverse candidate violates A G = G A")
+    _check_axiom(residuals["AGA-A"], tol, "group inverse candidate violates A G A = A")
+    tol_G = tol * max(1.0, np.max(np.abs(G)) / scale)
+    _check_axiom(residuals["GAG-G"], tol_G, "group inverse candidate violates G A G = G")
+    _check_axiom(residuals["AG-GA"], tol_G, "group inverse candidate violates A G = G A")
     return GroupInverse(Asharp=G, index=index,
                         ergodic_projector=np.eye(A.shape[0]) - GA,
                         residuals=residuals)
@@ -214,25 +228,26 @@ def verify_ginverse(A, G) -> float:
     """Return the defect max|AGA - A|; raise unless it is at most
     ``AXIOM_REL_TOL * max|A|`` (a NaN defect raises)."""
     defect = float(np.max(np.abs(A @ G @ A - A)))
-    if not defect <= AXIOM_REL_TOL * max(np.max(np.abs(A)), SCALE_FLOOR):
-        raise NumericalError(f"A G A = A fails with defect {defect:.3e}")
+    _check_axiom(defect, AXIOM_REL_TOL * max(np.max(np.abs(A)), SCALE_FLOOR),
+                 f"A G A = A fails with defect {defect:.3e}")
     return defect
 
 
 def _hunter_parameters(q, t, u, f, g) -> tuple:
     """The Hunter parameters (t, u, f, g) at the chain's length, defaults
     filled in, with pi = :meth:`qmc.QMC.stationary_vec` and e_I.  Raises
-    :class:`NotIrreducibleError` when the cut that gave pi finds a fixed
-    space of dimension > 1, and :class:`ValidationError` on a wrong length,
-    or when <e_I|t> or <u|pi> vanishes."""
-    N = q.dim
-    e_I = q.identity_vec()
-    pi = q.stationary_vec()
+    :class:`NotIrreducibleError` when the chain's cut of its fixed space
+    finds dimension > 1, decided before pi is built, and
+    :class:`ValidationError` on a wrong length, or when <e_I|t> or <u|pi>
+    vanishes."""
     if q._fixed[0] > 1:
         raise NotIrreducibleError(
             "fixed space is not one-dimensional: no rank-one update makes "
             "I - Phi invertible; use the group inverse instead"
         )
+    N = q.dim
+    e_I = q.identity_vec()
+    pi = q.stationary_vec()
 
     def _vec(v, default):
         if v is None:
@@ -300,12 +315,14 @@ def hunter_ginverse(q, t=None, u=None, f=None, g=None) -> np.ndarray:
     return G
 
 
-def hunter_special(q, u=None, f=None) -> np.ndarray:
-    """The KSMH-ready special form G = (I - Phi + |u><e_I|)^{-1} + |f><e_I|.
+def hunter_special(q) -> np.ndarray:
+    """The KSMH-ready special form G = (I - Phi + |e_1><e_I|)^{-1}, the
+    ksmh-ginverse route's g-inverse.
 
-    This is the Hunter family at t = u, bra fixed to <e_I| (its default),
-    which makes the plain kernel D(I - G + G_d E) valid without the
-    fixed-map correction.  On an induced chain it is lifted to order n^2
-    (:func:`hunter_ginverse`).
+    This is the Hunter family's default member, whose bra <e_I| makes the
+    plain kernel D(I - G + G_d E) valid without the fixed-map correction;
+    the special form with parameters, (I - Phi + |u><e_I|)^{-1} + |f><e_I|,
+    is ``hunter_ginverse(q, t=u, g=f)``.  On an induced chain it is lifted
+    to order n^2 (:func:`hunter_ginverse`).
     """
-    return hunter_ginverse(q, t=u, g=f)
+    return hunter_ginverse(q)

@@ -21,7 +21,7 @@ from .errors import (NoGroupInverseError, NotIrreducibleError, NumericalError,
                      QhitError, SpectralObstructionError, ValidationError)
 from .hitting import HittingMaps, analytic_HK, tau_from_K
 from .matrep import SuperOp, real_form, vec
-from .qmc import QMC, induce, induced_group_inverse, site_slice
+from .qmc import QMC, check_sites, induce, induced_group_inverse, site_slice
 from .tolerances import NORM_GROWTH_REL_TOL, STATE_TOL, near_one, real_trace
 
 
@@ -76,6 +76,7 @@ class QmcHittingOperators:
     fallback_sites: tuple = ()
 
     def K_block(self, i: int, j: int) -> np.ndarray:
+        check_sites(self.n_sites, i, j)
         if i not in self.K_ops:
             raise SpectralObstructionError(
                 f"hitting operator for site {i} unavailable",
@@ -190,6 +191,7 @@ def ksmh_kernel(q: QMC, D, G, omega=None) -> np.ndarray:
 def tau_irreducible_qmc(q: QMC, kernel: np.ndarray, i: int, j: int, rho_j) -> float:
     """Mean hitting time to site i from a density rho_j at site j, read from
     block (i, j) of a kernel of :func:`ksmh_kernel`."""
+    check_sites(q.n_sites, i, j)
     rho_j = np.asarray(rho_j, dtype=np.complex128)
     if rho_j.shape != (q.k, q.k):
         raise ValidationError(f"site density must be {q.k}x{q.k}")
@@ -415,6 +417,8 @@ def kernel_limit_study(T: SuperOp, Mprime: SuperOp, V: GoalSubspace, p_values,
         rho = V.Q @ (np.eye(V.ambient_dim) / V.ambient_dim) @ V.Q
         rho = rho / np.trace(rho).real
     ps = sorted(set(float(p) for p in p_values), reverse=True)
+    if not ps:
+        raise ValidationError("p values are empty; at least one is needed")
     if not all(0 < p <= 1 for p in ps):  # NaN fails
         raise ValidationError("p values must lie in (0, 1]")
 

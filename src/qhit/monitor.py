@@ -45,8 +45,8 @@ import numpy as np
 
 from .channel import GoalSubspace, check_channel, check_shapes, is_density
 from .errors import ValidationError
-from .matrep import SuperOp, vec
-from .qmc import QMC, VecState, site_slice
+from .matrep import SuperOp, as_complex, vec
+from .qmc import QMC, check_sites, site_slice
 from .tolerances import HIT_PROB_TOL, ZERO_TOL, imag_exceeds, real_trace
 
 BLOCK = 64  # terms per block; a power of two, so the jump is built by squaring
@@ -157,16 +157,16 @@ def first_visit_series(S: SuperOp, V: GoalSubspace, rho) -> MonitorSeries:
     return _run_series(V.sandwich(S.mat), vec(V.P).conj() @ S.mat, vec(rho))
 
 
-def site_visit_series(q: QMC, target: int, state: VecState) -> MonitorSeries:
-    """First-visit series of a QMC to a target site."""
-    if not 0 <= target < q.n_sites:
-        raise ValidationError(f"target site {target} is not in 0..{q.n_sites - 1}")
-    if (state.n_sites, state.k) != (q.n_sites, q.k):
+def site_visit_series(q: QMC, target: int, state) -> MonitorSeries:
+    """First-visit series of a QMC to a target site, from a state given as
+    the stacked array [vec(rho_1); ...; vec(rho_n)] of the chain's order."""
+    check_sites(q.n_sites, target)
+    state = as_complex(state)
+    if state.shape != (q.dim,):
         raise ValidationError(
-            f"state has {state.n_sites} sites of order {state.k}, "
-            f"the chain {q.n_sites} of order {q.k}")
+            f"state has shape {state.shape}; the chain's states have shape ({q.dim},)")
     sl = site_slice(target, q.k)
     step = q.rep.copy()
     step[sl] = 0.0  # monitoring removes what lands on the target
     first = q.identity_vec()[sl].conj() @ q.rep[sl]
-    return _run_series(step, first, state.data)
+    return _run_series(step, first, state)

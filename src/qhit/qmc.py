@@ -7,7 +7,6 @@ induced chain also refuses a channel that does not preserve Hermiticity.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +25,13 @@ def site_slice(i: int, k: int) -> slice:
     """
     k2 = k * k
     return slice(i * k2, (i + 1) * k2)
+
+
+def check_sites(n_sites: int, *sites: int) -> None:
+    """Raise :class:`ValidationError` unless each site is one of 0..n_sites - 1."""
+    for i in sites:
+        if not 0 <= i < n_sites:
+            raise ValidationError(f"site {i} is not in 0..{n_sites - 1}")
 
 
 class QMC:
@@ -65,8 +71,9 @@ class QMC:
         return np.tile(vec(np.eye(self.k)), self.n_sites)
 
     def stationary_vec(self) -> np.ndarray:
-        """Vectorized stationary density, :func:`stationary_density`."""
-        return stationary_density(self).data
+        """:func:`stationary_density`, read by :mod:`ginverse`, which this
+        module imports."""
+        return stationary_density(self)
 
     @functools.cached_property
     def _fixed(self) -> tuple:
@@ -83,27 +90,6 @@ class QMC:
         return kernel.shape[1], x
 
 
-@dataclass(frozen=True, eq=False)
-class VecState:
-    """Stacked vec'd site blocks [vec(rho_1); ...; vec(rho_n)]."""
-
-    n_sites: int
-    k: int
-    data: np.ndarray
-
-    def block(self, i: int) -> np.ndarray:
-        return unvec(self.data[site_slice(i, self.k)], self.k, self.k)
-
-    def site_traces(self) -> np.ndarray:
-        return np.array([np.trace(self.block(i)).real for i in range(self.n_sites)])
-
-    @classmethod
-    def from_blocks(cls, blocks) -> "VecState":
-        mats = [as_complex(b) for b in blocks]
-        k = mats[0].shape[0]
-        return cls(n_sites=len(mats), k=k, data=np.concatenate([vec(m) for m in mats]))
-
-
 def from_oqw(B) -> QMC:
     """Open quantum walk from a grid B[i][j] of k x k matrices.
 
@@ -111,6 +97,8 @@ def from_oqw(B) -> QMC:
     preservation that :class:`QMC` checks.
     """
     n = len(B)
+    if n == 0:
+        raise ValidationError("an open quantum walk needs at least one site")
     mats = [[as_complex(B[i][j]) for j in range(n)] for i in range(n)]
     k = mats[0][0].shape[0]
     rep = np.zeros((n * k * k, n * k * k), dtype=np.complex128)
@@ -173,8 +161,9 @@ def induced_group_inverse(q: QMC) -> ginverse.GroupInverse:
     return ginverse.check_group_axioms(np.eye(q.dim) - q.rep, X, gs.index)
 
 
-def stationary_density(q: QMC) -> VecState:
-    """A fixed density of the chain, of unit total trace.
+def stationary_density(q: QMC) -> np.ndarray:
+    """A fixed density of the chain, of unit total trace, as the stacked
+    array [vec(rho_1); ...; vec(rho_n)] of its site blocks.
 
     The fixed space is cut once per chain, by :func:`ginverse.fixed_space`
     (the rank rule of :func:`ginverse.rank_with_margin`), and the cut is kept
@@ -199,9 +188,8 @@ def stationary_density(q: QMC) -> VecState:
         raise ValidationError("fixed space holds no state of nonzero trace")
     # re-hermitize blockwise to absorb roundoff; blocks of an induced chain's
     # fixed vector carry the cross terms P pi Q + Q pi P and need not be PSD
-    return VecState.from_blocks(
-        [hermitize(unvec(fixed[site_slice(i, q.k)], q.k, q.k))
-         for i in range(q.n_sites)])
+    return np.concatenate([vec(hermitize(unvec(fixed[site_slice(i, q.k)], q.k, q.k)))
+                           for i in range(q.n_sites)])
 
 
 def fixed_map(q: QMC) -> np.ndarray:

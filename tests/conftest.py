@@ -93,6 +93,11 @@ def random_goal_qubit(rng) -> qhit.GoalSubspace:
     return qhit.GoalSubspace.from_vectors([v / np.linalg.norm(v)])
 
 
+def stacked(blocks) -> np.ndarray:
+    """The chain state [vec(rho_1); ...; vec(rho_n)] of the site blocks."""
+    return np.concatenate([qhit.vec(b) for b in blocks])
+
+
 def site_projector(q: qhit.QMC, i: int) -> np.ndarray:
     """Dense 0/1 projector onto site i's block, for reference computations."""
     P = np.zeros((q.dim, q.dim))

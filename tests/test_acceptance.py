@@ -32,7 +32,7 @@ def test_criterion_1_worked_example_reproduction(sec5):
     ops = qhit.qmc_hitting_operators(q)
     errs["D"] = np.max(np.abs(ops.D - D_QMC))
     e1 = np.eye(8)[0]
-    G = qhit.hunter_special(q, u=e1, f=e1)
+    G = qhit.hunter_ginverse(q, t=e1, g=e1)
     errs["G"] = np.max(np.abs(G - G_QMC))
     diag = np.kron(np.eye(2), np.ones((4, 4)))  # mask of the diagonal blocks
     errs["G_d"] = np.max(np.abs(diag * G - diag * G_QMC))
@@ -286,7 +286,7 @@ def test_criterion_8_ginverse_independence(sec5):
     e1 = np.eye(8)[0]
     # two special-form members (plain kernel) ...
     for u, f in ((e1, e1), (None, None)):
-        kern = qhit.ksmh_kernel(q, ops.D, qhit.hunter_special(q, u=u, f=f))
+        kern = qhit.ksmh_kernel(q, ops.D, qhit.hunter_ginverse(q, t=u, g=f))
         taus.append(qhit.tau_irreducible_qmc(q, kern, 0, 1, rho))
     # ... and three general members (fixed-map-corrected kernel)
     for _ in range(3):

@@ -18,6 +18,8 @@ RNG = np.random.default_rng(1)
 def test_kraus_trace_preservation_enforced():
     with pytest.raises(ValidationError):
         qhit.KrausChannel(2, (0.9 * np.eye(2),))
+    with pytest.raises(ValidationError, match="at least one Kraus operator"):
+        qhit.KrausChannel(2, ())
 
 
 def test_tp_defect_small_for_valid_channel(sec5):
@@ -130,6 +132,7 @@ def test_is_density_and_pure_density():
     rho = qhit.pure_density(phi)
     assert qhit.is_density(rho)
     assert not qhit.is_density(np.diag([2.0, -1.0]))
+    assert not qhit.is_density(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not Hermitian
 
 
 def test_is_density_false_for_input_that_is_not_a_square_matrix():
@@ -137,6 +140,7 @@ def test_is_density_false_for_input_that_is_not_a_square_matrix():
     assert not qhit.is_density(np.array(1.0))
     assert not qhit.is_density(np.full((2, 3), 0.5))
     assert not qhit.is_density(np.eye(2)[np.newaxis] / 2)
+    assert not qhit.is_density(np.zeros((0, 0)))
 
 
 def test_goal_subspace_projectors(sec5):
@@ -231,6 +235,17 @@ def test_goal_subspace_refuses_an_empty_vector_list(ambient_dim):
         qhit.GoalSubspace.from_vectors([], ambient_dim=ambient_dim)
 
 
+@pytest.mark.parametrize("basis,error", [
+    (np.zeros((2, 0)), "d >= 1 column vectors"),
+    (np.array([1.0, 0.0]), "n x d matrix"),
+    (np.eye(3)[:, :1], "n x d matrix"),
+    (np.array([[1.0], [1.0]]), "not orthonormal"),
+], ids=["no-column", "one-dimensional", "wrong-rows", "not-orthonormal"])
+def test_goal_subspace_refuses_a_malformed_basis(basis, error):
+    with pytest.raises(ValidationError, match=error):
+        qhit.GoalSubspace(2, basis)
+
+
 def test_support_checks_reject_a_state_of_another_size():
     V = qhit.GoalSubspace.from_vectors([[1, 0]])
     for check in (V.contains, V.contains_perp):
@@ -255,6 +270,11 @@ def test_randomization_keeps_fixed_state():
         Sp = qhit.randomize(make_sec6_T(0.5), SM, p)
         assert np.allclose(Sp.mat @ mixed, mixed)
         assert qhit.diagnose(Sp).is_irreducible
+
+
+def test_randomize_refuses_channels_of_different_dimensions():
+    with pytest.raises(ValidationError, match="different dimensions"):
+        qhit.randomize(make_sec6_T(0.5), qhit.identity_superop(3), 0.5)
 
 
 def test_randomize_validates_p():

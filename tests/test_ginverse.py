@@ -10,9 +10,12 @@ from conftest import ROTATION_U, random_tp_channel
 from dense_oracles import drazin_limit
 from expected_matrices import A0_SHARP, G_QMC, HADAMARD_ASHARP
 from qhit.errors import NoGroupInverseError, NumericalError, ValidationError
-from qhit.ginverse import check_group_axioms, rank_with_margin, verify_ginverse
+from qhit.ginverse import (check_group_axioms, fixed_space, rank_with_margin,
+                           verify_ginverse)
 
 RNG = np.random.default_rng(17)
+SX = np.array([[0.0, 1.0], [1.0, 0.0]])
+SZ = np.diag([1.0, -1.0])
 
 
 def test_index_of_invertible_matrix_is_zero():
@@ -102,6 +105,35 @@ def test_group_inverse_rejects_index_two():
         qhit.group_inverse(A)
 
 
+def test_fixed_space_rejects_index_two():
+    # X -> X + Tr(sigma_x X) sigma_z: I - Phi is nonzero and squares to zero
+    rep = np.eye(4) + np.outer(qhit.vec(SZ), qhit.vec(SX))
+    with pytest.raises(NoGroupInverseError, match="index 2 > 1"):
+        fixed_space(rep, 2)
+
+
+def test_a_badly_conditioned_split_warns_at_the_caller():
+    # ker(A) = span{e_1} and range(A) = span{(1, eps)} meet at an angle of
+    # about eps, so ||E|| ~ 1 / eps exceeds SPLIT_COND_WARN = 1e8; A is
+    # idempotent, so A^# = A
+    eps = 1e-9
+    A = np.array([[0.0, 1 / eps], [0.0, 1.0]])
+    with pytest.warns(RuntimeWarning, match="badly conditioned") as caught:
+        gs = qhit.group_inverse(A)
+    assert {w.filename for w in caught} == {__file__}
+    assert gs.index == 1
+    assert np.max(np.abs(gs.Asharp - A)) <= 1e-15 / eps
+    # the fixed space of X -> X - Tr(sigma_z X)(sigma_x + eps sigma_z) / 2 is
+    # spanned by I, sigma_x and sigma_y, and its range is that same near
+    # sigma_x direction; e_I lies in the kernel, so x = E e_I is I / 2
+    rep = np.eye(4) - np.outer(qhit.vec(SX + eps * SZ), qhit.vec(SZ)) / 2
+    with pytest.warns(RuntimeWarning, match="badly conditioned") as caught:
+        kernel, x = fixed_space(rep, 2)
+    assert {w.filename for w in caught} == {__file__}
+    assert kernel.shape == (4, 3)
+    assert np.max(np.abs(x - qhit.vec(np.eye(2) / 2))) <= 1e-15 / eps
+
+
 def test_hadamard_group_inverse_matches_printed(hadamard):
     A = np.eye(8) - hadamard["q"].rep
     gs = qhit.group_inverse(A)
@@ -169,8 +201,18 @@ def test_rank_with_margin_warns_on_ambiguity():
 
 def test_hunter_ginverse_matches_printed(sec5):
     e1 = np.eye(8)[0]
-    G = qhit.hunter_special(sec5["q"], u=e1, f=e1)
+    G = qhit.hunter_ginverse(sec5["q"], t=e1, g=e1)
     assert np.max(np.abs(G - G_QMC)) < 1e-10
+
+
+def test_hunter_family_refuses_a_reducible_chain_before_building_pi(monkeypatch,
+                                                                    hadamard):
+    def unreachable(q):
+        raise AssertionError("pi built for a chain that the cut refuses")
+
+    monkeypatch.setattr(qhit.QMC, "stationary_vec", unreachable)
+    with pytest.raises(qhit.NotIrreducibleError, match="one-dimensional"):
+        qhit.hunter_ginverse(hadamard["q"])
 
 
 def test_hunter_ginverse_default_member_is_hunter_special(sec5):

@@ -717,7 +717,6 @@ def _value_objects() -> dict:
         "SuperOp": lambda: qhit.identity_superop(2),
         "GoalSubspace": lambda: qhit.GoalSubspace.from_vectors([[1, 0]]),
         "KrausChannel": lambda: qhit.KrausChannel.from_unitary(np.eye(2)),
-        "VecState": lambda: qhit.VecState.from_blocks([np.eye(2) / 2, np.zeros((2, 2))]),
         "GroupInverse": lambda: qhit.group_inverse(np.diag([1.0, 0.0])),
         "QmcHittingOperators": lambda: qhit.qmc_hitting_operators(q),
         "KernelLimitPoint": lambda: qhit.ksmh.KernelLimitPoint(0.5, 1.0, 1.0, kernel),
@@ -729,8 +728,7 @@ def _value_objects() -> dict:
 
 @pytest.mark.parametrize("name", [
     "GoalSubspace", "GroupInverse", "HittingMaps", "KernelLimitPoint",
-    "KernelLimitReport", "KrausChannel", "QmcHittingOperators", "SuperOp",
-    "VecState"])
+    "KernelLimitReport", "KrausChannel", "QmcHittingOperators", "SuperOp"])
 def test_value_types_compare_and_hash_by_identity(name):
     # equality on array fields would raise ("truth value of an array is
     # ambiguous"), and so would the hash of a frozen dataclass
@@ -786,6 +784,33 @@ def test_refusals_are_typed_and_carry_their_evidence():
     assert rep.detail == "group inverse candidate violates A G A = A"
     assert rep.preconditions == {"site0_operator_available": True,
                                  "site1_operator_available": True}
+
+
+@pytest.mark.parametrize("i,j", [(5, 0), (0, 3), (-1, 1)])
+def test_site_indices_outside_the_chain_are_refused(sec5, i, j):
+    q = sec5["q"]
+    ops = qhit.qmc_hitting_operators(q)
+    kern = qhit.ksmh_kernel(q, ops.D, qhit.induced_group_inverse(q).Asharp)
+    bad = i if not 0 <= i < 2 else j
+    with pytest.raises(ValidationError, match=rf"site {bad} is not in 0\.\.1"):
+        ops.K_block(i, j)
+    with pytest.raises(ValidationError, match=rf"site {bad} is not in 0\.\.1"):
+        qhit.tau_irreducible_qmc(q, kern, i, j, sec5["rho_phi"])
+
+
+def test_ksmh_kernel_refuses_matrices_off_the_chain_grid(sec5):
+    q = sec5["q"]
+    with pytest.raises(ValidationError, match="lacks the 2x2 grid of order-4 blocks"):
+        qhit.ksmh_kernel(q, np.eye(4), np.eye(8))
+
+
+def test_tau_channel_returns_a_series_that_does_not_converge(monkeypatch, sec5):
+    monkeypatch.setattr(qhit.monitor, "MAX_STEPS", 3)
+    rep = qhit.tau_channel(sec5["S"], sec5["V"], sec5["rho_phi"], "series")
+    assert isinstance(rep.refusal, NumericalError)
+    assert rep.detail == "series did not converge in 3 terms"
+    assert rep.preconditions["series_converged"] is False
+    assert rep.artifacts["series"].truncated_at == 3
 
 
 def test_tau_channel_rejects_bad_inputs(sec5):
@@ -976,3 +1001,5 @@ def test_kernel_limit_study_rejects_bad_p(rotation):
     with pytest.raises(ValidationError):
         qhit.kernel_limit_study(make_sec6_T(0.5), rotation["S"], rotation["V"],
                                 (0.0, 0.5))
+    with pytest.raises(ValidationError, match="p values are empty"):
+        qhit.kernel_limit_study(make_sec6_T(0.5), rotation["S"], rotation["V"], [])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qhit
-from conftest import random_tp_channel, site_projector
+from conftest import random_tp_channel, site_projector, stacked
 from qhit.errors import ValidationError
 from qhit.monitor import BLOCK, MAX_STEPS, _block_rows, _run_series
 from qhit.tolerances import IMAG_TOL, ZERO_TOL, real_trace
@@ -51,7 +51,7 @@ def _reference_first_visit(S, V, rho, window, max_steps):
 def _reference_site_visit(q, target, state, window, max_steps):
     P = site_projector(q, target)
     return _reference_series(q.rep, P, np.eye(q.dim) - P, q.identity_vec(),
-                             state.data, window, max_steps)
+                             state, window, max_steps)
 
 
 def _assert_matches_reference(ser, ref):
@@ -99,8 +99,7 @@ def _directed_cycle(n_sites: int):
     one, zero = np.eye(1), np.zeros((1, 1))
     q = qhit.from_oqw([[one if i == (j + 1) % n_sites else zero
                         for j in range(n_sites)] for i in range(n_sites)])
-    state = qhit.VecState.from_blocks([one if i == 1 else zero
-                                       for i in range(n_sites)])
+    state = stacked([one if i == 1 else zero for i in range(n_sites)])
     return q, state
 
 
@@ -157,7 +156,7 @@ def test_block_stepped_site_series_matches_term_by_term_loop(monkeypatch, kind, 
                                                              seed, pad):
     S, V, rho = _channel_case(kind, n, seed)
     q = qhit.induce(S, V)
-    state = qhit.VecState.from_blocks([np.zeros((n, n)), rho])
+    state = stacked([np.zeros((n, n)), rho])
     ser = qhit.site_visit_series(q, 0, state)
     _assert_matches_reference(
         ser, _reference_site_visit(q, 0, state, _window(q.dim), MAX_STEPS))
@@ -292,7 +291,7 @@ def test_series_has_the_bits_of_the_per_term_loop(monkeypatch, kind, n, seed):
 def test_site_series_has_the_bits_of_the_per_term_loop(monkeypatch, kind, n, seed):
     S, V, rho = _channel_case(kind, n, seed)
     q = qhit.induce(S, V)
-    state = qhit.VecState.from_blocks([np.zeros((n, n)), rho])
+    state = stacked([np.zeros((n, n)), rho])
     _bitwise_against_loop(monkeypatch, lambda: qhit.site_visit_series(q, 0, state))
 
 
@@ -417,7 +416,7 @@ def test_site_visit_series_matches_channel_series(sec5):
     q = sec5["q"]
     V = sec5["V"]
     rho = sec5["rho_phi"]
-    state = qhit.VecState.from_blocks([np.zeros((2, 2)), V.Q @ rho @ V.Q])
+    state = stacked([np.zeros((2, 2)), V.Q @ rho @ V.Q])
     ser_q = qhit.site_visit_series(q, 0, state)
     ser_c = qhit.first_visit_series(sec5["S"], V, rho)
     assert abs(ser_q.tau - ser_c.tau) < 1e-8
@@ -445,15 +444,15 @@ def test_first_visit_series_rejects_mis_sized_inputs(sec5):
 
 @pytest.mark.parametrize("target", [-1, 2])
 def test_site_visit_series_rejects_targets_outside_the_chain(sec5, target):
-    state = qhit.VecState.from_blocks([np.zeros((2, 2)), sec5["rho_phi"]])
-    with pytest.raises(ValidationError, match="target site"):
+    state = stacked([np.zeros((2, 2)), sec5["rho_phi"]])
+    with pytest.raises(ValidationError, match=rf"site {target} is not in 0\.\.1"):
         qhit.site_visit_series(sec5["q"], target, state)
 
 
 def test_site_visit_series_rejects_a_state_of_another_chain(sec5):
     q = sec5["q"]
-    three_sites = qhit.VecState.from_blocks([np.zeros((2, 2))] * 2 + [sec5["rho_phi"]])
-    qutrit = qhit.VecState.from_blocks([np.zeros((3, 3)), np.eye(3) / 3])
+    three_sites = stacked([np.zeros((2, 2))] * 2 + [sec5["rho_phi"]])
+    qutrit = stacked([np.zeros((3, 3)), np.eye(3) / 3])
     for state in (three_sites, qutrit):
         with pytest.raises(ValidationError, match="state has"):
             qhit.site_visit_series(q, 0, state)

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 import qhit
-from conftest import random_tp_channel
+from conftest import random_tp_channel, stacked
 from expected_matrices import A0_SHARP, HADAMARD_ASHARP, PHI_QMC, PI_QMC
 from qhit.cli import load_spec, parse_channel, parse_subspace
 from qhit.errors import NotIrreducibleError, ValidationError
 from qhit.matrep import real_form
+from qhit.qmc import site_slice
 
 RNG = np.random.default_rng(5)
 CORPUS = Path(__file__).parent / "corpus"
@@ -32,8 +33,7 @@ def test_induced_qmc_is_trace_preserving():
 def test_identity_vec_reads_total_trace(sec5):
     q = sec5["q"]
     blocks = [np.diag([0.25, 0.25]), np.diag([0.5, 0.0])]
-    state = qhit.VecState.from_blocks(blocks)
-    assert abs(np.vdot(q.identity_vec(), state.data) - 1.0) < 1e-12
+    assert abs(np.vdot(q.identity_vec(), stacked(blocks)) - 1.0) < 1e-12
 
 
 def test_stationary_vector_matches_printed(sec5):
@@ -43,19 +43,18 @@ def test_stationary_vector_matches_printed(sec5):
 def test_stationary_density_is_fixed_and_positive(sec5):
     q = sec5["q"]
     pi = qhit.stationary_density(q)
-    assert np.max(np.abs(q.rep @ pi.data - pi.data)) < 1e-10
-    assert abs(sum(pi.site_traces()) - 1.0) < 1e-10
+    assert np.max(np.abs(q.rep @ pi - pi)) < 1e-10
+    assert abs(np.vdot(q.identity_vec(), pi) - 1.0) < 1e-10
     for i in range(2):
-        evals = np.linalg.eigvalsh(pi.block(i))
+        evals = np.linalg.eigvalsh(qhit.unvec(pi[site_slice(i, q.k)], q.k, q.k))
         assert evals.min() > -1e-10
 
 
-def test_vecstate_block_round_trip():
+def test_stacked_state_block_round_trip():
     blocks = [np.array([[1, 2j], [-2j, 3]]), np.eye(2)]
-    st = qhit.VecState.from_blocks(blocks)
-    assert np.allclose(st.block(0), blocks[0])
-    assert np.allclose(st.block(1), blocks[1])
-    assert np.allclose(st.site_traces(), [4.0, 2.0])
+    st = stacked(blocks)
+    for i in range(2):
+        assert np.array_equal(qhit.unvec(st[site_slice(i, 2)], 2, 2), blocks[i])
 
 
 def test_block_accessor_tiles_the_representation(sec5):
@@ -77,6 +76,18 @@ def test_from_oqw_column_condition():
         qhit.from_oqw(bad)
 
 
+@pytest.mark.parametrize("build,error", [
+    (lambda: qhit.QMC(2, 2, np.eye(4)), r"must be 8x8, got \(4, 4\)"),
+    (lambda: qhit.induce(qhit.identity_superop(2),
+                         qhit.GoalSubspace.from_vectors([[1, 0, 0]])),
+     "dimensions differ"),
+    (lambda: qhit.from_oqw([]), "at least one site"),
+], ids=["qmc-order", "induce-dimensions", "oqw-without-sites"])
+def test_chain_constructors_refuse_malformed_input(build, error):
+    with pytest.raises(ValidationError, match=error):
+        build()
+
+
 def test_fixed_space_dim(sec5, hadamard):
     # the chain's one cut (of S, order n^2) against the rank of the chain's
     # own I - Phi at order 2n^2
@@ -90,8 +101,8 @@ def test_fixed_map_rank_one(sec5):
     om = qhit.fixed_map(q)
     assert np.linalg.matrix_rank(om, tol=1e-9) == 1
     # idempotent on trace-one states: Omega rho = pi
-    state = qhit.VecState.from_blocks([np.eye(2) / 4, np.eye(2) / 4])
-    assert np.allclose(om @ state.data, q.stationary_vec())
+    state = stacked([np.eye(2) / 4, np.eye(2) / 4])
+    assert np.allclose(om @ state, q.stationary_vec())
 
 
 def test_fixed_map_requires_unique_fixed_state(hadamard):
@@ -172,7 +183,7 @@ def test_lifted_stationary_density_matches_chain_fixed_space(case):
     S, V = _lift_problem(case)
     q = qhit.induce(S, V)
     _, dense = qhit.ginverse.fixed_space(q.rep, q.k)
-    lifted = qhit.stationary_density(q).data
+    lifted = qhit.stationary_density(q)
     assert np.max(np.abs(lifted - dense)) <= 1e-12 * np.max(np.abs(dense))
     chain_only = qhit.QMC(q.n_sites, q.k, q.rep)  # no channel: the dense path
     assert chain_only.channel is None
@@ -190,17 +201,17 @@ def test_lifted_hunter_special_matches_chain_hunter_ginverse(case):
         # no rank-one update makes I - Phi invertible: both forms refuse up
         # front, on either path, from the cut that gives the fixed density
         for chain in (q, chain_only):
-            for build in (lambda: qhit.hunter_special(chain, u=u, f=f),
+            for build in (lambda: qhit.hunter_special(chain),
                           lambda: qhit.hunter_ginverse(chain, t=u,
                                                        u=chain.identity_vec(), g=f)):
                 with pytest.raises(NotIrreducibleError, match="one-dimensional"):
                     build()
         return
     for uu, ff in ((None, None), (u, f)):
-        lifted = qhit.hunter_special(q, u=uu, f=ff)
+        lifted = qhit.hunter_ginverse(q, t=uu, g=ff)
         dense = qhit.hunter_ginverse(chain_only, t=uu, u=q.identity_vec(), g=ff)
         assert np.max(np.abs(lifted - dense)) <= 1e-12 * np.max(np.abs(dense))
-        assert np.array_equal(qhit.hunter_special(chain_only, u=uu, f=ff), dense)
+        assert np.array_equal(qhit.hunter_ginverse(chain_only, t=uu, g=ff), dense)
     # a general member is lifted when its rows repeat one block per site, and
     # factored at the chain's order when their blocks differ
     half = q.dim // 2
@@ -215,11 +226,11 @@ def test_lifted_hunter_special_matches_chain_hunter_ginverse(case):
             + np.outer(u, q.identity_vec().conj()))
     assert np.array_equal(qhit.hunter_ginverse(q, t=f, g=u, **rows), full)
     with pytest.raises(ValidationError, match="length"):
-        qhit.hunter_special(q, u=u[:-1])
+        qhit.hunter_ginverse(q, t=u[:-1])
     with pytest.raises(ValidationError, match="length"):
-        qhit.hunter_special(q, f=np.append(f, 0.0))
+        qhit.hunter_ginverse(q, g=np.append(f, 0.0))
     with pytest.raises(ValidationError, match=r"<e_I\|t>"):
-        qhit.hunter_special(q, u=np.zeros(q.dim))
+        qhit.hunter_ginverse(q, t=np.zeros(q.dim))
 
 
 def test_induced_group_inverse_refuses_a_chain_not_built_by_induce(sec5):

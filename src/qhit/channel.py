@@ -136,13 +136,14 @@ def _tp_defect(M, k: int) -> float:
     return float(np.max(np.abs(eI.conj() @ M - eI.conj())))
 
 
-def check_channel(S: SuperOp) -> None:
+def check_channel(S: SuperOp) -> np.ndarray:
     """Raise unless S is trace preserving (``TP_TOL``) and Hermiticity
-    preserving (``HP_TOL``, via :func:`matrep.real_form`)."""
+    preserving (``HP_TOL``); returns the real form of S
+    (:func:`matrep.real_form`) that the second check builds."""
     defect = _tp_defect(S.mat, S.dim)
     if defect > TP_TOL:
         raise ValidationError(f"map is not trace preserving (defect {defect:.3e})")
-    real_form(S.mat, S.dim)
+    return real_form(S.mat, S.dim)
 
 
 def diagnose(S: SuperOp) -> ChannelDiagnostics:

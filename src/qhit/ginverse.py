@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import (NoGroupInverseError, NotIrreducibleError, NumericalError,
                      ValidationError)
-from .matrep import as_complex, as_matrix, from_hermitian_basis, real_form
+from .matrep import (as_complex, as_matrix, from_hermitian_basis, hermitian_coords,
+                     real_form, vec)
 from .tolerances import (AXIOM_REL_TOL, RANK_REL_TOL, SCALE_FLOOR, SPLIT_COND_WARN,
                          ZERO_TOL)
 
@@ -66,10 +67,7 @@ def fixed_space(rep, k: int) -> tuple:
     kernel = from_hermitian_basis(X, k)
     if X.shape[1] == 0:
         return kernel, None
-    # the coordinates of I_k: 1 on the k diagonal basis elements, which come first
-    e_I = np.zeros((R.shape[0] // (k * k), k * k))
-    e_I[:, :k] = 1.0
-    e_I = e_I.reshape(-1)
+    e_I = hermitian_coords(np.tile(vec(np.eye(k)), R.shape[0] // (k * k)), k)
     x = X[:, 0] if X.shape[1] == 1 else _split_projector(Y, X) @ e_I
     total = e_I @ x
     if abs(total) < ZERO_TOL:

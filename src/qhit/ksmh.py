@@ -16,27 +16,24 @@ import numpy as np
 
 from . import ginverse, monitor
 from .channel import (ChannelDiagnostics, GoalSubspace, _tp_defect, check_shapes,
-                      diagnose, is_density, randomize)
+                      diagnose, hermitize, is_density, randomize)
 from .errors import (NoGroupInverseError, NotIrreducibleError, NumericalError,
                      QhitError, SpectralObstructionError, ValidationError)
 from .hitting import HittingMaps, analytic_HK, tau_from_K
-from .matrep import SuperOp, real_form, vec
+from .matrep import SuperOp, hermitian_coords, real_form, vec
 from .qmc import QMC, check_sites, induce, induced_group_inverse, site_slice
-from .tolerances import NORM_GROWTH_REL_TOL, STATE_TOL, near_one, real_trace
+from .tolerances import NORM_GROWTH_REL_TOL, STATE_TOL, near_one
 
 
-def _diagonal_blocks(M, n_sites: int, k: int) -> list:
-    """The n_sites diagonal k^2 blocks of M, after checking its grid shape."""
+def _block(M, n_sites: int, i: int, j: int, k: int) -> np.ndarray:
+    """Block (i, j) of M, after checking that M is an n_sites x n_sites grid
+    of k^2 x k^2 blocks: every grid of this module is read through here."""
     k2 = k * k
     if M.shape != (n_sites * k2, n_sites * k2):
         raise ValidationError(
             f"matrix of shape {M.shape} lacks the {n_sites}x{n_sites} grid of "
             f"order-{k2} blocks"
         )
-    return [M[site_slice(i, k), site_slice(i, k)] for i in range(n_sites)]
-
-
-def _block(M, i: int, j: int, k: int) -> np.ndarray:
     return M[site_slice(i, k), site_slice(j, k)]
 
 
@@ -82,7 +79,7 @@ class QmcHittingOperators:
                 f"hitting operator for site {i} unavailable",
                 eigenvalues=self.availability[i][1],
             )
-        return _block(self.K_ops[i], i, j, self.k)
+        return _block(self.K_ops[i], self.n_sites, i, j, self.k)
 
 
 def qmc_hitting_operators(q: QMC) -> QmcHittingOperators:
@@ -177,9 +174,9 @@ def ksmh_kernel(q: QMC, D, G, omega=None) -> np.ndarray:
     n, k = q.n_sites, q.k
     eye = np.eye(q.dim)
     kernel = np.empty_like(G)
-    for i, (D_ii, G_ii) in enumerate(zip(_diagonal_blocks(D, n, k),
-                                         _diagonal_blocks(G, n, k))):
+    for i in range(n):
         sl = site_slice(i, k)
+        D_ii, G_ii = _block(D, n, i, i, k), _block(G, n, i, i, k)
         row = eye[sl] - G[sl] + np.tile(G_ii, (1, n))
         if omega is not None:
             OG = np.asarray(omega)[sl] @ G
@@ -190,13 +187,19 @@ def ksmh_kernel(q: QMC, D, G, omega=None) -> np.ndarray:
 
 def tau_irreducible_qmc(q: QMC, kernel: np.ndarray, i: int, j: int, rho_j) -> float:
     """Mean hitting time to site i from a density rho_j at site j, read from
-    block (i, j) of a kernel of :func:`ksmh_kernel`."""
+    block (i, j) of a kernel of :func:`ksmh_kernel` as
+    <e_I|T* (T K_ij T*) T|vec rho_j>, in real arithmetic: the kernel must be
+    an n_sites x n_sites grid of k^2 blocks whose block (i, j) preserves
+    Hermiticity (:func:`matrep.real_form`), and rho_j a Hermitian k x k
+    matrix (:func:`matrep.hermitian_coords`); else :class:`ValidationError`.
+    A caller that accepted rho_j by :func:`channel.is_density`, whose
+    Hermiticity rule is ``STATE_TOL``, passes its Hermitian part."""
     check_sites(q.n_sites, i, j)
-    rho_j = np.asarray(rho_j, dtype=np.complex128)
-    if rho_j.shape != (q.k, q.k):
+    block = real_form(_block(kernel, q.n_sites, i, j, q.k), q.k)
+    if np.shape(rho_j) != (q.k, q.k):
         raise ValidationError(f"site density must be {q.k}x{q.k}")
-    block = _block(kernel, i, j, q.k)
-    return real_trace(complex(np.vdot(vec(np.eye(q.k)), block @ vec(rho_j))))
+    return float(hermitian_coords(vec(np.eye(q.k)), q.k)
+                 @ (block @ hermitian_coords(vec(rho_j), q.k)))
 
 
 METHODS = ("series", "analytic-K", "ksmh-ginverse", "ksmh-group")
@@ -365,7 +368,7 @@ def tau_channel(S: SuperOp, V: GoalSubspace, rho, method: str) -> TauReport:
         # without its traceback the refusal pins no frame of the failed build
         return TauReport(method, None, pre, exc.with_traceback(None))
     q = record.qmc
-    return TauReport(method, tau_irreducible_qmc(q, kern, 0, 1, rho), pre,
+    return TauReport(method, tau_irreducible_qmc(q, kern, 0, 1, hermitize(rho)), pre,
                      artifacts={"qmc": q, "D": D, "G": G, "kernel": kern})
 
 
@@ -435,7 +438,7 @@ def kernel_limit_study(T: SuperOp, Mprime: SuperOp, V: GoalSubspace, p_values,
                                         [pt.kernel for pt in tail])
     limit = _route_or_raise(Mprime, V, rho, "ksmh-group", 0)
     kern0 = limit.artifacts["kernel"]
-    tau_ext = tau_irreducible_qmc(limit.artifacts["qmc"], H0_ext, 0, 1, rho)
+    tau_ext = tau_irreducible_qmc(limit.artifacts["qmc"], H0_ext, 0, 1, hermitize(rho))
 
     norms = [pt.g_norm for pt in points]
     diverges = len(norms) >= 2 and norms[-1] > norms[0] and all(

@@ -11,7 +11,10 @@ to such a basis, and qhit takes every spectral decision there, in real
 arithmetic: the eigenvalues behind assumption one, site availability and the
 peripheral spectrum, and the rank cuts and index tests of the fixed space.
 The change of basis is unitary, so spectra and singular values are those of
-the complex matrix.  The inverses that tau is read from stay complex.
+the complex matrix.  :func:`hermitian_coords` gives the coordinates of a
+state in the same basis, so every tau is read in real arithmetic too: the
+analytic resolvent, the monitoring series and the KSMH kernel block meet
+real states and a real goal row, and a tau has no imaginary part to judge.
 """
 
 from __future__ import annotations
@@ -113,9 +116,30 @@ def real_form(M, k: int) -> np.ndarray:
     _mix_pairs(rows[:, k:k + p], rows[:, k + p:], 1j)  # T from the left
     cols = R.reshape(N, -1, k2)
     _mix_pairs(cols[:, :, k:k + p], cols[:, :, k + p:], -1j)  # T* from the right
+    return _real_part(R, M, "map does not preserve Hermiticity")
+
+
+def hermitian_coords(v, k: int) -> np.ndarray:
+    """The real coordinates T v of a stacked vec over b sites of k x k
+    blocks (T = I_b kron T_k, as in :func:`real_form`): the vector
+    counterpart of :func:`real_form`.  Raises :class:`ValidationError` when
+    the imaginary part of T v exceeds ``HP_TOL`` relative to max|v|, i.e.
+    when a block is not Hermitian.
+    """
+    v = as_complex(v)
+    order, p = _hermitian_order(k)
+    x = v.reshape(-1, k * k)[:, order]
+    _mix_pairs(x[:, k:k + p], x[:, k + p:], 1j)
+    return _real_part(x, v, "matrix is not Hermitian").reshape(-1)
+
+
+def _real_part(R, M, message: str) -> np.ndarray:
+    """A contiguous copy of R.real, after checking that R, the Hermitian-basis
+    form of M, has an imaginary part within ``HP_TOL`` of max|M|; else
+    :class:`ValidationError` with ``message``."""
     if max(R.imag.max(), -R.imag.min()) > HP_TOL * max(np.abs(M).max(), SCALE_FLOOR):
-        raise ValidationError("map does not preserve Hermiticity")
-    return R.real
+        raise ValidationError(message)
+    return R.real.copy()
 
 
 def from_hermitian_basis(C, k: int) -> np.ndarray:

@@ -12,21 +12,21 @@ so that pi_r = g M^{r-1} v0:
 - target site i of a chain Phi: M is Phi with row block i zeroed, and g is
   <e_I| restricted to row block i of Phi.
 
+Both are summed in the real Hermitian basis: M is its real form
+(:func:`matrep.real_form`), and g and v0 are real coordinates
+(:func:`matrep.hermitian_coords`), so every term is real by construction.
+
 Six doublings build the rows W = [g; g M; ...; g M^63] together with the
 jump M^64. Each block then costs one product W v, giving the next 64 terms,
 and one v <- M^64 v. For order N that is about 6 N^3 multiply-adds of set-up
 and N^2 + 64 N per block. Blocks are filled a chunk at a time, the chunk
 growing 1, 2, 4, ... blocks up to ``CHUNK_BLOCKS``, so a series that stops
 in its first block makes no more products than that block. numpy then does
-the bookkeeping of the whole chunk in order: the imaginary-part check, the
-clamp to [0, 1], the stop test, and sequential running sums
-(``np.add.accumulate``, seeded by the sums so far, never a pairwise
-``np.sum``), so every term and every sum has the bits of a term-by-term
-loop. The imaginary-part check is the one roundoff rule of
-:func:`tolerances.real_trace`, :func:`tolerances.imag_exceeds`, applied to
-every term up to the stop; the first term that fails it is refused by
-``real_trace``, which names its imaginary part. Terms computed past the
-stop are dropped unread and unchecked.
+the bookkeeping of the whole chunk in order: the clamp to [0, 1], the stop
+test, and sequential running sums (``np.add.accumulate``, seeded by the sums
+so far, never a pairwise ``np.sum``), so every term and every sum has the
+bits of a term-by-term loop. Terms computed past the stop are dropped
+unread.
 
 The series stops after max(BLOCK, N) consecutive negligible increments
 r pi_r, with N the order of M, or at MAX_STEPS terms (``converged=False``).
@@ -43,11 +43,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import GoalSubspace, check_channel, check_shapes, is_density
+from .channel import GoalSubspace, check_channel, check_shapes, hermitize, is_density
 from .errors import ValidationError
-from .matrep import SuperOp, as_complex, vec
+from .matrep import SuperOp, hermitian_coords, real_form, vec
 from .qmc import QMC, check_sites, site_slice
-from .tolerances import HIT_PROB_TOL, ZERO_TOL, imag_exceeds, real_trace
+from .tolerances import HIT_PROB_TOL, ZERO_TOL
 
 BLOCK = 64  # terms per block; a power of two, so the jump is built by squaring
 CHUNK_BLOCKS = 64  # blocks per chunk of bookkeeping, once the chunks have grown
@@ -93,7 +93,8 @@ def _running_sum(start: float, xs) -> float:
 
 
 def _run_series(step, first, v0):
-    """Sum pi_r = first . step^{r-1} v0 until convergence, BLOCK terms per product."""
+    """Sum pi_r = first . step^{r-1} v0 until convergence, BLOCK terms per
+    product; the three arrays are real."""
     rows, jump = _block_rows(step, first)
     window = max(BLOCK, step.shape[0])
     v = v0
@@ -112,18 +113,13 @@ def _run_series(step, first, v0):
                 v = jump @ v
             blocks.append(rows @ v)
         n_blocks = min(2 * n_blocks, CHUNK_BLOCKS)
-        x = np.concatenate(blocks)[: MAX_STEPS - r]
-        pi = np.clip(x.real, 0.0, 1.0)
-        increments = np.arange(r + 1, r + 1 + x.size, dtype=float) * pi
+        pi = np.clip(np.concatenate(blocks)[: MAX_STEPS - r], 0.0, 1.0)
+        increments = np.arange(r + 1, r + 1 + pi.size, dtype=float) * pi
         # run[i]: negligible increments ending at term i; a loud term resets it
-        at = np.arange(x.size)
+        at = np.arange(pi.size)
         run = at - np.maximum.accumulate(np.where(increments < ZERO_TOL, -1 - quiet, at))
         stops = np.flatnonzero(run >= window)
-        read = int(stops[0]) + 1 if stops.size else x.size
-        # terms past the stop are never read, so never checked
-        bad = np.flatnonzero(imag_exceeds(x[:read]))
-        if bad.size:
-            real_trace(complex(x[bad[0]]))  # raises, naming the first bad term
+        read = int(stops[0]) + 1 if stops.size else pi.size  # later terms are dropped
         probs.append(pi[:read])
         cum = _running_sum(cum, pi[:read])
         tau = _running_sum(tau, increments[:read])
@@ -150,23 +146,28 @@ def first_visit_series(S: SuperOp, V: GoalSubspace, rho) -> MonitorSeries:
     with :class:`ValidationError` (:func:`channel.check_channel`).
     """
     check_shapes(S, V, rho)
-    check_channel(S)
+    S_real = check_channel(S)
     if not is_density(rho):
         raise ValidationError("initial state must be a density matrix")
     # the trace of the goal part X - Q X Q of X is Tr(P X) = <vec P|vec X>
-    return _run_series(V.sandwich(S.mat), vec(V.P).conj() @ S.mat, vec(rho))
+    return _run_series(real_form(V.sandwich(S.mat), S.dim),
+                       hermitian_coords(vec(V.P), S.dim) @ S_real,
+                       hermitian_coords(vec(hermitize(rho)), S.dim))
 
 
 def site_visit_series(q: QMC, target: int, state) -> MonitorSeries:
     """First-visit series of a QMC to a target site, from a state given as
-    the stacked array [vec(rho_1); ...; vec(rho_n)] of the chain's order."""
+    the stacked array [vec(rho_1); ...; vec(rho_n)] of the chain's order.
+
+    Raises :class:`ValidationError` when a block of the state is not
+    Hermitian or the chain does not preserve Hermiticity
+    (:func:`matrep.hermitian_coords`, :func:`matrep.real_form`)."""
     check_sites(q.n_sites, target)
-    state = as_complex(state)
-    if state.shape != (q.dim,):
-        raise ValidationError(
-            f"state has shape {state.shape}; the chain's states have shape ({q.dim},)")
+    if np.shape(state) != (q.dim,):
+        raise ValidationError(f"state has shape {np.shape(state)}; "
+                              f"the chain's states have shape ({q.dim},)")
     sl = site_slice(target, q.k)
-    step = q.rep.copy()
+    step = real_form(q.rep, q.k)
+    first = hermitian_coords(q.identity_vec(), q.k)[sl] @ step[sl]
     step[sl] = 0.0  # monitoring removes what lands on the target
-    first = q.identity_vec()[sl].conj() @ q.rep[sl]
-    return _run_series(step, first, state)
+    return _run_series(step, first, hermitian_coords(state, q.k))

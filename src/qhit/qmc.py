@@ -94,18 +94,20 @@ def from_oqw(B) -> QMC:
     """Open quantum walk from a grid B[i][j] of k x k matrices.
 
     Requires sum_i B_ij* B_ij = I for every column j, which is the trace
-    preservation that :class:`QMC` checks.
+    preservation that :class:`QMC` checks.  A grid that is not n x n is
+    refused with :class:`ValidationError`, and blocks that are not all k x k
+    for one k with :class:`DimensionError`.
     """
     n = len(B)
     if n == 0:
         raise ValidationError("an open quantum walk needs at least one site")
-    mats = [[as_complex(B[i][j]) for j in range(n)] for i in range(n)]
-    k = mats[0][0].shape[0]
-    rep = np.zeros((n * k * k, n * k * k), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            rep[site_slice(i, k), site_slice(j, k)] = conj_kron(mats[i][j])
-    return QMC(n, k, rep)
+    if any(len(row) != n for row in B):
+        raise ValidationError(f"an open quantum walk needs an {n}x{n} grid of blocks")
+    mats = [[as_complex(M) for M in row] for row in B]
+    k = mats[0][0].shape[0] if mats[0][0].ndim else 0
+    if k == 0 or any(M.shape != (k, k) for row in mats for M in row):
+        raise DimensionError("blocks of an open quantum walk must all be k x k, k >= 1")
+    return QMC(n, k, np.block([[conj_kron(M) for M in row] for row in mats]))
 
 
 def induce(S: SuperOp, V: GoalSubspace) -> QMC:

@@ -10,14 +10,11 @@ matrix they judge.
 
 from __future__ import annotations
 
-import numpy as np
-
-from .errors import ValidationError
-
 # trace preservation and unitality: max entry of <vec I| S - <vec I|, S(I) - I
 TP_TOL = 1e-9
-# Hermiticity preservation: imaginary part of a map's Hermitian-basis form
-# (matrep.real_form), relative to max|M|
+# Hermiticity: imaginary part of a map's Hermitian-basis form
+# (matrep.real_form) or of a state's coordinates (matrep.hermitian_coords),
+# relative to the largest entry of the map or the state
 HP_TOL = 1e-9
 # an eigenvalue (or, on the peripheral spectrum, its modulus) counts as 1
 EIG_ONE_TOL = 1e-9
@@ -44,10 +41,6 @@ SCALE_FLOOR = 1e-30
 SPLIT_COND_WARN = 1e8
 # condition number of I - QT above which analytic_HK warns
 RESOLVENT_COND_WARN = 1e10
-# imaginary part of a trace (a probability or a hitting time) that is
-# roundoff, relative to max(1, |real part|): a hitting time's roundoff grows
-# with it; decided by imag_exceeds alone
-IMAG_TOL = 1e-9
 # series: a hitting probability below 1 - HIT_PROB_TOL makes tau infinite
 HIT_PROB_TOL = 1e-6
 # relative slack when the Hunter g-inverse norms are tested for growth
@@ -57,18 +50,3 @@ NORM_GROWTH_REL_TOL = 1e-9
 def near_one(eigvals) -> list:
     """The eigenvalues within ``EIG_ONE_TOL`` of 1."""
     return [lam for lam in eigvals if abs(lam - 1.0) < EIG_ONE_TOL]
-
-
-def imag_exceeds(x):
-    """Elementwise: whether the imaginary part of x is more than roundoff,
-    |Im x| > ``IMAG_TOL`` max(1, |Re x|)."""
-    x = np.asarray(x)
-    return np.abs(x.imag) > IMAG_TOL * np.maximum(1.0, np.abs(x.real))
-
-
-def real_trace(x: complex) -> float:
-    """The real part of a trace, after checking its imaginary part is roundoff
-    (:func:`imag_exceeds`)."""
-    if imag_exceeds(x):
-        raise ValidationError(f"trace has non-negligible imaginary part {x.imag:.3e}")
-    return x.real

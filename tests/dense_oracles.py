@@ -22,10 +22,13 @@ from qhit.hitting import HittingMaps
 from qhit.ksmh import QmcHittingOperators
 from qhit.matrep import SuperOp, as_complex, vec
 from qhit.qmc import QMC, site_slice
-from qhit.tolerances import ZERO_TOL, real_trace
+from qhit.tolerances import ZERO_TOL
 
 # regularizations z of the resolvent limit (A^2 + zI)^{-1} A, extrapolated to 0
 DRAZIN_Z = (1e-4, 1e-5, 1e-6)
+# imaginary part of mhtf_tau's complex trace that is roundoff, relative to
+# max(1, |tau|)
+IMAG_ROUNDOFF = 1e-9
 
 
 def drazin_limit(A) -> np.ndarray:
@@ -95,6 +98,9 @@ def mhtf_tau(Z: SuperOp, maps: HittingMaps, psi, phi) -> float:
     tau(phi -> V) = Tr(K_11 (Z_11 rho_psi - Z_12 rho_phi)) for any psi in V,
     phi in V-perp, read as <vec P|K y> with y = (I - Q.Q) Z (vec rho_psi -
     vec rho_phi).  psi and phi are normalized (:func:`qhit.pure_density`).
+    The trace is taken in complex arithmetic on the vec-coordinate K, apart
+    from the routes' Hermitian-basis reading, and its imaginary part is
+    asserted to be roundoff.
     """
     V = maps.subspace
     if np.size(psi) != V.ambient_dim or np.size(phi) != V.ambient_dim:
@@ -106,4 +112,6 @@ def mhtf_tau(Z: SuperOp, maps: HittingMaps, psi, phi) -> float:
         raise ValidationError("phi must lie in the complement of V")
     x = Z.mat @ (vec(rho_psi) - vec(rho_phi))
     y = x - V.sandwich(x)
-    return real_trace(complex(np.vdot(vec(V.P), maps.K.mat @ y)))
+    tau = complex(np.vdot(vec(V.P), maps.K.mat @ y))
+    assert abs(tau.imag) <= IMAG_ROUNDOFF * max(1.0, abs(tau.real)), tau
+    return tau.real

@@ -483,6 +483,42 @@ def test_tau_irreducible_qmc_validates_density_shape(sec5):
         qhit.tau_irreducible_qmc(q, kern, 0, 1, np.eye(3))
 
 
+def test_tau_irreducible_qmc_refuses_a_kernel_without_the_chains_grid(sec5):
+    # sec5's chain has order 8; the parent's matmul died on a 4 x 4 kernel
+    with pytest.raises(ValidationError, match=r"shape \(4, 4\) lacks the 2x2 grid"):
+        qhit.tau_irreducible_qmc(sec5["q"], np.eye(4), 0, 1, np.eye(2) / 2)
+
+
+def test_tau_irreducible_qmc_refuses_a_non_hermitian_block_or_state(sec5):
+    # tau is read from the real form of the block and the coordinates of
+    # rho_j, so a kernel block that does not preserve Hermiticity and a
+    # non-Hermitian rho_j are refused by the one Hermiticity rule
+    q = sec5["q"]
+    kern = np.eye(q.dim, dtype=complex)
+    kern[site_slice(0, 2), site_slice(1, 2)] = np.diag([1, 1j, 1, 1])
+    with pytest.raises(ValidationError, match="Hermiticity"):
+        qhit.tau_irreducible_qmc(q, kern, 0, 1, sec5["rho_phi"])
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        qhit.tau_irreducible_qmc(q, np.eye(q.dim), 0, 1, [[0.5, 0.5], [0, 0.5]])
+
+
+def test_a_density_is_read_through_its_hermitian_part_on_every_route():
+    # a Hermiticity defect of 5e-9 passes is_density (STATE_TOL) but would
+    # fail the coordinates' HP_TOL rule: every route reads the Hermitian
+    # part, so no second Hermiticity rule refuses the density
+    S = random_tp_channel(np.random.default_rng(0), 3)
+    V = qhit.GoalSubspace.from_vectors([np.eye(3)[0]])
+    bent = np.diag([0.0, 0.5, 0.5]).astype(complex)
+    bent[1, 2] = 5e-9j
+    assert qhit.is_density(bent)
+    part = qhit.channel.hermitize(bent)
+    for method in qhit.ksmh.METHODS:
+        assert (qhit.tau_channel(S, V, bent, method).tau
+                == qhit.tau_channel(S, V, part, method).tau), method
+    maps = qhit.analytic_HK(S, V)
+    assert qhit.tau_from_K(maps, bent) == qhit.tau_from_K(maps, part)
+
+
 def test_first_step_operator_traces(sec5):
     q = sec5["q"]
     ops = qhit.qmc_hitting_operators(q)
@@ -850,10 +886,17 @@ def test_tau_channel_refuses_a_map_that_is_not_a_channel(sec5, method):
 def test_spectral_decisions_run_in_real_arithmetic(monkeypatch):
     # Every eigenvalue problem and condition number, and the SVDs of
     # fixed_space, rank_with_margin and index, run on the real
-    # Hermitian-basis form.  Two SVDs are complex: group_inverse's, whose
-    # kernel pair builds A^# that tau is read from, and from_vectors', whose
-    # input is the n x d matrix of spanning vectors, not a map.
+    # Hermitian-basis form, and so do analytic_HK's inverse and the arrays
+    # the series sums.  Two SVDs are complex: group_inverse's, whose kernel
+    # pair builds A^#, and from_vectors', whose input is the n x d matrix of
+    # spanning vectors, not a map.
     calls = []
+    series_args = []
+    run_series = qhit.monitor._run_series
+
+    def spy(*args):
+        series_args.append(args)
+        return run_series(*args)
 
     def recording(name, fn):
         def wrapped(a, *args, **kwargs):
@@ -862,8 +905,9 @@ def test_spectral_decisions_run_in_real_arithmetic(monkeypatch):
             return fn(a, *args, **kwargs)
         return wrapped
 
-    for name in ("eigvals", "svd", "cond"):
+    for name in ("eigvals", "svd", "cond", "inv"):
         monkeypatch.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(qhit.monitor, "_run_series", spy)
     rng = np.random.default_rng(11)
     S = random_tp_channel(rng, 3)
     V = qhit.GoalSubspace.from_vectors([np.eye(3)[0]])
@@ -884,6 +928,10 @@ def test_spectral_decisions_run_in_real_arithmetic(monkeypatch):
             if not {"group_inverse", "from_vectors"} & callers} == {real}
     assert any(dt == np.complex128 for dt, _, callers in svds
                if "group_inverse" in callers)
+    assert [(dt, shape) for fn, dt, shape, callers in calls
+            if fn == "inv" and "analytic_HK" in callers] == [(real, (9, 9))]
+    assert len(series_args) == 1
+    assert [a.dtype for a in series_args[0]] == [real] * 3
 
 
 def test_ksmh_ginverse_refuses_reducible(hadamard):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import qhit
 from conftest import random_tp_channel
 from qhit.errors import DimensionError, ValidationError
-from qhit.matrep import from_hermitian_basis, real_form
+from qhit.matrep import from_hermitian_basis, hermitian_coords, real_form
 
 RNG = np.random.default_rng(42)
 
@@ -125,6 +125,35 @@ def test_real_form_is_the_change_to_the_hermitian_basis(k):
     C = random_complex((2 * k * k, 3), rng)
     assert np.allclose(from_hermitian_basis(T2 @ C, k), C, atol=1e-12)
     assert np.allclose(from_hermitian_basis(T2 @ C[:, 0], k), C[:, 0], atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_hermitian_coords_are_the_real_coordinates_t_v(k):
+    rng = np.random.default_rng(10 + k)
+    T2 = np.kron(np.eye(2), hermitian_basis_rows(k))
+    X, Y = random_complex((k, k), rng), random_complex((k, k), rng)
+    v = np.concatenate([qhit.vec(X + X.conj().T), qhit.vec(Y @ Y.conj().T)])
+    x = hermitian_coords(v, k)
+    assert x.dtype == np.float64 and x.flags.c_contiguous
+    assert np.allclose(x, T2 @ v, atol=1e-12)
+    assert np.allclose(from_hermitian_basis(x, k), v, atol=1e-12)
+    # the trace pairing <vec A|vec B> = Tr(A* B) is the real dot product
+    M = qhit.conj_kron(random_complex((k, k), rng))
+    assert np.isclose(hermitian_coords(qhit.vec(np.eye(k)), k)
+                      @ real_form(M, k) @ x[:k * k],
+                      np.vdot(qhit.vec(np.eye(k)), M @ v[:k * k]), atol=1e-12)
+
+
+def test_hermitian_coords_refuse_a_non_hermitian_block_by_the_maps_rule():
+    # the defect is judged against HP_TOL times max|v|, as real_form judges
+    # a map's against max|M|
+    v = np.concatenate([qhit.vec(np.eye(2)), qhit.vec([[1.0, 2.0], [0.0, 1.0]])])
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        hermitian_coords(v, 2)
+    for scale in (1e-6, 1.0, 1e6):
+        hermitian_coords(scale * qhit.vec([[1.0, 1e-10j], [0.0, 1.0]]), 2)
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            hermitian_coords(scale * qhit.vec([[1.0, 1e-8j], [0.0, 1.0]]), 2)
 
 
 @settings(max_examples=30, deadline=None)

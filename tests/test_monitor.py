@@ -7,7 +7,7 @@ import qhit
 from conftest import random_tp_channel, site_projector, stacked
 from qhit.errors import ValidationError
 from qhit.monitor import BLOCK, MAX_STEPS, _block_rows, _run_series
-from qhit.tolerances import IMAG_TOL, ZERO_TOL, real_trace
+from qhit.tolerances import ZERO_TOL
 
 RNG = np.random.default_rng(11)
 
@@ -25,7 +25,7 @@ def _reference_series(step, goal, stay, trace_vec, v0, window, max_steps):
         r += 1
         x = step @ v
         pi_r = complex(np.vdot(trace_vec, goal @ x))
-        assert abs(pi_r.imag) <= IMAG_TOL
+        assert abs(pi_r.imag) <= 1e-9  # the loop runs in complex arithmetic
         pi_r = min(max(pi_r.real, 0.0), 1.0)
         terms.append((r, pi_r))
         cum += pi_r
@@ -82,8 +82,8 @@ def _pad_step_map(monkeypatch, pad: int):
 def _conveyor(order: int, first):
     """A step map e_j -> e_{j+1} started at e_0, so that pi_r = first[r - 1]
     up to r = order and 0 after."""
-    step = np.eye(order, k=-1, dtype=complex)
-    return step, np.asarray(first, dtype=complex), np.eye(order, dtype=complex)[0]
+    step = np.eye(order, k=-1)
+    return step, np.asarray(first, dtype=float), np.eye(order)[0]
 
 
 def _cyclic_shift(n: int):
@@ -196,36 +196,22 @@ def test_series_window_is_the_order_of_the_step_map(order):
 
 
 def test_terms_past_the_stop_are_never_checked(monkeypatch):
-    # pi_1 = 1, then pi_r = 1.5e-9 2^(r - 66) i: the increments are 0, the
-    # window stops at r = 65, and pi_66 onward, computed in the same product,
-    # would fail the imaginary-part check
-    step = np.diag([0.0, 2.0]).astype(complex)
-    first = np.array([1.0, 1.5e-9 * 2.0**-65 * 1j])
-    ser = _run_series(step, first, np.ones(2, dtype=complex))
-    assert ser.truncated_at == 65 and ser.converged and ser.tau == 1.0
-    # a conveyor with pi_1 = 1 and pi_70 imaginary: the step cap stops reading
-    # before pi_70 although its block holds it
-    step, first, v0 = _conveyor(2 * BLOCK, np.eye(2 * BLOCK)[0] + 1j * np.eye(2 * BLOCK)[69])
+    # a conveyor with pi_1 = 1 and pi_70 = 1/2: the step cap stops reading
+    # before pi_70 although its block holds it (past the window's stop, see
+    # test_loud_terms_past_the_stop_in_its_chunk_are_not_read)
+    e = np.eye(2 * BLOCK)
+    step, first, v0 = _conveyor(2 * BLOCK, e[0] + 0.5 * e[69])
     monkeypatch.setattr(qhit.monitor, "MAX_STEPS", 69)
     ser = _run_series(step, first, v0)
     assert ser.truncated_at == 69 and not ser.converged and ser.tau == 1.0
     monkeypatch.setattr(qhit.monitor, "MAX_STEPS", 70)
-    with pytest.raises(ValidationError, match="imaginary"):
-        _run_series(step, first, v0)
-
-
-def test_every_term_up_to_the_stop_has_its_imaginary_part_checked():
-    # pi_2 = 5 + 2e-9 i is roundoff by the relative rule and pi_3 = 0.25 +
-    # 1e-3 i is not: the series must judge each term by that one rule
-    args = _conveyor(3, [0.5, 5 + 2e-9j, 0.25 + 1e-3j])
-    for run in (_run_series, _loop_series):
-        with pytest.raises(ValidationError, match="imaginary part 1.000e-03"):
-            run(*args)
+    ser = _run_series(step, first, v0)
+    assert ser.truncated_at == 70 and ser.partial_tau == 1.0 + 70 * 0.5
 
 
 def _loop_series(step, first, v0):
     """The per-term loop over the block products of ``_run_series``: each term
-    checked, clamped, summed and tested for the stop one at a time.  Returns
+    clamped, summed and tested for the stop one at a time.  Returns
     (probs, cumulative_prob, partial_tau, truncated_at, converged)."""
     max_steps = qhit.monitor.MAX_STEPS
     rows, jump = _block_rows(step, first)
@@ -237,8 +223,7 @@ def _loop_series(step, first, v0):
             v = jump @ v
         for x in (rows @ v)[: max_steps - r].tolist():
             r += 1
-            pi_r = real_trace(x)
-            pi_r = 0.0 if pi_r < 0.0 else (1.0 if pi_r > 1.0 else pi_r)
+            pi_r = 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
             probs.append(pi_r)
             cum += pi_r
             increment = r * pi_r
@@ -314,34 +299,37 @@ def test_series_bits_when_the_stop_window_straddles_a_chunk(order, arrival):
     assert ser.converged and ser.truncated_at == arrival + _window(order)
 
 
-def _growing_imaginary(order: int, bad: int):
-    """pi_1 = 1, then pi_r = 1.5e-9 2^(r - bad) i: the first term past IMAG_TOL
-    is pi_bad; every increment after pi_1 is 0, so the series stops at
-    r = 1 + max(64, order)."""
-    step = np.zeros((order, order), dtype=complex)
+def _growing(order: int, loud: int):
+    """pi_1 = 1, then pi_r = 2^(r - loud) 1.5 ZERO_TOL / loud: the increments
+    r pi_r double, and pi_loud's is the first that is not negligible."""
+    step = np.zeros((order, order))
     step[1, 1] = 2.0
-    first = np.zeros(order, dtype=complex)
-    first[:2] = 1.0, 1.5e-9 * 2.0 ** (1 - bad) * 1j
-    v0 = np.zeros(order, dtype=complex)
+    first = np.zeros(order)
+    first[:2] = 1.0, 2.0 ** (1 - loud) * 1.5 * ZERO_TOL / loud
+    v0 = np.zeros(order)
     v0[:2] = 1.0
     return step, first, v0
 
 
-@pytest.mark.parametrize("order,bad", [(2, 66), (2, 150), (200, 202), (200, 400)])
-def test_imaginary_terms_past_the_stop_in_its_chunk_are_not_read(order, bad):
-    args = _growing_imaginary(order, bad)
+@pytest.mark.parametrize("order,loud", [(2, 66), (2, 150), (200, 202), (200, 400)])
+def test_loud_terms_past_the_stop_in_its_chunk_are_not_read(order, loud):
+    # the window ends at r = 1 + max(64, order), before pi_loud
+    args = _growing(order, loud)
     ser = _run_series(*args)
     _assert_bitwise(ser, _loop_series(*args))
-    assert ser.converged and ser.truncated_at == 1 + _window(order) and ser.tau == 1.0
+    assert ser.converged and ser.truncated_at == 1 + _window(order)
 
 
-@pytest.mark.parametrize("order,bad", [(2, 30), (2, 65), (200, 150), (200, 193), (200, 201)])
-def test_an_imaginary_term_up_to_the_stop_raises(order, bad):
-    # the message names the first bad term, 1.5e-9 i, not a later one
-    args = _growing_imaginary(order, bad)
-    for run in (_run_series, _loop_series):
-        with pytest.raises(ValidationError, match="imaginary part 1.500e-09"):
-            run(*args)
+@pytest.mark.parametrize("order,loud", [(2, 30), (2, 65), (200, 150), (200, 193),
+                                        (200, 201)])
+def test_a_loud_term_up_to_the_stop_resets_the_window(monkeypatch, order, loud):
+    # pi_loud comes before the window ends, so the series runs on; its terms
+    # reach 1 and stay there, and the step cap ends it
+    monkeypatch.setattr(qhit.monitor, "MAX_STEPS", 1000)
+    args = _growing(order, loud)
+    ser = _run_series(*args)
+    _assert_bitwise(ser, _loop_series(*args))
+    assert not ser.converged and ser.truncated_at == 1000 and ser.probs[-1] == 1.0
 
 
 def test_series_probs_are_read_only_and_terms_pair_them_with_r(sec5):
@@ -456,6 +444,22 @@ def test_site_visit_series_rejects_a_state_of_another_chain(sec5):
     for state in (three_sites, qutrit):
         with pytest.raises(ValidationError, match="state has"):
             qhit.site_visit_series(q, 0, state)
+
+
+def test_site_visit_series_refuses_a_non_hermitian_state(sec5):
+    # the state is summed in Hermitian coordinates; a block that is not
+    # Hermitian has none
+    state = stacked([np.zeros((2, 2)), np.array([[0.5, 0.5], [0.0, 0.5]])])
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        qhit.site_visit_series(sec5["q"], 0, state)
+
+
+def test_site_visit_series_refuses_a_chain_that_does_not_preserve_hermiticity():
+    # k = 1: a Hermiticity-preserving chain is real; this one is trace
+    # preserving (columns sum to 1) but not real
+    q = qhit.QMC(2, 1, [[0.5 + 0.5j, 0.5 - 0.5j], [0.5 - 0.5j, 0.5 + 0.5j]])
+    with pytest.raises(ValidationError, match="Hermiticity"):
+        qhit.site_visit_series(q, 0, [0.0, 1.0])
 
 
 def test_first_visit_series_refuses_a_map_that_is_not_a_channel(sec5):

@@ -82,7 +82,15 @@ def test_from_oqw_column_condition():
                          qhit.GoalSubspace.from_vectors([[1, 0, 0]])),
      "dimensions differ"),
     (lambda: qhit.from_oqw([]), "at least one site"),
-], ids=["qmc-order", "induce-dimensions", "oqw-without-sites"])
+    # one row of two blocks: the parent read the first and dropped 5I
+    (lambda: qhit.from_oqw([[np.eye(2), 5 * np.eye(2)]]), "1x1 grid"),
+    (lambda: qhit.from_oqw([[np.eye(2), np.eye(2)], [np.eye(2)]]), "2x2 grid"),
+    # blocks of two orders: the parent died in numpy's broadcast
+    (lambda: qhit.from_oqw([[np.eye(2), np.zeros((3, 3))],
+                            [np.zeros((3, 3)), np.eye(2)]]), "k x k"),
+    (lambda: qhit.from_oqw([[np.ones((2, 3))]]), "k x k"),
+], ids=["qmc-order", "induce-dimensions", "oqw-without-sites", "oqw-one-row-of-two",
+        "oqw-ragged", "oqw-mixed-orders", "oqw-rectangular-block"])
 def test_chain_constructors_refuse_malformed_input(build, error):
     with pytest.raises(ValidationError, match=error):
         build()

@@ -3,17 +3,16 @@
 import importlib
 import inspect
 import pkgutil
+import re
 import tokenize
 from pathlib import Path
 
-import numpy as np
-import pytest
-
 import qhit
-from qhit.errors import ValidationError
-from qhit.tolerances import EIG_ONE_TOL, IMAG_TOL, imag_exceeds, near_one, real_trace
+from qhit import tolerances
+from qhit.tolerances import EIG_ONE_TOL, near_one
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "qhit"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "qhit"
 
 
 def _exponent_literals(path: Path) -> list:
@@ -67,27 +66,13 @@ def test_near_one_keeps_the_eigenvalues_within_the_tolerance():
     assert near_one(eigs) == [1.0, 1.0 + 0.5j * EIG_ONE_TOL]
 
 
-def test_real_trace_refuses_an_imaginary_part_past_the_tolerance():
-    assert real_trace(complex(0.25, 0.5 * IMAG_TOL)) == 0.25
-    with pytest.raises(ValidationError, match="imaginary"):
-        real_trace(complex(0.25, 2 * IMAG_TOL))
-    # past 1 the tolerance is relative: a lazy unitary walk's tau = 7883.47
-    # came with an imaginary part of 1.1e-8, which is roundoff
-    assert real_trace(complex(7883.47, 1.1e-8)) == 7883.47
-    with pytest.raises(ValidationError, match="imaginary"):
-        real_trace(complex(7883.47, 2 * IMAG_TOL * 7883.47))
 
-
-def test_imag_exceeds_is_real_traces_rule_elementwise():
-    xs = [complex(0.25, 0.5 * IMAG_TOL), complex(0.25, 2 * IMAG_TOL),
-          complex(7883.47, 1.1e-8), complex(-7883.47, -2 * IMAG_TOL * 7883.47),
-          complex(5, 2e-9)]
-    expected = [False, True, False, True, False]
-    assert imag_exceeds(np.array(xs)).tolist() == expected
-    for x, bad in zip(xs, expected):
-        assert bool(imag_exceeds(x)) == bad
-        if bad:
-            with pytest.raises(ValidationError, match="imaginary"):
-                real_trace(x)
-        else:
-            assert real_trace(x) == x.real
+def test_readme_table_lists_every_tolerance_with_its_value():
+    # the rows "| `NAME` | value | what it decides |" of the Numerical policy
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `([A-Z_]+)` \| ([^|]+) \|", text, flags=re.M)
+    listed = {name: float(value) for name, value in rows}
+    assert len(listed) == len(rows)  # no name listed twice
+    constants = {name: value for name, value in vars(tolerances).items()
+                 if name.isupper()}
+    assert listed == constants

@@ -1,11 +1,9 @@
 """Monitoring formalism: first-visit series to a goal subspace or a site.
 
-This module is the brute-force oracle: probabilities come from summing
-Tr(P T (Q T)^{r-1} rho) term by term, with no analytic shortcuts.
-
-The series is block-stepped: one step map, 64 terms per numpy call. The
-monitored step is folded into one map M and the goal trace into one row g,
-so that pi_r = g M^{r-1} v0:
+This module is the brute-force oracle: tau is the sum of r pi_r over the
+first-visit probabilities pi_r = Tr(P T (Q T)^{r-1} rho), with no analytic
+shortcuts.  The monitored step is folded into one map M and the goal trace
+into one row g, so that pi_r = g M^{r-1} v:
 
 - subspace V: M = Q.Q S and g = <vec P| S (the trace of the goal part
   X - Q X Q of X is Tr(P X));
@@ -13,28 +11,29 @@ so that pi_r = g M^{r-1} v0:
   <e_I| restricted to row block i of Phi.
 
 Both are summed in the real Hermitian basis: M is its real form
-(:func:`matrep.real_form`), and g and v0 are real coordinates
-(:func:`matrep.hermitian_coords`), so every term is real by construction.
+(:func:`matrep.real_form`), and g, v and the row e of the identity's
+coordinates are real coordinates (:func:`matrep.hermitian_coords`), so
+every term is real by construction.
 
-Six doublings build the rows W = [g; g M; ...; g M^63] together with the
-jump M^64. Each block then costs one product W v, giving the next 64 terms,
-and one v <- M^64 v. For order N that is about 6 N^3 multiply-adds of set-up
-and N^2 + 64 N per block. Blocks are filled a chunk at a time, the chunk
-growing 1, 2, 4, ... blocks up to ``CHUNK_BLOCKS``, so a series that stops
-in its first block makes no more products than that block. numpy then does
-the bookkeeping of the whole chunk in order: the clamp to [0, 1], the stop
-test, and sequential running sums (``np.add.accumulate``, seeded by the sums
-so far, never a pairwise ``np.sum``), so every term and every sum has the
-bits of a term-by-term loop. Terms computed past the stop are dropped
-unread.
+The series is summed by doubling, the squaring of Smith's doubling
+iteration (R. A. Smith, SIAM J. Appl. Math. 16, 1968).  With
+a = sum_{s<m} M^s v, b = sum_{s<m} s M^s v and P = M^m, one step
 
-The series stops after max(BLOCK, N) consecutive negligible increments
-r pi_r, with N the order of M, or at MAX_STEPS terms (``converged=False``).
-The order makes the stop sound: by Cayley-Hamilton, M^N v is a combination
-of v, M v, ..., M^(N-1) v, so once N consecutive terms g M^s v vanish every
-later one does too, and no first arrival can follow them.  The BLOCK floor
-gives a small map a longer run, and so a smaller tail, at little cost: its
-terms come out of the same products.
+    b <- b + P (b + m a),  a <- a + P a,  P <- P^2,  m <- 2m
+
+sums m more terms for one product of order-N matrices.  Then
+tau = g (a + b) = sum_{r<=m} r pi_r, and the hitting probability is g a,
+clamped once to [0, 1].  The sum stops after a doubling when
+
+- tau is finite: the survival mass e P v, the weight not yet absorbed, is
+  at most ZERO_TOL, and the doubling left tau unchanged bit for bit; or
+- the hitting probability has reached its plateau: m was at least N before
+  the doubling, and the doubling changed tau by less than ZERO_TOL.  Its m
+  terms are then negligible, and by Cayley-Hamilton M^N v is a combination
+  of v, M v, ..., M^(N-1) v, so once N consecutive terms g M^s v vanish
+  every later one does too, and no first arrival can follow them;
+
+or, unconverged, at the first m >= MAX_STEPS.
 """
 
 from __future__ import annotations
@@ -43,29 +42,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import GoalSubspace, check_channel, check_shapes, hermitize, is_density
+from .channel import (GoalSubspace, check_channel, check_shapes, hermitize, is_density,
+                      is_positive_semidefinite)
 from .errors import ValidationError
-from .matrep import SuperOp, hermitian_coords, real_form, vec
+from .matrep import SuperOp, hermitian_coords, real_form, unvec, vec
 from .qmc import QMC, check_sites, site_slice
-from .tolerances import HIT_PROB_TOL, ZERO_TOL
+from .tolerances import HIT_PROB_TOL, STATE_TOL, ZERO_TOL
 
-BLOCK = 64  # terms per block; a power of two, so the jump is built by squaring
-CHUNK_BLOCKS = 64  # blocks per chunk of bookkeeping, once the chunks have grown
-MAX_STEPS = 10**6  # terms summed before the series gives up unconverged
+MAX_STEPS = 10**6  # the series gives up unconverged at the first m >= MAX_STEPS
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MonitorSeries:
-    probs: np.ndarray  # pi_1, ..., pi_r, read-only
     cumulative_prob: float
     partial_tau: float
     truncated_at: int
     converged: bool
-
-    @property
-    def terms(self) -> tuple:
-        """The (r, pi_r) pairs."""
-        return tuple(enumerate(self.probs.tolist(), start=1))
 
     @property
     def tau(self) -> float:
@@ -74,71 +66,26 @@ class MonitorSeries:
         return self.partial_tau
 
 
-def _block_rows(step, first):
-    """W = [first; first step; ...; first step^(BLOCK-1)] and step^BLOCK.
-
-    Each doubling appends W step^m to the m rows held so far, then squares
-    step^m.
-    """
-    rows, power = first[np.newaxis, :], step
-    while rows.shape[0] < BLOCK:
-        rows = np.vstack((rows, rows @ power))
-        power = power @ power
-    return rows, power
-
-
-def _running_sum(start: float, xs) -> float:
-    """start + xs[0] + xs[1] + ..., added left to right."""
-    return float(np.add.accumulate(np.concatenate(([start], xs)))[-1])
-
-
-def _run_series(step, first, v0):
-    """Sum pi_r = first . step^{r-1} v0 until convergence, BLOCK terms per
-    product; the three arrays are real."""
-    rows, jump = _block_rows(step, first)
-    window = max(BLOCK, step.shape[0])
-    v = v0
-    probs = [np.empty(0)]
-    cum = 0.0
-    tau = 0.0
-    quiet = 0  # negligible increments ending the terms read so far
-    r = 0
+def _run_series(step, goal, start, unit):
+    """Sum pi_r = goal . step^{r-1} start by doubling until a stop; the four
+    arrays are real, and unit . x is the trace of the state x."""
+    a, b, power, m = start, np.zeros_like(start), step, 1
+    tau = float(goal @ start)
     converged = False
-    n_blocks = 1
-    while r < MAX_STEPS and not converged:
-        # products past MAX_STEPS are never made
-        blocks = []
-        for _ in range(min(n_blocks, -(-(MAX_STEPS - r) // BLOCK))):
-            if r or blocks:
-                v = jump @ v
-            blocks.append(rows @ v)
-        n_blocks = min(2 * n_blocks, CHUNK_BLOCKS)
-        pi = np.clip(np.concatenate(blocks)[: MAX_STEPS - r], 0.0, 1.0)
-        increments = np.arange(r + 1, r + 1 + pi.size, dtype=float) * pi
-        # run[i]: negligible increments ending at term i; a loud term resets it
-        at = np.arange(pi.size)
-        run = at - np.maximum.accumulate(np.where(increments < ZERO_TOL, -1 - quiet, at))
-        stops = np.flatnonzero(run >= window)
-        read = int(stops[0]) + 1 if stops.size else pi.size  # later terms are dropped
-        probs.append(pi[:read])
-        cum = _running_sum(cum, pi[:read])
-        tau = _running_sum(tau, increments[:read])
-        quiet = int(run[read - 1])
-        r += read
-        converged = bool(stops.size)
-    probs = np.concatenate(probs)
-    probs.flags.writeable = False
-    return MonitorSeries(
-        probs=probs,
-        cumulative_prob=cum,
-        partial_tau=tau,
-        truncated_at=r,
-        converged=converged,
-    )
+    while not converged and m < MAX_STEPS:
+        b = b + power @ (b + m * a)
+        a = a + power @ a
+        power = power @ power
+        settled = m >= step.shape[0]
+        m *= 2
+        last, tau = tau, float(goal @ (a + b))
+        converged = ((tau == last and unit @ (power @ start) <= ZERO_TOL)
+                     or (settled and abs(tau - last) < ZERO_TOL))
+    return MonitorSeries(min(max(float(goal @ a), 0.0), 1.0), tau, m, converged)
 
 
 def first_visit_series(S: SuperOp, V: GoalSubspace, rho) -> MonitorSeries:
-    """Direct summation of the first-visit series for subspace V.
+    """The first-visit series for subspace V, summed by doubling.
 
     Truncation is reported through ``converged``/``truncated_at``, never
     raised; ``tau`` is infinite when the hitting probability plateaus
@@ -152,22 +99,32 @@ def first_visit_series(S: SuperOp, V: GoalSubspace, rho) -> MonitorSeries:
     # the trace of the goal part X - Q X Q of X is Tr(P X) = <vec P|vec X>
     return _run_series(real_form(V.sandwich(S.mat), S.dim),
                        hermitian_coords(vec(V.P), S.dim) @ S_real,
-                       hermitian_coords(vec(hermitize(rho)), S.dim))
+                       hermitian_coords(vec(hermitize(rho)), S.dim),
+                       hermitian_coords(vec(np.eye(S.dim)), S.dim))
 
 
 def site_visit_series(q: QMC, target: int, state) -> MonitorSeries:
     """First-visit series of a QMC to a target site, from a state given as
     the stacked array [vec(rho_1); ...; vec(rho_n)] of the chain's order.
 
-    Raises :class:`ValidationError` when a block of the state is not
-    Hermitian or the chain does not preserve Hermiticity
-    (:func:`matrep.hermitian_coords`, :func:`matrep.real_form`)."""
+    Raises :class:`ValidationError` when the chain does not preserve
+    Hermiticity (:func:`matrep.real_form`), or when the state is not a
+    chain state: a site block that is not Hermitian
+    (:func:`matrep.hermitian_coords`) or not PSD to ``PSD_TOL``, or a total
+    trace off 1 by more than ``STATE_TOL``."""
     check_sites(q.n_sites, target)
     if np.shape(state) != (q.dim,):
         raise ValidationError(f"state has shape {np.shape(state)}; "
                               f"the chain's states have shape ({q.dim},)")
+    start = hermitian_coords(state, q.k)
+    unit = hermitian_coords(q.identity_vec(), q.k)
+    if abs(unit @ start - 1.0) > STATE_TOL or not all(
+            is_positive_semidefinite(unvec(state[site_slice(i, q.k)], q.k, q.k))
+            for i in range(q.n_sites)):
+        raise ValidationError("state is not a chain state: its site blocks must "
+                              "be PSD with total trace 1")
     sl = site_slice(target, q.k)
     step = real_form(q.rep, q.k)
-    first = hermitian_coords(q.identity_vec(), q.k)[sl] @ step[sl]
+    first = unit[sl] @ step[sl]
     step[sl] = 0.0  # monitoring removes what lands on the target
-    return _run_series(step, first, hermitian_coords(state, q.k))
+    return _run_series(step, first, start, unit)

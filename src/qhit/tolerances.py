@@ -33,7 +33,8 @@ RANK_REL_TOL = 1e-10
 # group and g-inverse axioms, relative to max|A|
 AXIOM_REL_TOL = 1e-9
 # absolute zero for order-one quantities: the trace of a fixed state, the
-# pairings <e_I|t> and <u|pi>, a negligible r pi_r
+# pairings <e_I|t> and <u|pi>, the series' survival mass and a doubling's
+# increment to tau
 ZERO_TOL = 1e-12
 # floor on max|A| when a relative tolerance is scaled by it
 SCALE_FLOOR = 1e-30

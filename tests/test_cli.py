@@ -67,6 +67,17 @@ def test_corpus_regression(capsys, argv, expected):
     assert out == (EXPECTED / expected).read_text()
 
 
+@pytest.mark.parametrize("name", ["sec5", "randomization", "hadamard", "order4", "goal2",
+                                  "goal2_dependent", "hadamard_bad_alpha"])
+def test_series_hitting_probability_is_a_probability(capsys, name):
+    # the sum g a is clamped once to [0, 1]: on hadamard_bad_alpha, whose
+    # hitting time exits 3, it is -2.5e-31 before the clamp
+    code, out = run_cli(capsys, "hitting", f"{CORPUS}/{name}.json", "--json")
+    assert code == (3 if name == "hadamard_bad_alpha" else 0)
+    p = json.loads(out)["methods"]["series"]["preconditions"]["hitting_probability"]
+    assert 0.0 <= p <= 1.0
+
+
 def test_dependent_spanning_vectors_give_the_subspace_they_span(capsys):
     # goal2's channel with V spanned by e_0, e_0 + 1e-12 e_1 and e_1: that is
     # goal2's own V = span{e_0, e_1}, so every route gives its tau = 1.2, not

@@ -841,12 +841,14 @@ def test_ksmh_kernel_refuses_matrices_off_the_chain_grid(sec5):
 
 
 def test_tau_channel_returns_a_series_that_does_not_converge(monkeypatch, sec5):
+    # the series doubles its terms, so it gives up at 4, the first power of
+    # two past the cap of 3
     monkeypatch.setattr(qhit.monitor, "MAX_STEPS", 3)
     rep = qhit.tau_channel(sec5["S"], sec5["V"], sec5["rho_phi"], "series")
     assert isinstance(rep.refusal, NumericalError)
-    assert rep.detail == "series did not converge in 3 terms"
+    assert rep.detail == "series did not converge in 4 terms"
     assert rep.preconditions["series_converged"] is False
-    assert rep.artifacts["series"].truncated_at == 3
+    assert rep.artifacts["series"].truncated_at == 4
 
 
 def test_tau_channel_rejects_bad_inputs(sec5):
@@ -931,7 +933,7 @@ def test_spectral_decisions_run_in_real_arithmetic(monkeypatch):
     assert [(dt, shape) for fn, dt, shape, callers in calls
             if fn == "inv" and "analytic_HK" in callers] == [(real, (9, 9))]
     assert len(series_args) == 1
-    assert [a.dtype for a in series_args[0]] == [real] * 3
+    assert [a.dtype for a in series_args[0]] == [real] * 4
 
 
 def test_ksmh_ginverse_refuses_reducible(hadamard):

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import ginverse
 from .errors import DimensionError, ValidationError
-from .matrep import (SuperOp, _owned_read_only, as_complex, conj_kron,
-                     real_form, unvec, vec)
+from .matrep import (SuperOp, _hermitian_order, _owned_read_only, as_complex,
+                     conj_kron, real_form, unvec, vec)
 from .tolerances import (EIG_ONE_TOL, FAITHFUL_TOL, PSD_TOL, STATE_TOL, TP_TOL,
                          ZERO_TOL, near_one)
 
@@ -96,21 +97,21 @@ def fixed_states(S: SuperOp) -> list:
     of :func:`ginverse.rank_with_margin`), so the list has
     ``diagnose(S).fixed_space_dim`` elements, all Hermitian.  When the span
     contains a density, the first element is a unit-trace positive fixed
-    density.
+    density.  The cut is kept in S's record (:class:`_ChannelRecord`), so
+    a basis matrix taken from it unchanged is a read-only view.
     """
     n = S.dim
-    kernel, x = ginverse.fixed_space(S.mat, n)
-    cols = list(kernel.T)
+    kernel, x = _channel_record(S).fixed
     cand = None if x is None else hermitize(unvec(x, n, n))
     if cand is None or not is_positive_semidefinite(cand, tol=STATE_TOL):
-        return [unvec(c, n, n) for c in cols]
+        return [unvec(c, n, n) for c in kernel.T]
     # rebuild a basis that starts with the density
     basis = [vec(cand) / np.linalg.norm(vec(cand))]
-    for c in cols:
+    for c in kernel.T:
         r = c - sum(np.vdot(b, c) * b for b in basis)
         if np.linalg.norm(r) > STATE_TOL:
             basis.append(r / np.linalg.norm(r))
-    return [cand] + [unvec(b, n, n) for b in basis[1:len(cols)]]
+    return [cand] + [unvec(b, n, n) for b in basis[1:kernel.shape[1]]]
 
 
 @dataclass(frozen=True)
@@ -136,14 +137,44 @@ def _tp_defect(M, k: int) -> float:
     return float(np.max(np.abs(eI.conj() @ M - eI.conj())))
 
 
+class _ChannelRecord:
+    """The work on S alone that the routes share, each field built on first
+    use and kept, read-only: the real form (:func:`matrep.real_form`, whose
+    build checks Hermiticity preservation) and the one cut ``(kernel, x)``
+    of the fixed space (:func:`ginverse.fixed_space`).
+    :func:`check_channel`, :func:`diagnose`, :func:`fixed_states` and the
+    fixed space of every chain :func:`qmc.induce` builds from S read it.  A
+    field whose build raises is not kept."""
+
+    def __init__(self, S: SuperOp):
+        self.S = S
+
+    @cached_property
+    def real(self) -> np.ndarray:
+        return _owned_read_only(real_form(self.S.mat, self.S.dim))
+
+    @cached_property
+    def fixed(self) -> tuple:
+        kernel, x = ginverse.fixed_space(self.S.mat, self.S.dim)
+        return _owned_read_only(kernel), x if x is None else _owned_read_only(x)
+
+
+# One record per S, keyed by identity (SuperOp compares and hashes by
+# identity, and its matrix is read-only), as :func:`ksmh.tau_channel`'s
+# record of (S, V) is: the last S's record is held, the next S replaces it.
+_channel_record = lru_cache(maxsize=1)(_ChannelRecord)
+
+
 def check_channel(S: SuperOp) -> np.ndarray:
     """Raise unless S is trace preserving (``TP_TOL``) and Hermiticity
     preserving (``HP_TOL``); returns the real form of S
-    (:func:`matrep.real_form`) that the second check builds."""
+    (:func:`matrep.real_form`) that the second check builds, read-only and
+    kept in S's record (:class:`_ChannelRecord`), so a second check of S
+    builds no real form."""
     defect = _tp_defect(S.mat, S.dim)
     if defect > TP_TOL:
         raise ValidationError(f"map is not trace preserving (defect {defect:.3e})")
-    return real_form(S.mat, S.dim)
+    return _channel_record(S).real
 
 
 def diagnose(S: SuperOp) -> ChannelDiagnostics:
@@ -155,21 +186,21 @@ def diagnose(S: SuperOp) -> ChannelDiagnostics:
     the fixed density from :func:`fixed_states` is faithful.  The spectrum,
     the rank and the index are taken on the real form of S
     (:func:`matrep.real_form`); a map that does not preserve Hermiticity is
-    refused with :class:`ValidationError`.
+    refused with :class:`ValidationError`.  The real form and the
+    fixed-space cut are read from S's record (:class:`_ChannelRecord`).
     """
     n = S.dim
     tp_defect = _tp_defect(S.mat, S.dim)
     is_tp = tp_defect <= TP_TOL
     is_unital = bool(np.max(np.abs(S(np.eye(n)) - np.eye(n))) <= TP_TOL)
 
-    R = real_form(S.mat, n)
+    R = _channel_record(S).real
     eigvals = np.linalg.eigvals(R)
     peripheral = tuple(complex(lam) for lam in eigvals
                        if abs(abs(lam) - 1.0) < EIG_ONE_TOL)
 
     A = np.eye(n * n) - R
-    r1 = ginverse.rank_with_margin(A)
-    fixed_dim = n * n - r1
+    fixed_dim = n * n - ginverse.rank_with_margin(A)
     jordan_trivial = ginverse.index(A) <= 1
 
     min_eig = None
@@ -278,14 +309,69 @@ def check_shapes(S: SuperOp, V: GoalSubspace, rho) -> None:
         raise ValidationError(f"initial state must be {n}x{n}, got {np.shape(rho)}")
 
 
+class _GoalRecord:
+    """The work on (S, V) that the routes share, kept read-only, like
+    :class:`_ChannelRecord`: ``QQS`` = Q.Q S (the induced chain's bottom
+    row, :func:`qmc.induce`), built with the record; and, each built on
+    first use, its real form ``M`` (the monitoring series' step and the
+    analytic resolvent's map) and :meth:`site_spectrum`, the nonzero parts
+    of the spectra of Q.Q S and (I - Q.Q) S, the induced chain's principal
+    blocks without site 0 and without site 1.
+
+    The spectra are read off S in the Hermitian basis of a frame adapted to
+    V + V-perp: W, the unitary of one complete QR of V's basis, has V's span
+    in its first d columns, and O = real_form(W kron conj W) is real
+    orthogonal, so R = O^T real_form(S) O is the real form of
+    X -> W* S(W X W*) W.  In that frame Q = diag(0, I), and Q.Q keeps the
+    Hermitian coordinates of the V-perp block (``perp``) and zeroes the
+    rest, so the frame's real form of Q.Q S is R with the other rows
+    zeroed.  Ordering ``perp`` first makes it block triangular: the
+    spectrum of Q.Q S is that of R's V-perp block, of order (n - d)^2, plus
+    zeros, and that of (I - Q.Q) S is the spectrum of the complementary
+    block, of order 2nd - d^2, plus zeros.  Each block is eigensolved when
+    its site first asks, so analytic-K alone pays for the V-perp block only."""
+
+    def __init__(self, S: SuperOp, V: GoalSubspace):
+        self.S, self.V, self._spectra = S, V, {}
+        self.QQS = _owned_read_only(V.sandwich(S.mat))
+
+    @cached_property
+    def M(self) -> np.ndarray:
+        return _owned_read_only(real_form(self.QQS, self.S.dim))
+
+    @cached_property
+    def _blocks(self) -> tuple:
+        """R's V-perp block and its complement."""
+        n = self.S.dim
+        O = real_form(conj_kron(np.linalg.qr(self.V.basis, mode="complete")[0]), n)
+        R = O.T @ _channel_record(self.S).real @ O
+        # a basis element lies in the V-perp block when both its row and its
+        # column, read off its vec position, are at least d
+        perp = np.minimum(*np.divmod(_hermitian_order(n)[0], n)) >= self.V.dim
+        return R[np.ix_(perp, perp)], R[np.ix_(~perp, ~perp)]
+
+    def site_spectrum(self, i: int) -> np.ndarray:
+        """The nonzero part of the spectrum of the induced chain's principal
+        block without site i: Q.Q S for i = 0, (I - Q.Q) S for i = 1."""
+        if i not in self._spectra:
+            self._spectra[i] = _owned_read_only(np.linalg.eigvals(self._blocks[i]))
+        return self._spectra[i]
+
+
+# One record per (S, V), keyed by the identity of both, like _channel_record.
+_goal_record = lru_cache(maxsize=1)(_GoalRecord)
+
+
 def assumption_one_holds(S: SuperOp, V: GoalSubspace):
     """True iff 1 is not an eigenvalue of Q.Q S; also returns the spectrum.
 
     This spectral condition makes the hitting generating function analytic at
-    z = 1 and all mean hitting times to V finite.  The spectrum is that of
-    the real form of Q.Q S (:func:`matrep.real_form`).
+    z = 1 and all mean hitting times to V finite.  The spectrum returned is
+    that of the V-perp block of S in a frame adapted to V + V-perp, taken in
+    real form: (n - d)^2 values, read from the (S, V) record
+    (:class:`_GoalRecord`).  The other d(2n - d) eigenvalues of Q.Q S are 0.
     """
-    eigvals = np.linalg.eigvals(real_form(V.sandwich(S.mat), S.dim))
+    eigvals = _goal_record(S, V).site_spectrum(0)
     return not near_one(eigvals), eigvals
 
 

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (GoalSubspace, assumption_one_holds, check_channel, hermitize,
-                      is_density)
+from .channel import (GoalSubspace, _goal_record, assumption_one_holds, check_channel,
+                      hermitize, is_density)
 from .errors import SpectralObstructionError, ValidationError
-from .matrep import SuperOp, from_hermitian_basis, hermitian_coords, real_form, vec
+from .matrep import SuperOp, _owned_read_only, from_hermitian_basis, hermitian_coords, vec
 from .tolerances import RESOLVENT_COND_WARN, near_one
 
 
@@ -38,19 +38,6 @@ class HittingMaps:
     K_real: np.ndarray
 
 
-def _resolvent(S: SuperOp, V: GoalSubspace) -> np.ndarray:
-    """(I - M)^{-1}, M the real form of Q.Q S."""
-    ok, eigvals = assumption_one_holds(S, V)
-    if not ok:
-        raise SpectralObstructionError("1 lies in the spectrum of Q.T",
-                                       eigenvalues=near_one(eigvals))
-    A = np.eye(S.dim**2) - real_form(V.sandwich(S.mat), S.dim)
-    if np.linalg.cond(A) > RESOLVENT_COND_WARN:
-        warnings.warn("resolvent I - QT is badly conditioned", RuntimeWarning,
-                      stacklevel=2)
-    return np.linalg.inv(A)
-
-
 def _standard(C, k: int) -> SuperOp:
     """The map on M_k whose Hermitian-basis form is C: T* C T."""
     TC = from_hermitian_basis(C, k)
@@ -61,15 +48,27 @@ def analytic_HK(S: SuperOp, V: GoalSubspace) -> HittingMaps:
     """Hitting probability and mean hitting time maps under the spectral condition.
 
     One factorization is reused: K = T M^2 with M = (I - QT)^{-1}, each
-    factor in real Hermitian-basis form, T's from :func:`channel.check_channel`.
-    That check raises :class:`ValidationError` unless S is a trace and
-    Hermiticity preserving map.
+    factor in real Hermitian-basis form.  T's real form is the one
+    :func:`channel.check_channel` keeps in S's record; QT's real form, and
+    the spectrum of QT that :func:`channel.assumption_one_holds` tests
+    first, are read from the (S, V) record (:class:`channel._GoalRecord`).
+    The check raises
+    :class:`ValidationError` unless S is a trace and Hermiticity preserving
+    map; 1 in the spectrum raises :class:`SpectralObstructionError`, and a
+    badly conditioned I - QT warns at the caller.
     """
     S_real = check_channel(S)
-    M = _resolvent(S, V)
+    ok, eigvals = assumption_one_holds(S, V)
+    if not ok:
+        raise SpectralObstructionError("1 lies in the spectrum of Q.T",
+                                       eigenvalues=near_one(eigvals))
+    A = np.eye(S.dim**2) - _goal_record(S, V).M
+    if np.linalg.cond(A) > RESOLVENT_COND_WARN:
+        warnings.warn("resolvent I - QT is badly conditioned", RuntimeWarning,
+                      stacklevel=2)
+    M = np.linalg.inv(A)
     H = S_real @ M
-    K = H @ M
-    K.flags.writeable = False
+    K = _owned_read_only(H @ M)
     return HittingMaps(_standard(H, S.dim), _standard(K, S.dim), V, K)
 
 

@@ -15,12 +15,12 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import ginverse, monitor
-from .channel import (ChannelDiagnostics, GoalSubspace, _tp_defect, check_shapes,
-                      diagnose, hermitize, is_density, randomize)
+from .channel import (ChannelDiagnostics, GoalSubspace, _goal_record, _tp_defect,
+                      check_shapes, diagnose, hermitize, is_density, randomize)
 from .errors import (NoGroupInverseError, NotIrreducibleError, NumericalError,
                      QhitError, SpectralObstructionError, ValidationError)
 from .hitting import HittingMaps, analytic_HK, tau_from_K
-from .matrep import SuperOp, hermitian_coords, real_form, vec
+from .matrep import SuperOp, _owned_read_only, hermitian_coords, real_form, vec
 from .qmc import QMC, check_sites, induce, induced_group_inverse, site_slice
 from .tolerances import NORM_GROWTH_REL_TOL, STATE_TOL, near_one
 
@@ -92,8 +92,13 @@ def qmc_hitting_operators(q: QMC) -> QmcHittingOperators:
     zeros together with the spectrum of Phi with site i's rows and columns
     removed.  Availability is decided from that principal block, of order
     (n_sites - 1) k^2, and its spectrum is taken on its real form
-    (:func:`matrep.real_form`); for the induced chain's site 0 it is Q.Q S,
-    the map :func:`channel.assumption_one_holds` tests.
+    (:func:`matrep.real_form`).  On a chain that :func:`qmc.induce` built,
+    the blocks are Q.Q S (site 0, the map
+    :func:`channel.assumption_one_holds` tests) and (I - Q.Q) S (site 1),
+    and both spectra are read from the (S, V) record
+    (:class:`channel._GoalRecord`), shared with analytic-K: each is one
+    eigensolve of a block of S in a frame adapted to V + V-perp, of order
+    (n - d)^2 and 2nd - d^2, not n^2.
 
     The same triangular shape gives K^(i) itself (:func:`_hitting_operator`):
     each available site costs one inverse of order (n_sites - 1) k^2, that
@@ -107,21 +112,19 @@ def qmc_hitting_operators(q: QMC) -> QmcHittingOperators:
     """
     sites = range(q.n_sites)
     N = q.dim
-    K_ops = {}
-    availability = {}
-    obstructed = {}
+    K_ops, availability, obstructed = {}, {}, {}
     D = np.zeros((N, N), dtype=np.complex128)
     for i in sites:
         sl = site_slice(i, q.k)
         r = np.delete(np.arange(N), sl)
         rest = q.rep[np.ix_(r, r)]
-        bad = near_one(np.linalg.eigvals(real_form(rest, q.k)))
+        bad = near_one(np.linalg.eigvals(real_form(rest, q.k)) if q.subspace is None
+                       else _goal_record(q.channel, q.subspace).site_spectrum(i))
         if bad:
             availability[i] = (False, bad)
             obstructed[i] = (sl, r, rest)
             continue
-        K = _hitting_operator(q.rep, sl, r, rest)
-        K_ops[i] = K
+        K = K_ops[i] = _hitting_operator(q.rep, sl, r, rest)
         availability[i] = (True, [])
         D[sl, sl] = K[sl, sl]
     # A spectrally obstructed site has no plain resolvent K^(i).  Two cases:
@@ -136,7 +139,6 @@ def qmc_hitting_operators(q: QMC) -> QmcHittingOperators:
     fallback = []
     donor = next((j for j in sites if availability[j][0]), None)
     for i, (sl, r, rest) in obstructed.items():
-        filled = False
         try:
             g = ginverse.group_inverse(np.eye(r.size) - rest)
             X = (g.Asharp - g.ergodic_projector) @ q.rep[r, sl]
@@ -145,10 +147,10 @@ def qmc_hitting_operators(q: QMC) -> QmcHittingOperators:
             if _tp_defect(ret, q.k) < STATE_TOL:
                 D[sl, sl] = ret + Phi_ir @ (g.Asharp @ X)
                 fallback.append((i, "abel-return"))
-                filled = True
+                continue
         except (NoGroupInverseError, NumericalError, np.linalg.LinAlgError):
             pass
-        if not filled and donor is not None:
+        if donor is not None:
             D[sl, sl] = K_ops[donor][sl, sl]
             fallback.append((i, f"donor-{donor}"))
     return QmcHittingOperators(n_sites=q.n_sites, k=q.k, K_ops=K_ops, D=D,
@@ -253,8 +255,7 @@ class _Problem:
         """(D, availability) of :func:`qmc_hitting_operators`; its K_ops
         enter no route."""
         ops = qmc_hitting_operators(self.qmc)
-        ops.D.flags.writeable = False
-        return ops.D, ops.availability
+        return _owned_read_only(ops.D), ops.availability
 
     @cached_property
     def diag(self) -> ChannelDiagnostics:
@@ -271,9 +272,8 @@ class _Problem:
         return self._kernel(induced_group_inverse(self.qmc).Asharp)
 
     def _kernel(self, G) -> tuple:
-        kern = ksmh_kernel(self.qmc, self.sites[0], G)
-        G.flags.writeable = kern.flags.writeable = False
-        return G, kern
+        return _owned_read_only(G), _owned_read_only(
+            ksmh_kernel(self.qmc, self.sites[0], G))
 
 
 # The record of (S, V), keyed by the identity of both objects (SuperOp and
@@ -317,10 +317,17 @@ def tau_channel(S: SuperOp, V: GoalSubspace, rho, method: str) -> TauReport:
     Routes and states that follow on the same objects read it, so each
     factorization runs once per problem, and a warning such as the rank
     rule's ``RuntimeWarning`` fires on the call that builds the field, not
-    on every route.  A field whose build raises is not kept.  The series,
-    which keeps no record, checks S on every call, and the shape, density
-    and support checks on rho run on every call: rho must lie in V-perp
-    here, although :func:`hitting.tau_from_K` also reads the return side.
+    on every route.  A field whose build raises is not kept.  Below this
+    record, the public functions of every route share two more, in
+    :mod:`channel`: S's (its real form, which :func:`channel.check_channel`
+    returns to the series, analytic-K and :func:`qmc.induce`, and the one
+    fixed-space cut read by :func:`channel.diagnose` and the induced chain)
+    and (S, V)'s (Q.Q S, its real form, the step of the series and the map
+    of analytic-K's resolvent, and the sliced spectra of assumption one and
+    both sites).  So the series, which keeps no record of its own, checks
+    only S's trace defect on a second state.  The shape, density and
+    support checks on rho run on every call: rho must lie in V-perp here,
+    although :func:`hitting.tau_from_K` also reads the return side.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")

@@ -36,10 +36,11 @@ def as_complex(A) -> np.ndarray:
     return M
 
 
-def _owned_read_only(M: np.ndarray, source) -> np.ndarray:
+def _owned_read_only(M: np.ndarray, source=None) -> np.ndarray:
     """M made read-only, copied first when it shares memory with the
     caller's ``source`` (:func:`as_complex` returns complex128 input
-    itself), so that the caller's array stays writable and cannot change M."""
+    itself), so that the caller's array stays writable and cannot change M.
+    Without a source, M is one the caller built and is frozen in place."""
     if np.may_share_memory(M, source):
         M = M.copy()
     M.flags.writeable = False
@@ -104,7 +105,7 @@ def real_form(M, k: int) -> np.ndarray:
     nonzeros, so T M T* is one gather and two in-place passes, not a
     product.  Raises :class:`ValidationError` when the imaginary part of
     T M T* exceeds ``HP_TOL`` relative to max|M|, i.e. when M does not
-    preserve Hermiticity.
+    preserve Hermiticity.  An empty M (b = 0 sites) has an empty real form.
     """
     M = as_complex(M)
     k2 = k * k
@@ -112,9 +113,9 @@ def real_form(M, k: int) -> np.ndarray:
     order, p = _hermitian_order(k)
     perm = (np.arange(N // k2)[:, None] * k2 + order).reshape(-1)
     R = M[np.ix_(perm, perm)]
-    rows = R.reshape(-1, k2, N)
+    rows = R.reshape(N // k2, k2, N)  # sized, not -1: an empty M has N = 0
     _mix_pairs(rows[:, k:k + p], rows[:, k + p:], 1j)  # T from the left
-    cols = R.reshape(N, -1, k2)
+    cols = R.reshape(N, N // k2, k2)
     _mix_pairs(cols[:, :, k:k + p], cols[:, :, k + p:], -1j)  # T* from the right
     return _real_part(R, M, "map does not preserve Hermiticity")
 
@@ -137,7 +138,7 @@ def _real_part(R, M, message: str) -> np.ndarray:
     """A contiguous copy of R.real, after checking that R, the Hermitian-basis
     form of M, has an imaginary part within ``HP_TOL`` of max|M|; else
     :class:`ValidationError` with ``message``."""
-    if max(R.imag.max(), -R.imag.min()) > HP_TOL * max(np.abs(M).max(), SCALE_FLOOR):
+    if np.abs(R.imag).max(initial=0.0) > HP_TOL * np.abs(M).max(initial=SCALE_FLOOR):
         raise ValidationError(message)
     return R.real.copy()
 

@@ -42,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (GoalSubspace, check_channel, check_shapes, hermitize, is_density,
-                      is_positive_semidefinite)
+from .channel import (GoalSubspace, _goal_record, check_channel, check_shapes,
+                      hermitize, is_density, is_positive_semidefinite)
 from .errors import ValidationError
 from .matrep import SuperOp, hermitian_coords, real_form, unvec, vec
 from .qmc import QMC, check_sites, site_slice
@@ -90,14 +90,16 @@ def first_visit_series(S: SuperOp, V: GoalSubspace, rho) -> MonitorSeries:
     Truncation is reported through ``converged``/``truncated_at``, never
     raised; ``tau`` is infinite when the hitting probability plateaus
     below 1.  A map that is not trace and Hermiticity preserving is refused
-    with :class:`ValidationError` (:func:`channel.check_channel`).
+    with :class:`ValidationError` (:func:`channel.check_channel`).  S's real
+    form and the step M are read from the records of S and of (S, V)
+    (:class:`channel._GoalRecord`), so a second state builds neither.
     """
     check_shapes(S, V, rho)
     S_real = check_channel(S)
     if not is_density(rho):
         raise ValidationError("initial state must be a density matrix")
     # the trace of the goal part X - Q X Q of X is Tr(P X) = <vec P|vec X>
-    return _run_series(real_form(V.sandwich(S.mat), S.dim),
+    return _run_series(_goal_record(S, V).M,
                        hermitian_coords(vec(V.P), S.dim) @ S_real,
                        hermitian_coords(vec(hermitize(rho)), S.dim),
                        hermitian_coords(vec(np.eye(S.dim)), S.dim))

@@ -11,7 +11,8 @@ import functools
 import numpy as np
 
 from . import ginverse
-from .channel import GoalSubspace, _tp_defect, check_channel, hermitize
+from .channel import (GoalSubspace, _channel_record, _goal_record, _tp_defect,
+                      check_channel, hermitize)
 from .errors import DimensionError, NotIrreducibleError, ValidationError
 from .matrep import SuperOp, _owned_read_only, as_complex, conj_kron, unvec, vec
 from .tolerances import TP_TOL
@@ -39,21 +40,21 @@ class QMC:
 
     Stored as the assembled representation matrix of order n_sites * k^2; the
     per-block view is :meth:`block`.  Raises :class:`ValidationError` unless
-    the chain is trace preserving to ``TP_TOL``.  ``channel`` is the map S
-    of a chain built by :func:`induce`, whose rep factors as C R with C its
-    column block 0, R = [I I] and R C = S; it is None for any other chain.
-    ``rep`` is read-only: the chain caches the cut of its fixed space.
+    the chain is trace preserving to ``TP_TOL``.  ``channel`` and
+    ``subspace`` are the map S and the goal subspace V of a chain built by
+    :func:`induce`, whose rep factors as C R with C its column block 0,
+    R = [I I] and R C = S; both are None for any other chain.  ``rep`` is
+    read-only: the chain caches the cut of its fixed space.
     """
 
-    def __init__(self, n_sites: int, k: int, rep, channel: SuperOp | None = None):
+    def __init__(self, n_sites: int, k: int, rep, channel=None, subspace=None):
         M = as_complex(rep)
         N = n_sites * k * k
         if M.shape != (N, N):
             raise DimensionError(f"QMC representation must be {N}x{N}, got {M.shape}")
-        self.n_sites = n_sites
-        self.k = k
+        self.n_sites, self.k = n_sites, k
         self.rep = _owned_read_only(M, rep)
-        self.channel = channel
+        self.channel, self.subspace = channel, subspace
         defect = _tp_defect(M, k)
         if defect > TP_TOL:
             raise ValidationError(f"QMC is not trace preserving (defect {defect:.3e})")
@@ -79,12 +80,14 @@ class QMC:
     def _fixed(self) -> tuple:
         """``(dimension, x)`` of the chain's fixed space, from the one cut of
         :func:`ginverse.fixed_space`: x is its fixed vector of unit trace,
-        or None.  An induced chain is cut on S and x lifted to C x (see
+        or None.  An induced chain reads the cut of S from S's record
+        (:class:`channel._ChannelRecord`), shared with :func:`channel.diagnose`
+        and every chain induced from S, and lifts x to C x (see
         :func:`stationary_density`)."""
         if self.channel is None:
             kernel, x = ginverse.fixed_space(self.rep, self.k)
         else:
-            kernel, x = ginverse.fixed_space(self.channel.mat, self.k)
+            kernel, x = _channel_record(self.channel).fixed
             if x is not None:
                 x = self.rep[:, site_slice(0, self.k)] @ x
         return kernel.shape[1], x
@@ -115,8 +118,11 @@ def induce(S: SuperOp, V: GoalSubspace) -> QMC:
 
     Row 1 carries (I - Q.Q) S, row 2 carries Q.Q S, each repeated across
     both columns; trace preservation is inherited from S.  Q.Q S is one
-    :meth:`GoalSubspace.sandwich` of S, and (I - Q.Q) S is S minus it.
-    The chain records S as :attr:`QMC.channel`: its map is C R with
+    :meth:`GoalSubspace.sandwich` of S, kept in the (S, V) record
+    (:class:`channel._GoalRecord`), and (I - Q.Q) S is S minus it.
+    The chain records S and V as :attr:`QMC.channel` and
+    :attr:`QMC.subspace`, so :func:`ksmh.qmc_hitting_operators` reads its
+    sites' spectra from the same record.  Its map is C R with
     C = [(I - Q.Q) S; Q.Q S] and R = [I I], and :func:`stationary_density`,
     :func:`induced_group_inverse` and :func:`ginverse.hunter_ginverse` lift
     their results from S at order n^2 instead of factoring the chain.
@@ -126,10 +132,10 @@ def induce(S: SuperOp, V: GoalSubspace) -> QMC:
     if S.dim != V.ambient_dim:
         raise DimensionError("channel and subspace dimensions differ")
     check_channel(S)
-    bot = V.sandwich(S.mat)
+    bot = _goal_record(S, V).QQS
     top = S.mat - bot
     rep = np.block([[top, top], [bot, bot]])
-    return QMC(n_sites=2, k=S.dim, rep=rep, channel=S)
+    return QMC(n_sites=2, k=S.dim, rep=rep, channel=S, subspace=V)
 
 
 def induced_group_inverse(q: QMC) -> ginverse.GroupInverse:
@@ -169,10 +175,10 @@ def stationary_density(q: QMC) -> np.ndarray:
 
     The fixed space is cut once per chain, by :func:`ginverse.fixed_space`
     (the rank rule of :func:`ginverse.rank_with_margin`), and the cut is kept
-    on the chain for the Hunter family's irreducibility test (see
-    :func:`ginverse.hunter_ginverse`): on a line its null vector is
-    taken, otherwise the site-uniform seed |e_I> is pushed through the
-    ergodic projector I - A^# A.
+    on the chain (an induced chain's in S's record) for the Hunter family's
+    irreducibility test (see :func:`ginverse.hunter_ginverse`): on a line
+    its null vector is taken, otherwise the site-uniform seed |e_I> is
+    pushed through the ergodic projector I - A^# A.
 
     An induced chain (:attr:`QMC.channel` set) is cut at order n^2, on S
     itself.  Its map is Phi = C R with R C = S, and pi -> C pi is a bijection

@@ -74,6 +74,13 @@ def random_kraus(rng, n: int, m: int = 3) -> tuple:
     return tuple(Q[i * n:(i + 1) * n, :] for i in range(m))
 
 
+def haar_unitary(rng, n: int) -> np.ndarray:
+    """Haar-random unitary: QR of a complex Gaussian matrix, phases fixed."""
+    Z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    Q, R = np.linalg.qr(Z)
+    return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
 def random_tp_channel(rng, n: int, m: int = 3) -> qhit.SuperOp:
     """Random trace-preserving channel of :func:`random_kraus`."""
     return qhit.represent(qhit.KrausChannel(n, random_kraus(rng, n, m)))

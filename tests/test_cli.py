@@ -50,6 +50,8 @@ CORPUS_CASES = [
     (["ginverse", f"{CORPUS}/sec5.json", "--kind", "hunter", "--json"],
      "ginverse_hunter_sec5.json"),
     (["validate", f"{CORPUS}/hadamard.json", "--json"], "validate_hadamard.json"),
+    (["validate", f"{CORPUS}/hadamard_bad_alpha.json", "--json"],
+     "validate_hadamard_bad_alpha.json"),
     (["validate", f"{CORPUS}/sec5.json"], "validate_sec5.txt"),
     (["hitting", f"{CORPUS}/hadamard.json"], "hitting_hadamard.txt"),
     (["sweep", f"{CORPUS}/randomization.json", "--values", "1,0.5,0.1,0.01"],

@@ -2,14 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import qhit
-from conftest import (random_goal_qubit, random_irreducible_qubit,
+from conftest import (haar_unitary, random_goal_qubit, random_irreducible_qubit,
                       random_tp_channel)
 from dense_oracles import fundamental_map, mhtf_tau
 from expected_matrices import K_MAP, K_U, ORDER4_K
+from qhit.channel import hermitize
 from qhit.errors import (NotIrreducibleError, SpectralObstructionError,
                          ValidationError)
+from qhit.matrep import real_form
 
 RNG = np.random.default_rng(23)
 
@@ -159,3 +163,62 @@ def test_analytic_HK_refuses_a_map_that_is_not_a_channel(sec5):
         qhit.tau_from_K(qhit.analytic_HK(S, sec5["V"]), sec5["rho_phi"])
     with pytest.raises(ValidationError, match="Hermiticity"):
         qhit.analytic_HK(qhit.SuperOp(2, np.diag([1, 1j, 1, 1])), sec5["V"])
+
+
+def _kac_return_state(S: qhit.SuperOp, V: qhit.GoalSubspace):
+    """(rho_V, 1 / Tr(P omega)) for omega the fixed state of the measured
+    channel S_m = (P.P + Q.Q) S, from the null vector of one SVD of
+    I - S_m; None when that fixed space is not a line."""
+    n = S.dim
+    Sm = (np.kron(V.P, V.P.conj()) + np.kron(V.Q, V.Q.conj())) @ S.mat
+    _, s, Vh = np.linalg.svd(np.eye(n * n) - Sm)
+    if s[-2] <= 1e-8 * s[0]:
+        return None
+    omega = qhit.unvec(Vh[-1].conj(), n, n)
+    omega = hermitize(omega / np.trace(omega))
+    mass = np.trace(V.P @ omega).real
+    rho_V = hermitize(V.P @ omega @ V.P) / mass
+    return rho_V, 1.0 / mass
+
+
+def _assert_kac(S, V, rho_V, expected):
+    # max(1e-12, 1e-13 tau) holds on well-conditioned channels; a unitary
+    # channel can make I - QT ill-conditioned (kappa up to 6e4 at n <= 8),
+    # and both routes' errors then reach 7.9 eps kappa tau, inside the third
+    # term
+    n = S.dim
+    kappa = np.linalg.cond(np.eye(n * n) - real_form(V.sandwich(S.mat), n))
+    bound = max(1e-12, 1e-13 * expected, 1e-14 * kappa * expected)
+    assert abs(qhit.tau_from_K(qhit.analytic_HK(S, V), rho_V) - expected) <= bound
+    series = qhit.first_visit_series(S, V, rho_V)
+    assert series.converged
+    assert abs(series.tau - expected) <= bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=8), st.integers(min_value=1, max_value=7),
+       st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=2**31 - 1))
+def test_kac_return_time_identity(n, d, m, seed):
+    # Kac's lemma for the monitored channel: from rho_V = P omega P / Tr(P omega),
+    # omega the fixed state of the measured channel (P.P + Q.Q) S, the mean
+    # return time to V is 1 / Tr(P omega).  It reads analytic-K's map through
+    # its V side and sums the series from a state in V, an exact check at any n
+    assume(d < n)
+    rng = np.random.default_rng(seed)
+    S = random_tp_channel(rng, n, m)
+    basis = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+    V = qhit.GoalSubspace.from_vectors(list(basis.T))
+    kac = _kac_return_state(S, V)
+    assume(kac is not None and qhit.assumption_one_holds(S, V)[0])
+    _assert_kac(S, V, *kac)
+
+
+def test_kac_return_time_of_a_haar_unitary_is_the_dimension():
+    # a unitary's measured channel fixes I/n, so the return time to a line is n
+    rng = np.random.default_rng(24)
+    S = qhit.unitary_superop(haar_unitary(rng, 5))
+    V = qhit.GoalSubspace.from_vectors([rng.normal(size=5) + 1j * rng.normal(size=5)])
+    rho_V, expected = _kac_return_state(S, V)
+    assert abs(expected - 5.0) <= 1e-12
+    _assert_kac(S, V, rho_V, 5.0)
+

@@ -10,17 +10,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qhit
-from conftest import (make_sec6_T, random_goal_qubit, random_irreducible_qubit,
-                      random_tp_channel, site_projector)
+from conftest import (ROTATION_U, haar_unitary, make_sec6_T, random_goal_qubit,
+                      random_irreducible_qubit, random_kraus, random_tp_channel,
+                      site_projector)
 from dense_oracles import first_step_operator_L
 from expected_matrices import D_QMC, H0, HADAMARD_KERNEL, ORDER4_QFORM
 from qhit.cli import load_spec, main, parse_channel, parse_subspace
 from qhit.errors import (NotIrreducibleError, NumericalError,
                          SpectralObstructionError, ValidationError)
 from qhit.qmc import site_slice
-from qhit.tolerances import EIG_ONE_TOL
+from qhit.tolerances import EIG_ONE_TOL, near_one
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -191,6 +194,92 @@ def test_site0_availability_is_assumption_one(hadamard):
         assert ops.availability[0][0] == holds
         verdicts.append(holds)
     assert verdicts == [True, False, True, True]
+
+
+@pytest.mark.parametrize("U", [np.eye(2), np.array([[0, 1], [1, 0]]),
+                               np.array([[1, 1], [1, -1]]) / np.sqrt(2)])
+def test_a_one_site_chain_is_available_with_K_equal_to_phi(U):
+    # removing the only site leaves an empty principal block: 1 is not in its
+    # (empty) spectrum, and K^(0) = Phi (I - 0)^{-2} = Phi = D
+    q = qhit.from_oqw([[U]])
+    ops = qhit.qmc_hitting_operators(q)
+    assert ops.availability == {0: (True, [])}
+    assert ops.fallback_sites == ()
+    assert np.array_equal(ops.K_ops[0], q.rep) and np.array_equal(ops.D, q.rep)
+
+
+def _assert_sliced_spectra_decide_as_the_full_ones(S, V):
+    # assumption one and both sites' availability read two blocks of S in a
+    # frame adapted to V + V-perp; the full spectra of order n^2, of Q.Q S
+    # and of (I - Q.Q) S, must give the same verdicts and near-one
+    # eigenvalues.  d = n leaves the V-perp block empty
+    n, d = S.dim, V.dim
+    QQS = V.sandwich(S.mat)
+    full = (np.linalg.eigvals(QQS), np.linalg.eigvals(S.mat - QQS))
+    holds, eigs = qhit.assumption_one_holds(S, V)
+    assert eigs.shape == ((n - d) ** 2,)
+    ops = qhit.qmc_hitting_operators(qhit.induce(S, V))
+    verdicts = (holds, ops.availability[0][0], ops.availability[1][0])
+    assert verdicts == (not near_one(full[0]),) * 2 + (not near_one(full[1]),)
+    for got, ref in ((near_one(eigs), full[0]), (ops.availability[0][1], full[0]),
+                     (ops.availability[1][1], full[1])):
+        left = near_one(ref)
+        assert len(got) == len(left)
+        for z in got:
+            j = int(np.argmin([abs(z - w) for w in left]))
+            assert abs(z - left.pop(j)) <= 1e-12
+
+
+def _block_channel(rng, n: int, c: int, m: int) -> qhit.SuperOp:
+    """Kraus operators A_i (+) B_i of random channels on C^c and C^(n-c)."""
+    kraus = []
+    for A, B in zip(random_kraus(rng, c, m), random_kraus(rng, n - c, m)):
+        K = np.zeros((n, n), dtype=complex)
+        K[:c, :c], K[c:, c:] = A, B
+        kraus.append(K)
+    return qhit.represent(qhit.KrausChannel(n, tuple(kraus)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["random", "block", "rotated-block"]),
+       st.integers(min_value=2, max_value=6), st.integers(min_value=1, max_value=6),
+       st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=2**31 - 1))
+def test_sliced_spectra_decide_as_the_full_ones(kind, n, d, m, seed):
+    # random channels, and block-reducible ones, plain or rotated by a Haar
+    # unitary W; in the block channels V lies in the first block when it
+    # fits, so a closed class in V-perp obstructs assumption one and site 0
+    rng = np.random.default_rng(seed)
+    d = min(d, n)
+    basis = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+    if kind == "random":
+        S = random_tp_channel(rng, n, m)
+    else:
+        c = int(rng.integers(1, n))
+        S = _block_channel(rng, n, c, m)
+        if d <= c:
+            basis[c:] = 0
+        if kind == "rotated-block":
+            W = haar_unitary(rng, n)
+            S = qhit.SuperOp(n, np.kron(W, W.conj()) @ S.mat @ np.kron(W, W.conj()).conj().T)
+            basis = W @ basis
+    _assert_sliced_spectra_decide_as_the_full_ones(
+        S, qhit.GoalSubspace.from_vectors(list(basis.T)))
+
+
+@pytest.mark.parametrize("name", ["hadamard", "order4", "rotation", "hadamard_bad_alpha",
+                                  "U3+U2"])
+def test_sliced_spectra_decide_as_the_full_ones_on_named_channels(name):
+    # U3 (+) U2 with V = span{e_0} has the dark subspace C^2 in V-perp
+    if name == "rotation":
+        S, V = qhit.unitary_superop(ROTATION_U), qhit.GoalSubspace.from_vectors([[1, 0]])
+    elif name == "U3+U2":
+        rng = np.random.default_rng(32)
+        U = np.zeros((5, 5), dtype=complex)
+        U[:3, :3], U[3:, 3:] = haar_unitary(rng, 3), haar_unitary(rng, 2)
+        S, V = qhit.unitary_superop(U), qhit.GoalSubspace.from_vectors([np.eye(5)[0]])
+    else:
+        S, V = _corpus_problem(name)
+    _assert_sliced_spectra_decide_as_the_full_ones(S, V)
 
 
 def test_ksmh_kernel_matches_dense_identity_grid(sec5):
@@ -391,7 +480,9 @@ def test_inverse_constructors_factor_no_matrix_of_the_chains_order(monkeypatch,
     }
     orders = _record_factorization_orders(monkeypatch)
     for name, call in calls.items():
-        q = qhit.induce(S, V)  # a fresh chain: no cut kept from the last call
+        # a fresh chain of a fresh S: the cut of the fixed space is kept per
+        # S, so a chain of the same S would read the last call's
+        q = qhit.induce(qhit.SuperOp(S.dim, S.mat), V)
         orders.clear()
         assert call(q) is not False, name  # the CLI exits 0
         assert capsys.readouterr().err == ""
@@ -687,7 +778,11 @@ def test_alternating_problems_of_equal_shape_keep_their_own_records():
 
 def test_one_problem_runs_each_factorization_once(monkeypatch):
     # one (S, V) from two states through the four routes: the record builds
-    # each rho-independent result once, and one kernel per KSMH route
+    # each rho-independent result once, and one kernel per KSMH route.  The
+    # records of S and of (S, V) below it make one eigensolve of each sliced
+    # block (assumption one and site 0 read the V-perp block, site 1 its
+    # complement) and one of order n^2 (diagnose's peripheral spectrum), one
+    # fixed-space SVD of I - S, and at most two real forms of S
     counts = Counter()
 
     def count(module, name):
@@ -702,15 +797,33 @@ def test_one_problem_runs_each_factorization_once(monkeypatch):
                  "induced_group_inverse", "ksmh_kernel"):
         count(qhit.ksmh, name)
     count(qhit.ginverse, "hunter_special")
+    count(qhit.ginverse, "fixed_space")
+    eig_orders = []
+
+    def eigvals(a, _f=np.linalg.eigvals):
+        eig_orders.append(np.shape(a)[0])
+        return _f(a)
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
     rng = np.random.default_rng(33)
-    S = random_tp_channel(rng, 4)
-    V = qhit.GoalSubspace.from_vectors([rng.normal(size=4)])
+    n = 4
+    S = random_tp_channel(rng, n)
+    V = qhit.GoalSubspace.from_vectors([rng.normal(size=n)])
+    real_forms_of_S = []
+    for module in (qhit.channel, qhit.ginverse, qhit.ksmh, qhit.monitor):
+        def real_form(M, k, _f=module.real_form):
+            if np.shape(M) == S.mat.shape and np.array_equal(M, S.mat):
+                real_forms_of_S.append(module.__name__)
+            return _f(M, k)
+        monkeypatch.setattr(module, "real_form", real_form)
     for rho in _states_in_perp(rng, V):
         for m in qhit.ksmh.METHODS:
             assert qhit.tau_channel(S, V, rho, m).ok, m
     assert counts == {"induce": 1, "analytic_HK": 1, "qmc_hitting_operators": 1,
                       "diagnose": 1, "hunter_special": 1,
-                      "induced_group_inverse": 1, "ksmh_kernel": 2}
+                      "induced_group_inverse": 1, "ksmh_kernel": 2,
+                      "fixed_space": 1}
+    assert sorted(eig_orders) == sorted([(n - 1) ** 2, 2 * n - 1, n * n])
+    assert len(real_forms_of_S) <= 2, real_forms_of_S
 
 
 def test_record_key_objects_are_read_only_and_one_problem_is_held():

@@ -188,6 +188,15 @@ def test_real_form_of_a_three_site_open_quantum_walk():
         assert_same_spectrum(rest, real_form(rest, k))
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_real_form_of_an_empty_map_is_empty(k):
+    # the principal block of a one-site chain, and the V-perp block when V is
+    # the whole space, have no rows
+    R = real_form(np.zeros((0, 0)), k)
+    assert R.shape == (0, 0) and R.dtype == np.float64
+    assert np.linalg.eigvals(R).shape == (0,)
+
+
 def test_real_form_refuses_a_map_that_does_not_preserve_hermiticity():
     M = random_complex((9, 9), np.random.default_rng(3))
     with pytest.raises(ValidationError, match="Hermiticity"):

@@ -47,6 +47,8 @@ CORPUS_CASES = [
       "--json"], "sweep_randomization.json"),
     (["hitting", f"{CORPUS}/sec5.json", "--json", "--dump-intermediates"],
      "hitting_sec5_intermediates.json"),
+    (["hitting", f"{CORPUS}/hadamard.json", "--json", "--dump-intermediates"],
+     "hitting_hadamard_intermediates.json"),
     (["ginverse", f"{CORPUS}/sec5.json", "--kind", "hunter", "--json"],
      "ginverse_hunter_sec5.json"),
     (["validate", f"{CORPUS}/hadamard.json", "--json"], "validate_hadamard.json"),

@@ -5,7 +5,9 @@ mean-hitting-time map, and the Kemeny-Snell-Meyer-Hunter kernel built from
 either a Hunter-family g-inverse or the group inverse of the induced
 two-site chain.  On that chain the kernel is the site-0 block D_00 tiled
 whatever the g-inverse G is, so routes 3 and 4 read tau from D_00, and G is
-checked by its own axioms rather than by tau.
+checked by its own axioms rather than by tau.  Every matrix of those routes
+is real, in the chain's Hermitian basis (``QMC.real``);
+``matrep.vec_form`` gives its vec coordinates.
 
 Only the series and the final trace depend on the initial state.
 ``tau_channel`` keeps the rest (K, the induced chain, D, the diagnostics,

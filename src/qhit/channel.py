@@ -9,8 +9,9 @@ import numpy as np
 
 from . import ginverse
 from .errors import DimensionError, ValidationError
-from .matrep import (SuperOp, _hermitian_order, _owned_read_only, as_complex,
-                     conj_kron, real_form, unvec, vec)
+from .matrep import (SuperOp, _hermitian_form, _hermitian_order, _owned_read_only,
+                     as_complex, conj_kron, from_hermitian_basis, real_form, unvec,
+                     vec)
 from .tolerances import (EIG_ONE_TOL, FAITHFUL_TOL, PSD_TOL, STATE_TOL, TP_TOL,
                          ZERO_TOL, near_one)
 
@@ -97,12 +98,13 @@ def fixed_states(S: SuperOp) -> list:
     of :func:`ginverse.rank_with_margin`), so the list has
     ``diagnose(S).fixed_space_dim`` elements, all Hermitian.  When the span
     contains a density, the first element is a unit-trace positive fixed
-    density.  The cut is kept in S's record (:class:`_ChannelRecord`), so
-    a basis matrix taken from it unchanged is a read-only view.
+    density.  The cut is kept in S's record (:class:`_ChannelRecord`), in
+    Hermitian-basis coordinates, and mapped to vec form here.
     """
     n = S.dim
     kernel, x = _channel_record(S).fixed
-    cand = None if x is None else hermitize(unvec(x, n, n))
+    kernel = from_hermitian_basis(kernel, n)
+    cand = None if x is None else unvec(from_hermitian_basis(x, n), n, n)
     if cand is None or not is_positive_semidefinite(cand, tol=STATE_TOL):
         return [unvec(c, n, n) for c in kernel.T]
     # rebuild a basis that starts with the density
@@ -129,19 +131,21 @@ class ChannelDiagnostics:
     fixed_density_min_eig: float | None  # None: no fixed density
 
 
-def _tp_defect(M, k: int) -> float:
-    """max|<e_I| M - <e_I|| for a map M on b sites of k x k matrices (order
-    b k^2, as in :func:`matrep.real_form`), e_I = vec(I_k) on every site:
-    <e_I| M = <e_I| characterizes trace preservation."""
-    eI = np.tile(vec(np.eye(k)), M.shape[0] // (k * k))
-    return float(np.max(np.abs(eI.conj() @ M - eI.conj())))
+def _tp_defect(M, e) -> float:
+    """max|<e| M - <e|| for a map M on b sites of k x k matrices, where e is
+    the identity on every site in M's basis, a row of real values: vec(I_k)
+    stacked b times in vec coordinates, or :func:`matrep.identity_coords`
+    in the Hermitian basis.  <e| M = <e| characterizes trace
+    preservation."""
+    return float(np.max(np.abs(e @ M - e)))
 
 
 class _ChannelRecord:
     """The work on S alone that the routes share, each field built on first
     use and kept, read-only: the real form (:func:`matrep.real_form`, whose
     build checks Hermiticity preservation) and the one cut ``(kernel, x)``
-    of the fixed space (:func:`ginverse.fixed_space`).
+    of the fixed space (:func:`ginverse.fixed_space` of the real form, in
+    its Hermitian-basis coordinates).
     :func:`check_channel`, :func:`diagnose`, :func:`fixed_states` and the
     fixed space of every chain :func:`qmc.induce` builds from S read it.  A
     field whose build raises is not kept."""
@@ -155,7 +159,7 @@ class _ChannelRecord:
 
     @cached_property
     def fixed(self) -> tuple:
-        kernel, x = ginverse.fixed_space(self.S.mat, self.S.dim)
+        kernel, x = ginverse.fixed_space(self.real, self.S.dim)
         return _owned_read_only(kernel), x if x is None else _owned_read_only(x)
 
 
@@ -171,7 +175,7 @@ def check_channel(S: SuperOp) -> np.ndarray:
     (:func:`matrep.real_form`) that the second check builds, read-only and
     kept in S's record (:class:`_ChannelRecord`), so a second check of S
     builds no real form."""
-    defect = _tp_defect(S.mat, S.dim)
+    defect = _tp_defect(S.mat, vec(np.eye(S.dim)))
     if defect > TP_TOL:
         raise ValidationError(f"map is not trace preserving (defect {defect:.3e})")
     return _channel_record(S).real
@@ -190,7 +194,7 @@ def diagnose(S: SuperOp) -> ChannelDiagnostics:
     fixed-space cut are read from S's record (:class:`_ChannelRecord`).
     """
     n = S.dim
-    tp_defect = _tp_defect(S.mat, S.dim)
+    tp_defect = _tp_defect(S.mat, vec(np.eye(n)))
     is_tp = tp_defect <= TP_TOL
     is_unital = bool(np.max(np.abs(S(np.eye(n)) - np.eye(n))) <= TP_TOL)
 
@@ -337,7 +341,10 @@ class _GoalRecord:
 
     @cached_property
     def M(self) -> np.ndarray:
-        return _owned_read_only(real_form(self.QQS, self.S.dim))
+        # Q.Q S preserves Hermiticity when S does, which check_channel judges
+        # before any reader gets here; judged against its own scale, a
+        # Q.Q S that is all roundoff (V the whole space) would be refused
+        return _owned_read_only(_hermitian_form(self.QQS, self.S.dim).real.copy())
 
     @cached_property
     def _blocks(self) -> tuple:

@@ -28,7 +28,7 @@ from .channel import (GoalSubspace, KrausChannel, assumption_one_holds,
 from .errors import (NoGroupInverseError, NotIrreducibleError, QhitError,
                      SpectralObstructionError, ValidationError)
 from .ksmh import kernel_limit_study, tau_channel
-from .matrep import SuperOp
+from .matrep import SuperOp, vec_form
 from .qmc import induce, induced_group_inverse
 from .tolerances import near_one
 
@@ -288,8 +288,10 @@ def cmd_hitting(args) -> int:
         if rep.detail:
             entry["detail"] = rep.detail
         if args.dump_intermediates:
-            mats = {k: v for k, v in rep.artifacts.items()
-                    if isinstance(v, np.ndarray)}
+            # K is in vec coordinates; D, G and the kernel are Hermitian-basis
+            # forms of the induced chain, printed in vec coordinates too
+            mats = {k: v if k == "K" else vec_form(v, S.dim)
+                    for k, v in rep.artifacts.items() if isinstance(v, np.ndarray)}
             if mats:
                 entry["intermediates"] = mats
         results[name] = entry
@@ -320,7 +322,10 @@ def cmd_ginverse(args) -> int:
     """Print the inverse that the KSMH routes use: on a spec with a subspace,
     the induced chain's A^# of :func:`qmc.induced_group_inverse` or the
     Hunter member of :func:`ginverse.hunter_ginverse`, whose defaults give
-    the special form of :func:`ginverse.hunter_special`."""
+    the special form of :func:`ginverse.hunter_special`, with the residuals
+    of the check that built it.  Both are formed in the chain's Hermitian
+    basis, where the Hunter parameters are read, and printed in vec
+    coordinates (:func:`matrep.vec_form`)."""
     spec = load_spec(args.spec)
     S = parse_channel(spec)
     q = induce(S, parse_subspace(spec["subspace"], S.dim)) if "subspace" in spec else None
@@ -335,15 +340,15 @@ def cmd_ginverse(args) -> int:
               else induced_group_inverse(q))
         report["index"] = gs.index
         report["residuals"] = gs.residuals
-        report["Asharp"] = gs.Asharp
+        report["Asharp"] = gs.Asharp if q is None else vec_form(gs.Asharp, S.dim)
     else:  # hunter
         if q is None:
             raise SpecError("$.subspace",
                             "missing (the Hunter family acts on the induced QMC)")
         params = {name: _parse_cli_vector(getattr(args, name), name) for name in given}
-        G = ginv.hunter_ginverse(q, **params)
-        report["residuals"] = {"AGA-A": ginv.verify_ginverse(np.eye(q.dim) - q.rep, G)}
-        report["G"] = G
+        G, defect = ginv._hunter_member(q, **params)
+        report["residuals"] = {"AGA-A": defect}
+        report["G"] = vec_form(G, S.dim)
     emit(report, args.json)
     return EXIT_OK
 

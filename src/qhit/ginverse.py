@@ -5,6 +5,11 @@ E the projector onto ker(A) along range(A) taken from the kernel pair of one
 SVD.  The Hunter g-inverses are returned as plain matrices; the group
 inverse as a :class:`GroupInverse` record, which :func:`check_group_axioms`
 builds for both :func:`group_inverse` and :func:`qmc.induced_group_inverse`.
+Each function computes in the dtype of its input (:func:`matrep.as_matrix`),
+so the real Hermitian-basis forms that the chain functions pass in, the
+real form of I - S, the chain's :attr:`qmc.QMC.real` and its principal
+blocks, give real factorizations, real axiom checks and real results.  The
+Hunter family works in the chain's Hermitian basis.
 """
 
 from __future__ import annotations
@@ -16,8 +21,7 @@ import numpy as np
 
 from .errors import (NoGroupInverseError, NotIrreducibleError, NumericalError,
                      ValidationError)
-from .matrep import (as_complex, as_matrix, from_hermitian_basis, hermitian_coords,
-                     real_form, vec)
+from .matrep import as_matrix, hermitian_coords, identity_coords
 from .tolerances import (AXIOM_REL_TOL, RANK_REL_TOL, SCALE_FLOOR, SPLIT_COND_WARN,
                          ZERO_TOL)
 
@@ -46,33 +50,32 @@ def rank_with_margin(A) -> int:
     return _rank_cut(np.linalg.svd(A, compute_uv=False))
 
 
-def fixed_space(rep, k: int) -> tuple:
-    """Fixed space ker(I - rep) of a map on b sites of k x k matrices, and
-    its fixed vector of unit trace.
+def fixed_space(R, k: int) -> tuple:
+    """Fixed space ker(I - R) of a map on b sites of k x k matrices, given
+    by its real Hermitian-basis form R (:func:`matrep.real_form`), and its
+    fixed vector of unit trace.
 
-    One full SVD of A = I - R, R the real Hermitian-basis form of rep
-    (:func:`matrep.real_form`), cut by the rank rule of
-    :func:`rank_with_margin`.  Returns ``(kernel, x)`` in vec form: the
-    columns of ``kernel`` are an orthonormal basis X of ker(I - rep), each
-    the vec of a Hermitian matrix on every site, and x is a fixed vector
-    with <e_I|x> = 1 (e_I the identity on every site), or None when the
-    kernel holds no vector of nonzero trace.  On a line x is the null vector
-    itself; on a larger kernel it is E e_I, where E = X (Y* X)^{-1} Y* is the
-    ergodic projector I - A^# A (:func:`_split_projector`) and Y the basis
-    of ker(A*) from the same SVD.  Raises :class:`NoGroupInverseError` when
-    index(A) > 1 (:func:`_index_at_most_one`).
+    One full SVD of A = I - R, cut by the rank rule of
+    :func:`rank_with_margin`.  Returns ``(kernel, x)`` in Hermitian-basis
+    coordinates: the columns of ``kernel`` are an orthonormal basis X of
+    ker(I - R), and x is a fixed vector with <e_I|x> = 1 (e_I the
+    identity on every site, :func:`matrep.identity_coords`), or None when
+    the kernel holds no vector of nonzero trace.  On a line x is the null
+    vector itself; on a larger kernel it is E e_I, where E = X (Y* X)^{-1} Y*
+    is the ergodic projector I - A^# A (:func:`_split_projector`) and Y the
+    basis of ker(A*) from the same SVD.  Raises
+    :class:`NoGroupInverseError` when index(A) > 1
+    (:func:`_index_at_most_one`).
     """
-    R = real_form(rep, k)
     _, _, _, Y, X = _index_at_most_one(np.eye(R.shape[0]) - R)
-    kernel = from_hermitian_basis(X, k)
     if X.shape[1] == 0:
-        return kernel, None
-    e_I = hermitian_coords(np.tile(vec(np.eye(k)), R.shape[0] // (k * k)), k)
+        return X, None
+    e_I = identity_coords(k, R.shape[0] // (k * k))
     x = X[:, 0] if X.shape[1] == 1 else _split_projector(Y, X) @ e_I
     total = e_I @ x
     if abs(total) < ZERO_TOL:
-        return kernel, None
-    return kernel, from_hermitian_basis(x / total, k)
+        return X, None
+    return X, x / total
 
 
 def index(A) -> int:
@@ -233,7 +236,10 @@ def verify_ginverse(A, G) -> float:
 
 def _hunter_parameters(q, t, u, f, g) -> tuple:
     """The Hunter parameters (t, u, f, g) at the chain's length, defaults
-    filled in, with pi = :meth:`qmc.QMC.stationary_vec` and e_I.  Raises
+    filled in, with pi and e_I, all in the chain's Hermitian-basis
+    coordinates: pi is read from :meth:`qmc.QMC.stationary_vec` and e_I is
+    :func:`matrep.identity_coords`.  A given parameter is coerced by
+    :func:`matrep.as_matrix`, so real input stays real.  Raises
     :class:`NotIrreducibleError` when the chain's cut of its fixed space
     finds dimension > 1, decided before pi is built, and
     :class:`ValidationError` on a wrong length, or when <e_I|t> or <u|pi>
@@ -244,20 +250,20 @@ def _hunter_parameters(q, t, u, f, g) -> tuple:
             "I - Phi invertible; use the group inverse instead"
         )
     N = q.dim
-    e_I = q.identity_vec()
-    pi = q.stationary_vec()
+    e_I = identity_coords(q.k, q.n_sites)
+    pi = hermitian_coords(q.stationary_vec(), q.k)
 
     def _vec(v, default):
         if v is None:
             return default
-        v = as_complex(v).reshape(-1)
+        v = as_matrix(v).reshape(-1)
         if v.size != N:
             raise ValidationError(f"parameter vector must have length {N}")
         return v
 
-    e1 = np.zeros(N, dtype=np.complex128)
+    e1 = np.zeros(N)
     e1[0] = 1.0
-    zero = np.zeros(N, dtype=np.complex128)
+    zero = np.zeros(N)
     t = _vec(t, e1)
     u = _vec(u, e_I)
     f = _vec(f, zero)
@@ -271,19 +277,25 @@ def _hunter_parameters(q, t, u, f, g) -> tuple:
 
 
 def hunter_ginverse(q, t=None, u=None, f=None, g=None) -> np.ndarray:
-    """Parametric g-inverse family of I - Phi for an irreducible QMC.
+    """Parametric g-inverse family of I - Phi for an irreducible QMC, in the
+    chain's Hermitian basis.
 
     G = (I - Phi + |t><u|)^{-1} + |pi><f| + |g><e_I|, requiring <e_I|t> != 0
-    and <u|pi> != 0.  Defaults: t = e_1, u = e_I, f = g = 0, the member
-    (I - Phi + |e_1><e_I|)^{-1} that :func:`hunter_special` gives and the
-    ksmh-ginverse route uses.  A chain whose fixed space has dimension > 1
-    is refused with :class:`NotIrreducibleError`, decided on the cut that
-    gives pi (:func:`qmc.stationary_density`).
+    and <u|pi> != 0.  Phi is the chain's real form :attr:`qmc.QMC.real`, and
+    G and the parameters are in its coordinates (:func:`matrep.real_form`):
+    real parameters give a real G, complex ones a complex G.  Defaults:
+    t = e_1, u = e_I, f = g = 0, the member (I - Phi + |e_1><e_I|)^{-1}
+    that :func:`hunter_special` gives and the ksmh-ginverse route uses.  The
+    first Hermitian basis element is E_11, so e_1 is the same vector in
+    both coordinates, and e_I is :func:`matrep.identity_coords`;
+    :func:`matrep.vec_form` gives G in vec coordinates.  A chain whose fixed
+    space has dimension > 1 is refused with :class:`NotIrreducibleError`,
+    decided on the cut that gives pi (:func:`qmc.stationary_density`).
 
     An induced chain (``q.channel`` set by :func:`qmc.induce`) is inverted
     at order n^2 when u and f repeat one block per site, u = R*u' and
     f = R*f'.  Its map is Phi = C R with R = [I I] and R C = S, and
-    <e_I| = <e| R with e = vec(I_n).  With M = C - |t><u'|,
+    <e_I| = <e| R with e the coordinates of I_n.  With M = C - |t><u'|,
     I - Phi + |t><u| = I - M R, and the push-through identity
     (I - M R)^{-1} = I + M (I - R M)^{-1} R gives
 
@@ -295,22 +307,27 @@ def hunter_ginverse(q, t=None, u=None, f=None, g=None) -> np.ndarray:
     chain, is inverted at its full order.  The g-inverse axiom is checked
     on the chain's own (I - Phi, G).
     """
+    return _hunter_member(q, t, u, f, g)[0]
+
+
+def _hunter_member(q, t=None, u=None, f=None, g=None) -> tuple:
+    """(G, defect): :func:`hunter_ginverse`'s G and the defect max|A G A - A|
+    of its one check (:func:`verify_ginverse`)."""
     t, u, f, g, pi, e_I = _hunter_parameters(q, t, u, f, g)
-    A = np.eye(q.dim) - q.rep
+    A = np.eye(q.dim) - q.real
     k2 = q.k * q.k
     if (q.channel is not None and np.array_equal(u[:k2], u[k2:])
             and np.array_equal(f[:k2], f[k2:])):
-        e = e_I[:k2]  # vec(I_n), real: <e| needs no conjugate
+        C = q.real[:, :k2]
         u1, f1 = u[:k2].conj(), f[:k2].conj()
-        W = np.linalg.inv(np.eye(k2) - q.channel.mat + np.outer(t[:k2] + t[k2:], u1))
-        B = ((q.rep[:, :k2] - np.outer(t, u1)) @ W + np.outer(pi, f1)
-             + np.outer(g, e))
+        S = C[:k2] + C[k2:]  # R C
+        W = np.linalg.inv(np.eye(k2) - S + np.outer(t[:k2] + t[k2:], u1))
+        B = (C - np.outer(t, u1)) @ W + np.outer(pi, f1) + np.outer(g, e_I[:k2])
         G = np.eye(q.dim) + np.hstack([B, B])
     else:
-        G = np.linalg.inv(A + np.outer(t, u.conj()))
-        G = G + np.outer(pi, f.conj()) + np.outer(g, e_I.conj())
-    verify_ginverse(A, G)
-    return G
+        G = (np.linalg.inv(A + np.outer(t, u.conj())) + np.outer(pi, f.conj())
+             + np.outer(g, e_I))
+    return G, verify_ginverse(A, G)
 
 
 def hunter_special(q) -> np.ndarray:
@@ -321,6 +338,7 @@ def hunter_special(q) -> np.ndarray:
     plain kernel D(I - G + G_d E) valid without the fixed-map correction;
     the special form with parameters, (I - Phi + |u><e_I|)^{-1} + |f><e_I|,
     is ``hunter_ginverse(q, t=u, g=f)``.  On an induced chain it is lifted
-    to order n^2 (:func:`hunter_ginverse`).
+    to order n^2 (:func:`hunter_ginverse`).  G is real, in the chain's
+    Hermitian basis.
     """
     return hunter_ginverse(q)

@@ -4,7 +4,7 @@ Both maps are formed in the real Hermitian basis of :func:`matrep.real_form`:
 one real inverse of I - real_form(Q.Q S) and two real products.  tau is read
 there too, as a dot product of real coordinates (:func:`matrep.hermitian_coords`),
 so it is real by construction; the public H and K are mapped back to vec
-coordinates with :func:`matrep.from_hermitian_basis`.
+coordinates with :func:`matrep.vec_form`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from .channel import (GoalSubspace, _goal_record, assumption_one_holds, check_channel,
                       hermitize, is_density)
 from .errors import SpectralObstructionError, ValidationError
-from .matrep import SuperOp, _owned_read_only, from_hermitian_basis, hermitian_coords, vec
+from .matrep import SuperOp, _owned_read_only, hermitian_coords, vec, vec_form
 from .tolerances import RESOLVENT_COND_WARN, near_one
 
 
@@ -36,12 +36,6 @@ class HittingMaps:
     K: SuperOp
     subspace: GoalSubspace
     K_real: np.ndarray
-
-
-def _standard(C, k: int) -> SuperOp:
-    """The map on M_k whose Hermitian-basis form is C: T* C T."""
-    TC = from_hermitian_basis(C, k)
-    return SuperOp(k, from_hermitian_basis(TC.conj().T, k).conj().T)
 
 
 def analytic_HK(S: SuperOp, V: GoalSubspace) -> HittingMaps:
@@ -69,7 +63,8 @@ def analytic_HK(S: SuperOp, V: GoalSubspace) -> HittingMaps:
     M = np.linalg.inv(A)
     H = S_real @ M
     K = _owned_read_only(H @ M)
-    return HittingMaps(_standard(H, S.dim), _standard(K, S.dim), V, K)
+    return HittingMaps(SuperOp(S.dim, vec_form(H, S.dim)),
+                       SuperOp(S.dim, vec_form(K, S.dim)), V, K)
 
 
 def tau_from_K(maps: HittingMaps, rho) -> float:

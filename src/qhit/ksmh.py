@@ -3,6 +3,13 @@
 channel-level dispatcher over all computation routes.  Kernels are plain
 ndarrays, read block by block through :func:`qmc.site_slice`.
 
+Every chain matrix here is in the chain's real Hermitian basis
+(:attr:`qmc.QMC.real`): the site operators K^(i) and D, the g-inverses G of
+:mod:`ginverse` and :func:`qmc.induced_group_inverse`, and the kernel, so
+the KSMH routes run in real arithmetic and read tau as a real dot product.
+They are handed out in that basis, like :attr:`hitting.HittingMaps.K_real`;
+:func:`matrep.vec_form` gives vec coordinates, which the CLI prints.
+
 Site indices are 0-based throughout: for an induced 2-site chain, site 0 is
 the goal subspace V and site 1 its complement.
 """
@@ -20,7 +27,8 @@ from .channel import (ChannelDiagnostics, GoalSubspace, _goal_record, _tp_defect
 from .errors import (NoGroupInverseError, NotIrreducibleError, NumericalError,
                      QhitError, SpectralObstructionError, ValidationError)
 from .hitting import HittingMaps, analytic_HK, tau_from_K
-from .matrep import SuperOp, _owned_read_only, hermitian_coords, real_form, vec
+from .matrep import (SuperOp, _owned_read_only, _real_part, hermitian_coords,
+                     identity_coords, vec, vec_form)
 from .qmc import QMC, check_sites, induce, induced_group_inverse, site_slice
 from .tolerances import NORM_GROWTH_REL_TOL, STATE_TOL, near_one
 
@@ -62,7 +70,8 @@ class QmcHittingOperators:
     ``K_ops[i]`` is the full operator for target i; block (i, j) of it is the
     mean-hitting-time operator K_ij.  ``D`` carries the diagonal blocks K_ii
     where available (absent sites keep a zero block, flagged in
-    ``availability``).
+    ``availability``).  All are real, in the chain's Hermitian basis
+    (:attr:`qmc.QMC.real`).
     """
 
     n_sites: int
@@ -91,9 +100,9 @@ def qmc_hitting_operators(q: QMC) -> QmcHittingOperators:
     site i ordered first it is block lower triangular, so its spectrum is k^2
     zeros together with the spectrum of Phi with site i's rows and columns
     removed.  Availability is decided from that principal block, of order
-    (n_sites - 1) k^2, and its spectrum is taken on its real form
-    (:func:`matrep.real_form`).  On a chain that :func:`qmc.induce` built,
-    the blocks are Q.Q S (site 0, the map
+    (n_sites - 1) k^2, of the chain's real form :attr:`qmc.QMC.real`, on
+    which every operator here is computed.  On a chain that
+    :func:`qmc.induce` built, the blocks are Q.Q S (site 0, the map
     :func:`channel.assumption_one_holds` tests) and (I - Q.Q) S (site 1),
     and both spectra are read from the (S, V) record
     (:class:`channel._GoalRecord`), shared with analytic-K: each is one
@@ -111,20 +120,20 @@ def qmc_hitting_operators(q: QMC) -> QmcHittingOperators:
     factored.
     """
     sites = range(q.n_sites)
-    N = q.dim
+    N, Phi = q.dim, q.real
     K_ops, availability, obstructed = {}, {}, {}
-    D = np.zeros((N, N), dtype=np.complex128)
+    D = np.zeros((N, N))
     for i in sites:
         sl = site_slice(i, q.k)
         r = np.delete(np.arange(N), sl)
-        rest = q.rep[np.ix_(r, r)]
-        bad = near_one(np.linalg.eigvals(real_form(rest, q.k)) if q.subspace is None
+        rest = Phi[np.ix_(r, r)]
+        bad = near_one(np.linalg.eigvals(rest) if q.subspace is None
                        else _goal_record(q.channel, q.subspace).site_spectrum(i))
         if bad:
             availability[i] = (False, bad)
             obstructed[i] = (sl, r, rest)
             continue
-        K = K_ops[i] = _hitting_operator(q.rep, sl, r, rest)
+        K = K_ops[i] = _hitting_operator(Phi, sl, r, rest)
         availability[i] = (True, [])
         D[sl, sl] = K[sl, sl]
     # A spectrally obstructed site has no plain resolvent K^(i).  Two cases:
@@ -141,10 +150,10 @@ def qmc_hitting_operators(q: QMC) -> QmcHittingOperators:
     for i, (sl, r, rest) in obstructed.items():
         try:
             g = ginverse.group_inverse(np.eye(r.size) - rest)
-            X = (g.Asharp - g.ergodic_projector) @ q.rep[r, sl]
-            Phi_ir = q.rep[sl, r]
-            ret = q.rep[sl, sl] + Phi_ir @ X
-            if _tp_defect(ret, q.k) < STATE_TOL:
+            X = (g.Asharp - g.ergodic_projector) @ Phi[r, sl]
+            Phi_ir = Phi[sl, r]
+            ret = Phi[sl, sl] + Phi_ir @ X
+            if _tp_defect(ret, identity_coords(q.k)) < STATE_TOL:
                 D[sl, sl] = ret + Phi_ir @ (g.Asharp @ X)
                 fallback.append((i, "abel-return"))
                 continue
@@ -169,13 +178,14 @@ def ksmh_kernel(q: QMC, D, G, omega=None) -> np.ndarray:
     of G_d E is G_ii tiled across the row; D is block diagonal, so row block
     i of the kernel is D_ii times row block i of the bracket, which is built
     from row block i of G (and of Omega G) alone.  Neither E, the zero blocks
-    of D nor the whole bracket are formed.
+    of D nor the whole bracket are formed.  D, G and Omega are in the
+    chain's Hermitian basis (:attr:`qmc.QMC.real`), and so is the kernel;
+    its dtype follows theirs, so real inputs give a real kernel.
     """
-    D = np.asarray(D, dtype=np.complex128)
-    G = np.asarray(G, dtype=np.complex128)
+    D, G = np.asarray(D), np.asarray(G)
     n, k = q.n_sites, q.k
     eye = np.eye(q.dim)
-    kernel = np.empty_like(G)
+    rows = []
     for i in range(n):
         sl = site_slice(i, k)
         D_ii, G_ii = _block(D, n, i, i, k), _block(G, n, i, i, k)
@@ -183,25 +193,28 @@ def ksmh_kernel(q: QMC, D, G, omega=None) -> np.ndarray:
         if omega is not None:
             OG = np.asarray(omega)[sl] @ G
             row = OG - np.tile(OG[:, sl], (1, n)) + row
-        kernel[sl] = D_ii @ row
-    return kernel
+        rows.append(D_ii @ row)
+    return np.concatenate(rows)
 
 
 def tau_irreducible_qmc(q: QMC, kernel: np.ndarray, i: int, j: int, rho_j) -> float:
     """Mean hitting time to site i from a density rho_j at site j, read from
-    block (i, j) of a kernel of :func:`ksmh_kernel` as
-    <e_I|T* (T K_ij T*) T|vec rho_j>, in real arithmetic: the kernel must be
-    an n_sites x n_sites grid of k^2 blocks whose block (i, j) preserves
-    Hermiticity (:func:`matrep.real_form`), and rho_j a Hermitian k x k
-    matrix (:func:`matrep.hermitian_coords`); else :class:`ValidationError`.
+    block (i, j) of a kernel of :func:`ksmh_kernel`, in the chain's
+    Hermitian basis, as <e_I|K_ij|rho_j> between the coordinates of I_k
+    (:func:`matrep.identity_coords`) and of rho_j
+    (:func:`matrep.hermitian_coords`).  The kernel must be an n_sites x
+    n_sites grid of k^2 blocks, and rho_j a Hermitian k x k matrix; a
+    complex block must be real to ``HP_TOL`` (:func:`matrep.real_form`'s
+    rule: its map preserves Hermiticity); else :class:`ValidationError`.
     A caller that accepted rho_j by :func:`channel.is_density`, whose
     Hermiticity rule is ``STATE_TOL``, passes its Hermitian part."""
     check_sites(q.n_sites, i, j)
-    block = real_form(_block(kernel, q.n_sites, i, j, q.k), q.k)
+    block = _block(np.asarray(kernel), q.n_sites, i, j, q.k)
+    if np.iscomplexobj(block):
+        block = _real_part(block, block, "kernel block does not preserve Hermiticity")
     if np.shape(rho_j) != (q.k, q.k):
         raise ValidationError(f"site density must be {q.k}x{q.k}")
-    return float(hermitian_coords(vec(np.eye(q.k)), q.k)
-                 @ (block @ hermitian_coords(vec(rho_j), q.k)))
+    return float(identity_coords(q.k) @ (block @ hermitian_coords(vec(rho_j), q.k)))
 
 
 METHODS = ("series", "analytic-K", "ksmh-ginverse", "ksmh-group")
@@ -306,8 +319,9 @@ def tau_channel(S: SuperOp, V: GoalSubspace, rho, method: str) -> TauReport:
     :class:`NumericalError` (an inverse that fails its axioms, a series
     that does not converge), with the preconditions found so far.  numpy's
     ``LinAlgError`` is not caught.  ``artifacts`` always references the
-    route's results: ``series``; ``K``; or ``qmc``, ``D``, ``G`` and
-    ``kernel``.
+    route's results: ``series``; ``K``, in vec coordinates; or ``qmc``, and
+    ``D``, ``G`` and ``kernel`` in the induced chain's Hermitian basis
+    (:func:`matrep.vec_form` maps them to vec coordinates).
 
     Only the series and the final trace depend on rho.  Everything else
     (K; the induced chain, its site operators D and :func:`channel.diagnose`;
@@ -420,7 +434,10 @@ def kernel_limit_study(T: SuperOp, Mprime: SuperOp, V: GoalSubspace, p_values,
     type (:class:`SpectralObstructionError` when site 0 is unavailable,
     :class:`NotIrreducibleError` when the mixture is not irreducible, ...),
     naming p.  On the induced chain H_p does not depend on G_p (D tiled), so
-    ||G_p|| may diverge while H_p converges.
+    ||G_p|| may diverge while H_p converges.  The kernels are in the
+    chain's Hermitian basis, as the route hands them out; the extrapolation
+    defect, a largest entry, is read in vec coordinates
+    (:func:`matrep.vec_form`).
     """
     if rho is None:
         # default initial state: normalized projection of the mixed state onto V-perp
@@ -457,6 +474,6 @@ def kernel_limit_study(T: SuperOp, Mprime: SuperOp, V: GoalSubspace, p_values,
         tau_extrapolated=tau_ext,
         H0_direct=kern0,
         tau_direct=limit.tau,
-        extrapolation_defect=float(np.max(np.abs(H0_ext - kern0))),
+        extrapolation_defect=float(np.max(np.abs(vec_form(H0_ext - kern0, T.dim)))),
         g_norms_diverge=diverges,
     )

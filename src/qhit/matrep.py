@@ -7,14 +7,18 @@ The convention throughout is *row* stacking: ``vec(A)`` lists the rows of
 
 Every completely positive map preserves Hermiticity, so in an orthonormal
 basis of Hermitian matrices its matrix is real.  :func:`real_form` changes
-to such a basis, and qhit takes every spectral decision there, in real
-arithmetic: the eigenvalues behind assumption one, site availability and the
-peripheral spectrum, and the rank cuts and index tests of the fixed space.
-The change of basis is unitary, so spectra and singular values are those of
-the complex matrix.  :func:`hermitian_coords` gives the coordinates of a
-state in the same basis, so every tau is read in real arithmetic too: the
-analytic resolvent, the monitoring series and the KSMH kernel block meet
-real states and a real goal row, and a tau has no imaginary part to judge.
+to such a basis, and qhit computes there, in real arithmetic: the spectral
+decisions (assumption one, site availability, the peripheral spectrum, the
+rank cuts and index tests of the fixed space), the analytic resolvent, the
+monitoring series, and every matrix of the KSMH routes (the induced chain's
+site operators, both generalized inverses, their axiom checks and the
+kernel).  The change of basis is unitary, so spectra and singular values are
+those of the complex matrix.  :func:`hermitian_coords` gives the
+coordinates of a state in the same basis, and :func:`identity_coords` those
+of the identity, the row that reads a trace, so every tau is a real dot
+product.  :func:`vec_form` maps a Hermitian-basis matrix back to vec
+coordinates; it is called where a matrix is printed or handed out in vec
+form, not on the way to tau.
 """
 
 from __future__ import annotations
@@ -108,6 +112,12 @@ def real_form(M, k: int) -> np.ndarray:
     preserve Hermiticity.  An empty M (b = 0 sites) has an empty real form.
     """
     M = as_complex(M)
+    return _real_part(_hermitian_form(M, k), M, "map does not preserve Hermiticity")
+
+
+def _hermitian_form(M, k: int) -> np.ndarray:
+    """T M T* of a complex128 M, complex, as :func:`real_form` builds it
+    before judging its imaginary part."""
     k2 = k * k
     N = M.shape[0]
     order, p = _hermitian_order(k)
@@ -117,7 +127,7 @@ def real_form(M, k: int) -> np.ndarray:
     _mix_pairs(rows[:, k:k + p], rows[:, k + p:], 1j)  # T from the left
     cols = R.reshape(N, N // k2, k2)
     _mix_pairs(cols[:, :, k:k + p], cols[:, :, k + p:], -1j)  # T* from the right
-    return _real_part(R, M, "map does not preserve Hermiticity")
+    return R
 
 
 def hermitian_coords(v, k: int) -> np.ndarray:
@@ -132,6 +142,16 @@ def hermitian_coords(v, k: int) -> np.ndarray:
     x = v.reshape(-1, k * k)[:, order]
     _mix_pairs(x[:, k:k + p], x[:, k + p:], 1j)
     return _real_part(x, v, "matrix is not Hermitian").reshape(-1)
+
+
+@functools.lru_cache(maxsize=None)
+def identity_coords(k: int, b: int = 1) -> np.ndarray:
+    """The Hermitian-basis coordinates of I_k on each of b sites (as in
+    :func:`real_form`): 1 on every E_jj and 0 elsewhere, so that the dot
+    product with a state's coordinates is its trace.  Cached, so read-only."""
+    e = np.tile(np.concatenate([np.ones(k), np.zeros(k * k - k)]), b)
+    e.flags.writeable = False
+    return e
 
 
 def _real_part(R, M, message: str) -> np.ndarray:
@@ -154,6 +174,15 @@ def from_hermitian_basis(C, k: int) -> np.ndarray:
     X[:, order[k:k + p]] = np.sqrt(0.5) * (sym - 1j * anti)
     X[:, order[k + p:]] = np.sqrt(0.5) * (sym + 1j * anti)
     return X.reshape(np.shape(C))
+
+
+def vec_form(C, k: int) -> np.ndarray:
+    """T* C T: the matrix in vec coordinates of a Hermitian-basis form C on
+    b sites of k x k matrices (T = I_b kron T_k, as in :func:`real_form`),
+    the inverse of :func:`real_form`.  C may be complex; the result is
+    complex."""
+    TC = from_hermitian_basis(C, k)
+    return from_hermitian_basis(TC.conj().T, k).conj().T
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,8 +12,8 @@ into one row g, so that pi_r = g M^{r-1} v:
 
 Both are summed in the real Hermitian basis: M is its real form
 (:func:`matrep.real_form`), and g, v and the row e of the identity's
-coordinates are real coordinates (:func:`matrep.hermitian_coords`), so
-every term is real by construction.
+coordinates are real coordinates (:func:`matrep.hermitian_coords`,
+:func:`matrep.identity_coords`), so every term is real by construction.
 
 The series is summed by doubling, the squaring of Smith's doubling
 iteration (R. A. Smith, SIAM J. Appl. Math. 16, 1968).  With
@@ -45,7 +45,7 @@ import numpy as np
 from .channel import (GoalSubspace, _goal_record, check_channel, check_shapes,
                       hermitize, is_density, is_positive_semidefinite)
 from .errors import ValidationError
-from .matrep import SuperOp, hermitian_coords, real_form, unvec, vec
+from .matrep import SuperOp, hermitian_coords, identity_coords, unvec, vec
 from .qmc import QMC, check_sites, site_slice
 from .tolerances import HIT_PROB_TOL, STATE_TOL, ZERO_TOL
 
@@ -102,15 +102,16 @@ def first_visit_series(S: SuperOp, V: GoalSubspace, rho) -> MonitorSeries:
     return _run_series(_goal_record(S, V).M,
                        hermitian_coords(vec(V.P), S.dim) @ S_real,
                        hermitian_coords(vec(hermitize(rho)), S.dim),
-                       hermitian_coords(vec(np.eye(S.dim)), S.dim))
+                       identity_coords(S.dim))
 
 
 def site_visit_series(q: QMC, target: int, state) -> MonitorSeries:
     """First-visit series of a QMC to a target site, from a state given as
     the stacked array [vec(rho_1); ...; vec(rho_n)] of the chain's order.
 
-    Raises :class:`ValidationError` when the chain does not preserve
-    Hermiticity (:func:`matrep.real_form`), or when the state is not a
+    The step is the chain's real form :attr:`qmc.QMC.real`.  Raises
+    :class:`ValidationError` when the chain does not preserve Hermiticity
+    (:func:`matrep.real_form`), or when the state is not a
     chain state: a site block that is not Hermitian
     (:func:`matrep.hermitian_coords`) or not PSD to ``PSD_TOL``, or a total
     trace off 1 by more than ``STATE_TOL``."""
@@ -119,14 +120,14 @@ def site_visit_series(q: QMC, target: int, state) -> MonitorSeries:
         raise ValidationError(f"state has shape {np.shape(state)}; "
                               f"the chain's states have shape ({q.dim},)")
     start = hermitian_coords(state, q.k)
-    unit = hermitian_coords(q.identity_vec(), q.k)
+    unit = identity_coords(q.k, q.n_sites)
     if abs(unit @ start - 1.0) > STATE_TOL or not all(
             is_positive_semidefinite(unvec(state[site_slice(i, q.k)], q.k, q.k))
             for i in range(q.n_sites)):
         raise ValidationError("state is not a chain state: its site blocks must "
                               "be PSD with total trace 1")
     sl = site_slice(target, q.k)
-    step = real_form(q.rep, q.k)
+    step = q.real.copy()
     first = unit[sl] @ step[sl]
     step[sl] = 0.0  # monitoring removes what lands on the target
     return _run_series(step, first, start, unit)

@@ -2,6 +2,14 @@
 
 A chain is refused unless it is trace preserving, <e_I| Phi = <e_I|; the
 induced chain also refuses a channel that does not preserve Hermiticity.
+A chain holds its map in vec coordinates (:attr:`QMC.rep`) and, built once,
+in the real Hermitian basis of :func:`matrep.real_form` (:attr:`QMC.real`).
+Every computation on a chain reads the real form: its fixed space, the
+group inverse lifted by :func:`induced_group_inverse`, the Hunter members of
+:mod:`ginverse`, and the site operators and kernels of :mod:`ksmh`.  What
+they return is in the chain's Hermitian-basis coordinates;
+:func:`matrep.vec_form` maps a matrix back to vec coordinates.  States stay
+in vec form: :func:`stationary_density` returns one.
 """
 
 from __future__ import annotations
@@ -12,9 +20,11 @@ import numpy as np
 
 from . import ginverse
 from .channel import (GoalSubspace, _channel_record, _goal_record, _tp_defect,
-                      check_channel, hermitize)
+                      check_channel)
 from .errors import DimensionError, NotIrreducibleError, ValidationError
-from .matrep import SuperOp, _owned_read_only, as_complex, conj_kron, unvec, vec
+from .matrep import (SuperOp, _owned_read_only, as_complex, conj_kron,
+                     from_hermitian_basis, hermitian_coords, identity_coords,
+                     real_form, vec)
 from .tolerances import TP_TOL
 
 
@@ -44,7 +54,8 @@ class QMC:
     ``subspace`` are the map S and the goal subspace V of a chain built by
     :func:`induce`, whose rep factors as C R with C its column block 0,
     R = [I I] and R C = S; both are None for any other chain.  ``rep`` is
-    read-only: the chain caches the cut of its fixed space.
+    read-only: the chain caches its real form and the cut of its fixed
+    space.
     """
 
     def __init__(self, n_sites: int, k: int, rep, channel=None, subspace=None):
@@ -55,7 +66,7 @@ class QMC:
         self.n_sites, self.k = n_sites, k
         self.rep = _owned_read_only(M, rep)
         self.channel, self.subspace = channel, subspace
-        defect = _tp_defect(M, k)
+        defect = _tp_defect(M, self.identity_vec())
         if defect > TP_TOL:
             raise ValidationError(f"QMC is not trace preserving (defect {defect:.3e})")
 
@@ -77,19 +88,33 @@ class QMC:
         return stationary_density(self)
 
     @functools.cached_property
+    def real(self) -> np.ndarray:
+        """The chain's map in the real Hermitian basis, T rep T*
+        (:func:`matrep.real_form`), read-only.  An induced chain assembles
+        it from the records of S and of (S, V) (:class:`channel._GoalRecord`):
+        [[R - M, R - M], [M, M]], R the real form of S and M that of Q.Q S.
+        Any other chain takes the real form of ``rep``."""
+        if self.channel is None:
+            return _owned_read_only(real_form(self.rep, self.k))
+        M = _goal_record(self.channel, self.subspace).M
+        top = _channel_record(self.channel).real - M
+        return _owned_read_only(np.block([[top, top], [M, M]]))
+
+    @functools.cached_property
     def _fixed(self) -> tuple:
         """``(dimension, x)`` of the chain's fixed space, from the one cut of
-        :func:`ginverse.fixed_space`: x is its fixed vector of unit trace,
-        or None.  An induced chain reads the cut of S from S's record
-        (:class:`channel._ChannelRecord`), shared with :func:`channel.diagnose`
-        and every chain induced from S, and lifts x to C x (see
-        :func:`stationary_density`)."""
+        :func:`ginverse.fixed_space` on :attr:`real`: x is its fixed vector
+        of unit trace in Hermitian-basis coordinates, or None.  An induced
+        chain reads the cut of S from S's record
+        (:class:`channel._ChannelRecord`), shared with
+        :func:`channel.diagnose` and every chain induced from S, and lifts x
+        to C x (see :func:`stationary_density`)."""
         if self.channel is None:
-            kernel, x = ginverse.fixed_space(self.rep, self.k)
+            kernel, x = ginverse.fixed_space(self.real, self.k)
         else:
             kernel, x = _channel_record(self.channel).fixed
             if x is not None:
-                x = self.rep[:, site_slice(0, self.k)] @ x
+                x = self.real[:, site_slice(0, self.k)] @ x
         return kernel.shape[1], x
 
 
@@ -159,14 +184,19 @@ def induced_group_inverse(q: QMC) -> ginverse.GroupInverse:
     residuals of that check and the chain's ergodic projector I - X A.  S is
     read from :attr:`QMC.channel`; a chain that :func:`induce` did not build
     raises :class:`ValidationError`.
+
+    Everything is real: Z is I minus the real form of S kept in S's record
+    (:class:`channel._ChannelRecord`), C is column block 0 of
+    :attr:`QMC.real`, and the axioms are checked against I - :attr:`QMC.real`,
+    so the record's arrays are in the chain's Hermitian-basis coordinates.
     """
     S = q.channel
     if S is None:
         raise ValidationError("chain was not built by induce; it records no channel")
-    gs = ginverse.group_inverse(np.eye(S.dim**2) - S.mat)
-    CW = q.rep[:, site_slice(0, q.k)] @ (gs.Asharp - gs.ergodic_projector)
+    gs = ginverse.group_inverse(np.eye(S.dim**2) - _channel_record(S).real)
+    CW = q.real[:, site_slice(0, q.k)] @ (gs.Asharp - gs.ergodic_projector)
     X = np.eye(q.dim) + np.hstack([CW, CW])
-    return ginverse.check_group_axioms(np.eye(q.dim) - q.rep, X, gs.index)
+    return ginverse.check_group_axioms(np.eye(q.dim) - q.real, X, gs.index)
 
 
 def stationary_density(q: QMC) -> np.ndarray:
@@ -189,15 +219,16 @@ def stationary_density(q: QMC) -> np.ndarray:
     to 2 C E |e>, so the lift C pi of the channel's unit-trace fixed vector
     is the chain's own.  The fixed space is then decided on the same rank
     cut as :func:`channel.diagnose` makes on S.  Any other chain is cut at
-    its full order.
+    its full order.  The cut and the lift run in Hermitian-basis
+    coordinates (:attr:`QMC.real`); only the state is mapped to vec form.
     """
     _, fixed = q._fixed
     if fixed is None:
         raise ValidationError("fixed space holds no state of nonzero trace")
-    # re-hermitize blockwise to absorb roundoff; blocks of an induced chain's
-    # fixed vector carry the cross terms P pi Q + Q pi P and need not be PSD
-    return np.concatenate([vec(hermitize(unvec(fixed[site_slice(i, q.k)], q.k, q.k)))
-                           for i in range(q.n_sites)])
+    # Hermitian coordinates give Hermitian blocks; those of an induced
+    # chain's fixed vector carry the cross terms P pi Q + Q pi P and need
+    # not be PSD
+    return from_hermitian_basis(fixed, q.k)
 
 
 def fixed_map(q: QMC) -> np.ndarray:
@@ -205,10 +236,12 @@ def fixed_map(q: QMC) -> np.ndarray:
     stationary one, for a chain with a unique stationary density.
 
     Uniqueness is read from the chain's one cut of its fixed space
-    (:func:`stationary_density`), at order n^2 for an induced chain."""
+    (:func:`stationary_density`), at order n^2 for an induced chain.  Omega
+    is real, in the chain's Hermitian-basis coordinates, as the kernels of
+    :func:`ksmh.ksmh_kernel` that it corrects are."""
     if q._fixed[0] != 1:
         raise NotIrreducibleError(
             "fixed space is not one-dimensional; use the group-inverse route instead"
         )
-    pi = q.stationary_vec()
-    return np.outer(pi, q.identity_vec().conj())
+    pi = hermitian_coords(q.stationary_vec(), q.k)
+    return np.outer(pi, identity_coords(q.k, q.n_sites))

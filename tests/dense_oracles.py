@@ -20,7 +20,7 @@ from qhit.errors import (NotIrreducibleError, NumericalError, SpectralObstructio
 from qhit.ginverse import _lagrange_at_zero
 from qhit.hitting import HittingMaps
 from qhit.ksmh import QmcHittingOperators
-from qhit.matrep import SuperOp, as_complex, vec
+from qhit.matrep import SuperOp, as_complex, vec, vec_form
 from qhit.qmc import QMC, site_slice
 from qhit.tolerances import ZERO_TOL
 
@@ -58,7 +58,9 @@ def drazin_limit(A) -> np.ndarray:
 def first_step_operator_L(q: QMC, ops: QmcHittingOperators) -> np.ndarray:
     """L = K - (K - D) Phi with K assembled row-wise from the target operators.
 
-    Requires every site's hitting operator.
+    Formed in the chain's Hermitian basis, where qhit returns the operators
+    (Phi = ``q.real``), and returned in vec coordinates.  Requires every
+    site's hitting operator.
     """
     missing = [i for i in range(q.n_sites) if i not in ops.K_ops]
     if missing:
@@ -66,11 +68,11 @@ def first_step_operator_L(q: QMC, ops: QmcHittingOperators) -> np.ndarray:
             f"hitting operators unavailable for sites {missing}",
             eigenvalues=sum((ops.availability[i][1] for i in missing), []),
         )
-    K = np.zeros((q.dim, q.dim), dtype=np.complex128)
+    K = np.zeros((q.dim, q.dim))
     for i in range(q.n_sites):
         sl = site_slice(i, q.k)
         K[sl] = ops.K_ops[i][sl]
-    return K - (K - ops.D) @ q.rep
+    return vec_form(K - (K - ops.D) @ q.real, q.k)
 
 
 def fundamental_map(S: SuperOp) -> SuperOp:

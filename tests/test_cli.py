@@ -197,6 +197,25 @@ def test_hunter_ginverse_matches_reference(capsys):
     assert np.max(np.abs(G - G_QMC)) < 1e-9
 
 
+@pytest.mark.parametrize("params", [[], ["--t", "[1,0,0,0,0,0,0,0]",
+                                         "--g", "[1,0,0,0,0,0,0,0]"]])
+def test_hunter_ginverse_prints_the_defect_of_its_one_check(capsys, monkeypatch, params):
+    # A G A = A is multiplied out once, at the chain's order, by the check
+    # inside the Hunter constructor; the printed residual is its defect
+    defects = []
+
+    def spy(A, G, _f=ginverse.verify_ginverse):
+        defects.append(_f(A, G))
+        return defects[-1]
+
+    monkeypatch.setattr(ginverse, "verify_ginverse", spy)
+    code, out = run_cli(capsys, "ginverse", f"{CORPUS}/sec5.json", "--kind", "hunter",
+                        *params, "--json")
+    assert code == 0
+    assert len(defects) == 1
+    assert json.loads(out)["residuals"] == {"AGA-A": cli._fmt(defects[0])}
+
+
 @pytest.mark.parametrize("kind,method,spec", [
     ("group", "ksmh-group", "hadamard"), ("group", "ksmh-group", "sec5"),
     ("hunter", "ksmh-g", "sec5"), ("hunter", "ksmh-g", "goal2")])

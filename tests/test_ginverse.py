@@ -12,6 +12,7 @@ from expected_matrices import A0_SHARP, G_QMC, HADAMARD_ASHARP
 from qhit.errors import NoGroupInverseError, NumericalError, ValidationError
 from qhit.ginverse import (check_group_axioms, fixed_space, rank_with_margin,
                            verify_ginverse)
+from qhit.matrep import from_hermitian_basis, hermitian_coords, real_form, vec_form
 
 RNG = np.random.default_rng(17)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -109,7 +110,7 @@ def test_fixed_space_rejects_index_two():
     # X -> X + Tr(sigma_x X) sigma_z: I - Phi is nonzero and squares to zero
     rep = np.eye(4) + np.outer(qhit.vec(SZ), qhit.vec(SX))
     with pytest.raises(NoGroupInverseError, match="index 2 > 1"):
-        fixed_space(rep, 2)
+        fixed_space(real_form(rep, 2), 2)
 
 
 def test_a_badly_conditioned_split_warns_at_the_caller():
@@ -128,9 +129,11 @@ def test_a_badly_conditioned_split_warns_at_the_caller():
     # sigma_x direction; e_I lies in the kernel, so x = E e_I is I / 2
     rep = np.eye(4) - np.outer(qhit.vec(SX + eps * SZ), qhit.vec(SZ)) / 2
     with pytest.warns(RuntimeWarning, match="badly conditioned") as caught:
-        kernel, x = fixed_space(rep, 2)
+        kernel, x = fixed_space(real_form(rep, 2), 2)
     assert {w.filename for w in caught} == {__file__}
     assert kernel.shape == (4, 3)
+    # x is in Hermitian-basis coordinates
+    x = from_hermitian_basis(x, 2)
     assert np.max(np.abs(x - qhit.vec(np.eye(2) / 2))) <= 1e-15 / eps
 
 
@@ -202,7 +205,8 @@ def test_rank_with_margin_warns_on_ambiguity():
 def test_hunter_ginverse_matches_printed(sec5):
     e1 = np.eye(8)[0]
     G = qhit.hunter_ginverse(sec5["q"], t=e1, g=e1)
-    assert np.max(np.abs(G - G_QMC)) < 1e-10
+    # G is a Hermitian-basis form, and e_1 is the same in both coordinates
+    assert np.max(np.abs(vec_form(G, 2) - G_QMC)) < 1e-10
 
 
 def test_hunter_family_refuses_a_reducible_chain_before_building_pi(monkeypatch,
@@ -223,7 +227,7 @@ def test_hunter_ginverse_default_member_is_hunter_special(sec5):
 
 def test_hunter_family_members_are_ginverses(sec5):
     q = sec5["q"]
-    A = np.eye(8) - q.rep
+    A = np.eye(8) - q.real
     for seed in range(5):
         rng = np.random.default_rng(seed)
         t = rng.normal(size=8)
@@ -236,12 +240,13 @@ def test_hunter_family_members_are_ginverses(sec5):
 
 def test_hunter_rejects_degenerate_pairings(sec5):
     q = sec5["q"]
-    # t orthogonal to e_I makes the inner matrix singular
-    t = np.array([1.0, 0, 0, -1.0, 0, 0, 0, 0])  # <e_I|t> = 0
+    # t orthogonal to e_I makes the inner matrix singular; the parameters are
+    # Hermitian-basis coordinates, whose first two are those of E_11 and E_22
+    t = np.array([1.0, -1.0, 0, 0, 0, 0, 0, 0])  # <e_I|t> = 0
     with pytest.raises(ValidationError):
         qhit.hunter_ginverse(q, t=t)
     # and so does u orthogonal to pi
-    pi = q.stationary_vec()
+    pi = hermitian_coords(q.stationary_vec(), 2)
     u = np.eye(8)[0] - pi * pi[0].conj() / np.vdot(pi, pi)
     with pytest.raises(ValidationError, match=r"<u\|pi> vanishes"):
         qhit.hunter_ginverse(q, u=u)

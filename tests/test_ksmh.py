@@ -22,6 +22,7 @@ from expected_matrices import D_QMC, H0, HADAMARD_KERNEL, ORDER4_QFORM
 from qhit.cli import load_spec, main, parse_channel, parse_subspace
 from qhit.errors import (NotIrreducibleError, NumericalError,
                          SpectralObstructionError, ValidationError)
+from qhit.matrep import vec_form
 from qhit.qmc import site_slice
 from qhit.tolerances import EIG_ONE_TOL, near_one
 
@@ -34,7 +35,8 @@ def test_qmc_hitting_operators_sec5(sec5):
     ops = qhit.qmc_hitting_operators(sec5["q"])
     assert ops.availability[0][0] and ops.availability[1][0]
     assert ops.fallback_sites == ()
-    assert np.max(np.abs(ops.D - D_QMC)) < 1e-10
+    assert ops.D.dtype == np.float64  # a Hermitian-basis form
+    assert np.max(np.abs(vec_form(ops.D, 2) - D_QMC)) < 1e-10
 
 
 def _random_oqw(rng, n_sites: int, k: int = 2, absorbing=None) -> qhit.QMC:
@@ -78,7 +80,7 @@ def test_principal_block_rule_matches_dense_projectors(seed):
         if ref is None:
             assert i not in ops.K_ops
         else:
-            assert np.max(np.abs(ops.K_ops[i] - ref)) < 1e-10
+            assert np.max(np.abs(vec_form(ops.K_ops[i], q.k) - ref)) < 1e-10
     if absorbing is not None:
         assert [ops.availability[i][0] for i in range(n_sites)] == \
             [i == absorbing for i in range(n_sites)]
@@ -170,7 +172,7 @@ def test_abel_fill_from_the_principal_block_matches_full_order(request, case):
         assert returns == abel
         if abel:
             assert (i, "abel-return") in ops.fallback_sites
-            assert np.max(np.abs(ops.D[sl, sl] - ref_fill)) <= 1e-10
+            assert np.max(np.abs(vec_form(ops.D, q.k)[sl, sl] - ref_fill)) <= 1e-10
         else:
             assert (i, "donor-0") in ops.fallback_sites
 
@@ -200,12 +202,13 @@ def test_site0_availability_is_assumption_one(hadamard):
                                np.array([[1, 1], [1, -1]]) / np.sqrt(2)])
 def test_a_one_site_chain_is_available_with_K_equal_to_phi(U):
     # removing the only site leaves an empty principal block: 1 is not in its
-    # (empty) spectrum, and K^(0) = Phi (I - 0)^{-2} = Phi = D
+    # (empty) spectrum, and K^(0) = Phi (I - 0)^{-2} = Phi = D, in the
+    # chain's Hermitian basis
     q = qhit.from_oqw([[U]])
     ops = qhit.qmc_hitting_operators(q)
     assert ops.availability == {0: (True, [])}
     assert ops.fallback_sites == ()
-    assert np.array_equal(ops.K_ops[0], q.rep) and np.array_equal(ops.D, q.rep)
+    assert np.array_equal(ops.K_ops[0], q.real) and np.array_equal(ops.D, q.real)
 
 
 def _assert_sliced_spectra_decide_as_the_full_ones(S, V):
@@ -329,7 +332,7 @@ def test_site0_block_is_the_V_side_of_analytic_K(request, case):
     problems = (_induced_problems(case, request) if case.startswith("random-")
                 else [_corpus_problem(case)])
     for S, V in problems:
-        D = qhit.qmc_hitting_operators(qhit.induce(S, V)).D
+        D = vec_form(qhit.qmc_hitting_operators(qhit.induce(S, V)).D, S.dim)
         ref = ((np.eye(S.dim**2) - np.kron(V.Q, V.Q.conj()))
                @ qhit.analytic_HK(S, V).K.mat)
         D00 = D[site_slice(0, S.dim), site_slice(0, S.dim)]
@@ -506,7 +509,7 @@ def test_k_block_of_an_available_site_is_the_dense_block(sec5, hadamard):
         ref = _dense_hitting_operator(q, 0)
         for j in range(q.n_sites):
             block = ref[site_slice(0, q.k), site_slice(j, q.k)]
-            assert np.max(np.abs(ops.K_block(0, j) - block)) < 1e-12, j
+            assert np.max(np.abs(vec_form(ops.K_block(0, j), q.k) - block)) < 1e-12, j
 
 
 def test_abel_fill_falls_back_to_the_donor_when_the_group_inverse_fails(monkeypatch,
@@ -530,16 +533,16 @@ def test_rotation_site1_obstructed_abel_fallback(rotation):
     assert ops.fallback_sites == ((1, "abel-return"),)
     # the recovered D block reproduces the bottom-right block of the limit kernel
     kern = qhit.ksmh_kernel(
-        q, ops.D, qhit.group_inverse(np.eye(q.dim) - q.rep).Asharp)
-    assert np.max(np.abs(kern - H0)) < 1e-9
+        q, ops.D, qhit.group_inverse(np.eye(q.dim) - q.real).Asharp)
+    assert np.max(np.abs(vec_form(kern, q.k) - H0)) < 1e-9
 
 
 def test_hadamard_kernel_matches_printed(hadamard):
     q = hadamard["q"]
     ops = qhit.qmc_hitting_operators(q)
-    G = qhit.group_inverse(np.eye(q.dim) - q.rep).Asharp
+    G = qhit.group_inverse(np.eye(q.dim) - q.real).Asharp
     kern = qhit.ksmh_kernel(q, ops.D, G)
-    assert np.max(np.abs(kern - HADAMARD_KERNEL)) < 1e-10
+    assert np.max(np.abs(vec_form(kern, q.k) - HADAMARD_KERNEL)) < 1e-10
 
 
 def test_tau_irreducible_qmc_sec5(sec5):
@@ -581,9 +584,9 @@ def test_tau_irreducible_qmc_refuses_a_kernel_without_the_chains_grid(sec5):
 
 
 def test_tau_irreducible_qmc_refuses_a_non_hermitian_block_or_state(sec5):
-    # tau is read from the real form of the block and the coordinates of
-    # rho_j, so a kernel block that does not preserve Hermiticity and a
-    # non-Hermitian rho_j are refused by the one Hermiticity rule
+    # tau is read from the block, a Hermitian-basis form, and the coordinates
+    # of rho_j, so a complex block (its map does not preserve Hermiticity)
+    # and a non-Hermitian rho_j are refused by the one Hermiticity rule
     q = sec5["q"]
     kern = np.eye(q.dim, dtype=complex)
     kern[site_slice(0, 2), site_slice(1, 2)] = np.diag([1, 1j, 1, 1])
@@ -776,13 +779,20 @@ def test_alternating_problems_of_equal_shape_keep_their_own_records():
             assert alternating[0] != alternating[1]
 
 
+def _modules_binding(name: str) -> list:
+    """The qhit modules that bind ``name``, where a spy must be installed to
+    see every call."""
+    return [m for m in (qhit.channel, qhit.ginverse, qhit.hitting, qhit.ksmh,
+                        qhit.monitor, qhit.qmc, qhit.cli) if hasattr(m, name)]
+
+
 def test_one_problem_runs_each_factorization_once(monkeypatch):
     # one (S, V) from two states through the four routes: the record builds
     # each rho-independent result once, and one kernel per KSMH route.  The
     # records of S and of (S, V) below it make one eigensolve of each sliced
     # block (assumption one and site 0 read the V-perp block, site 1 its
     # complement) and one of order n^2 (diagnose's peripheral spectrum), one
-    # fixed-space SVD of I - S, and at most two real forms of S
+    # fixed-space SVD of I - S, and one real form of S, the record's
     counts = Counter()
 
     def count(module, name):
@@ -809,10 +819,10 @@ def test_one_problem_runs_each_factorization_once(monkeypatch):
     S = random_tp_channel(rng, n)
     V = qhit.GoalSubspace.from_vectors([rng.normal(size=n)])
     real_forms_of_S = []
-    for module in (qhit.channel, qhit.ginverse, qhit.ksmh, qhit.monitor):
-        def real_form(M, k, _f=module.real_form):
+    for module in _modules_binding("real_form"):
+        def real_form(M, k, _f=module.real_form, _name=module.__name__):
             if np.shape(M) == S.mat.shape and np.array_equal(M, S.mat):
-                real_forms_of_S.append(module.__name__)
+                real_forms_of_S.append(_name)
             return _f(M, k)
         monkeypatch.setattr(module, "real_form", real_form)
     for rho in _states_in_perp(rng, V):
@@ -823,7 +833,88 @@ def test_one_problem_runs_each_factorization_once(monkeypatch):
                       "induced_group_inverse": 1, "ksmh_kernel": 2,
                       "fixed_space": 1}
     assert sorted(eig_orders) == sorted([(n - 1) ** 2, 2 * n - 1, n * n])
-    assert len(real_forms_of_S) <= 2, real_forms_of_S
+    assert real_forms_of_S == ["qhit.channel"], real_forms_of_S
+
+
+def test_a_second_state_forms_no_real_form(monkeypatch):
+    # the per-state reads take no real form: the KSMH routes read tau from
+    # the kernel block itself, a Hermitian-basis form, between the
+    # coordinates of I and of rho; the series and analytic-K read records
+    rng = np.random.default_rng(35)
+    n = 4
+    S = random_tp_channel(rng, n)
+    V = qhit.GoalSubspace.from_vectors([rng.normal(size=n)])
+    first, second = _states_in_perp(rng, V)
+    for m in qhit.ksmh.METHODS:
+        assert qhit.tau_channel(S, V, first, m).ok, m
+    calls = []
+    for module in (qhit.matrep, *_modules_binding("real_form")):
+        def real_form(M, k, _f=module.real_form, _name=module.__name__):
+            calls.append((_name, np.shape(M)))
+            return _f(M, k)
+        monkeypatch.setattr(module, "real_form", real_form)
+    for m in qhit.ksmh.METHODS:
+        assert qhit.tau_channel(S, V, second, m).ok, m
+    assert calls == []
+
+
+def test_a_fresh_solve_factors_in_real_arithmetic_and_maps_no_chain_matrix(monkeypatch):
+    # every np.linalg call on a matrix of order >= n^2 gets a float64 array
+    # (calls on states and bases, of order n, are exempt), and no matrix of
+    # the induced chain's order 2n^2 is mapped to vec coordinates on the way
+    # to tau: the KSMH artifacts stay Hermitian-basis forms
+    n = 3
+    rng = np.random.default_rng(36)
+    S = random_tp_channel(rng, n)
+    V = qhit.GoalSubspace.from_vectors([rng.normal(size=n) + 1j * rng.normal(size=n)])
+    linalg_calls, converted = [], []
+
+    def recording(name, fn):
+        def wrapped(*args, **kwargs):
+            for a in (*args, *kwargs.values()):
+                if isinstance(a, np.ndarray) and a.ndim >= 2:
+                    linalg_calls.append((name, a.shape, a.dtype))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("svd", "inv", "eigvals", "eigvalsh", "eig", "solve", "cond",
+                 "norm", "qr", "pinv", "lstsq", "det", "matrix_rank", "matrix_power"):
+        monkeypatch.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
+    for module in (qhit.matrep, *_modules_binding("vec_form")):
+        def vec_form(C, k, _f=module.vec_form):
+            converted.append(np.shape(C))
+            return _f(C, k)
+        monkeypatch.setattr(module, "vec_form", vec_form)
+    for rho in _states_in_perp(rng, V):
+        for m in qhit.ksmh.METHODS:
+            assert qhit.tau_channel(S, V, rho, m).ok, m
+    big = [(name, shape, dt) for name, shape, dt in linalg_calls
+           if min(shape[-2:]) >= n * n]
+    assert {name for name, _, _ in big} >= {"svd", "inv", "eigvals", "cond"}
+    assert {dt for _, _, dt in big} == {np.dtype(np.float64)}, big
+    assert converted and all(shape[0] <= n * n for shape in converted), converted
+
+
+@pytest.mark.parametrize("case", ["sec5", "goal2", "random-3", "random-4"])
+def test_tau_read_in_vec_coordinates_from_the_kernel_matches(case):
+    # <vec I| K_01 |vec rho> from the kernel mapped to vec coordinates is
+    # the tau that the route reads in the Hermitian basis
+    if case.startswith("random-"):
+        n = int(case.split("-")[1])
+        rng = np.random.default_rng(37 + n)
+        S = random_tp_channel(rng, n)
+        V = qhit.GoalSubspace.from_vectors([rng.normal(size=n) + 1j * rng.normal(size=n)])
+        rho = _states_in_perp(rng, V, 1)[0]
+    else:
+        S, V = _corpus_problem(case)
+        rho = V.Q / np.trace(V.Q).real
+    n = S.dim
+    for m in ("ksmh-ginverse", "ksmh-group"):
+        rep = qhit.tau_channel(S, V, rho, m)
+        assert rep.ok and rep.artifacts["kernel"].dtype == np.float64, m
+        K01 = vec_form(rep.artifacts["kernel"], n)[site_slice(0, n), site_slice(1, n)]
+        tau = np.vdot(qhit.vec(np.eye(n)), K01 @ qhit.vec(rho))
+        assert abs(tau - rep.tau) <= 1e-13 * rep.tau, m
 
 
 def test_record_key_objects_are_read_only_and_one_problem_is_held():
@@ -1001,10 +1092,9 @@ def test_tau_channel_refuses_a_map_that_is_not_a_channel(sec5, method):
 def test_spectral_decisions_run_in_real_arithmetic(monkeypatch):
     # Every eigenvalue problem and condition number, and the SVDs of
     # fixed_space, rank_with_margin and index, run on the real
-    # Hermitian-basis form, and so do analytic_HK's inverse and the arrays
-    # the series sums.  Two SVDs are complex: group_inverse's, whose kernel
-    # pair builds A^#, and from_vectors', whose input is the n x d matrix of
-    # spanning vectors, not a map.
+    # Hermitian-basis form, and so do every inverse and the arrays the series
+    # sums.  One SVD is complex: from_vectors', whose input is the n x d
+    # matrix of spanning vectors, not a map.
     calls = []
     series_args = []
     run_series = qhit.monitor._run_series
@@ -1039,12 +1129,11 @@ def test_spectral_decisions_run_in_real_arithmetic(monkeypatch):
     for decision in ("fixed_space", "rank_with_margin", "index"):
         assert any(decision in callers for _, _, callers in svds), decision
     assert [shape for _, shape, callers in svds if "from_vectors" in callers] == [(3, 1)]
-    assert {dt for dt, _, callers in svds
-            if not {"group_inverse", "from_vectors"} & callers} == {real}
-    assert any(dt == np.complex128 for dt, _, callers in svds
-               if "group_inverse" in callers)
+    assert {dt for dt, _, callers in svds if "from_vectors" not in callers} == {real}
+    assert any("group_inverse" in callers for _, _, callers in svds)
     assert [(dt, shape) for fn, dt, shape, callers in calls
             if fn == "inv" and "analytic_HK" in callers] == [(real, (9, 9))]
+    assert {dt for fn, dt, _, _ in calls if fn == "inv"} == {real}
     assert len(series_args) == 1
     assert [a.dtype for a in series_args[0]] == [real] * 4
 
@@ -1112,8 +1201,8 @@ def test_kernel_limit_study(rotation):
         assert abs(pt.tau - 4.0) < 1e-7
     assert report.g_norms_diverge
     assert abs(report.tau_direct - 4.0) < 1e-9
-    assert np.max(np.abs(report.H0_direct - H0)) < 1e-9
-    assert np.max(np.abs(report.H0_extrapolated - H0)) < 1e-5
+    assert np.max(np.abs(vec_form(report.H0_direct, 2) - H0)) < 1e-9
+    assert np.max(np.abs(vec_form(report.H0_extrapolated, 2) - H0)) < 1e-5
     assert abs(report.tau_extrapolated - 4.0) < 1e-5
     assert report.extrapolation_defect < 1e-5
 

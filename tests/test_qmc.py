@@ -10,7 +10,8 @@ from conftest import random_tp_channel, stacked
 from expected_matrices import A0_SHARP, HADAMARD_ASHARP, PHI_QMC, PI_QMC
 from qhit.cli import load_spec, parse_channel, parse_subspace
 from qhit.errors import NotIrreducibleError, ValidationError
-from qhit.matrep import real_form
+from qhit.matrep import (from_hermitian_basis, hermitian_coords, identity_coords,
+                         real_form, vec_form)
 from qhit.qmc import site_slice
 
 RNG = np.random.default_rng(5)
@@ -108,9 +109,10 @@ def test_fixed_map_rank_one(sec5):
     q = sec5["q"]
     om = qhit.fixed_map(q)
     assert np.linalg.matrix_rank(om, tol=1e-9) == 1
-    # idempotent on trace-one states: Omega rho = pi
-    state = stacked([np.eye(2) / 4, np.eye(2) / 4])
-    assert np.allclose(om @ state, q.stationary_vec())
+    # idempotent on trace-one states: Omega rho = pi, in Hermitian-basis
+    # coordinates
+    state = hermitian_coords(stacked([np.eye(2) / 4, np.eye(2) / 4]), 2)
+    assert np.allclose(om @ state, hermitian_coords(q.stationary_vec(), 2))
 
 
 def test_fixed_map_requires_unique_fixed_state(hadamard):
@@ -151,16 +153,20 @@ def test_induced_group_inverse_matches_chain_group_inverse(case, request):
         v = rng.normal(size=case) + 1j * rng.normal(size=case)
         V = qhit.GoalSubspace.from_vectors([v / np.linalg.norm(v)])
     q = qhit.induce(S, V)
-    A = np.eye(q.dim) - q.rep
+    # the lift is in the chain's Hermitian basis; the dense reference
+    # inverts the real form of the chain's own rep
+    A = np.eye(q.dim) - real_form(q.rep, q.k)
     lifted = qhit.induced_group_inverse(q)
     dense = qhit.group_inverse(A)
     assert isinstance(lifted, qhit.GroupInverse)
+    assert lifted.Asharp.dtype == np.float64
     assert np.max(np.abs(lifted.Asharp - dense.Asharp)) < 1e-10
     assert np.max(np.abs(lifted.ergodic_projector - dense.ergodic_projector)) < 1e-10
     if case in PRINTED_ASHARP:
-        assert np.max(np.abs(lifted.Asharp - PRINTED_ASHARP[case])) < 1e-10
+        assert np.max(np.abs(vec_form(lifted.Asharp, q.k) - PRINTED_ASHARP[case])) < 1e-10
     assert lifted.index == dense.index == qhit.index(np.eye(S.dim**2) - S.mat)
     G = lifted.Asharp
+    A = np.eye(q.dim) - q.real
     assert lifted.residuals == {"AGA-A": np.max(np.abs(A @ G @ A - A)),
                                 "GAG-G": np.max(np.abs(G @ A @ G - G)),
                                 "AG-GA": np.max(np.abs(A @ G - G @ A))}
@@ -190,7 +196,8 @@ def test_lifted_stationary_density_matches_chain_fixed_space(case):
     # hadamard and order4)
     S, V = _lift_problem(case)
     q = qhit.induce(S, V)
-    _, dense = qhit.ginverse.fixed_space(q.rep, q.k)
+    _, dense = qhit.ginverse.fixed_space(real_form(q.rep, q.k), q.k)
+    dense = from_hermitian_basis(dense, q.k)
     lifted = qhit.stationary_density(q)
     assert np.max(np.abs(lifted - dense)) <= 1e-12 * np.max(np.abs(dense))
     chain_only = qhit.QMC(q.n_sites, q.k, q.rep)  # no channel: the dense path
@@ -204,20 +211,20 @@ def test_lifted_hunter_special_matches_chain_hunter_ginverse(case):
     q = qhit.induce(S, V)
     rng = np.random.default_rng(7)
     u, f = (rng.normal(size=q.dim) + 1j * rng.normal(size=q.dim) for _ in range(2))
+    e_I = identity_coords(q.k, q.n_sites)  # Hermitian-basis coordinates, as t, u, f, g
     chain_only = qhit.QMC(q.n_sites, q.k, q.rep)  # no channel: the dense path
     if chain_only._fixed[0] > 1:
         # no rank-one update makes I - Phi invertible: both forms refuse up
         # front, on either path, from the cut that gives the fixed density
         for chain in (q, chain_only):
             for build in (lambda: qhit.hunter_special(chain),
-                          lambda: qhit.hunter_ginverse(chain, t=u,
-                                                       u=chain.identity_vec(), g=f)):
+                          lambda: qhit.hunter_ginverse(chain, t=u, u=e_I, g=f)):
                 with pytest.raises(NotIrreducibleError, match="one-dimensional"):
                     build()
         return
     for uu, ff in ((None, None), (u, f)):
         lifted = qhit.hunter_ginverse(q, t=uu, g=ff)
-        dense = qhit.hunter_ginverse(chain_only, t=uu, u=q.identity_vec(), g=ff)
+        dense = qhit.hunter_ginverse(chain_only, t=uu, u=e_I, g=ff)
         assert np.max(np.abs(lifted - dense)) <= 1e-12 * np.max(np.abs(dense))
         assert np.array_equal(qhit.hunter_ginverse(chain_only, t=uu, g=ff), dense)
     # a general member is lifted when its rows repeat one block per site, and
@@ -228,10 +235,10 @@ def test_lifted_hunter_special_matches_chain_hunter_ginverse(case):
     dense = qhit.hunter_ginverse(chain_only, t=f, g=u, **rows)
     assert np.max(np.abs(lifted - dense)) <= 1e-12 * np.max(np.abs(dense))
     rows["u"][-1] += 1.0
-    A = np.eye(q.dim) - q.rep
+    A = np.eye(q.dim) - q.real
     full = (np.linalg.inv(A + np.outer(f, rows["u"].conj()))
-            + np.outer(q.stationary_vec(), rows["f"].conj())
-            + np.outer(u, q.identity_vec().conj()))
+            + np.outer(hermitian_coords(q.stationary_vec(), q.k), rows["f"].conj())
+            + np.outer(u, e_I))
     assert np.array_equal(qhit.hunter_ginverse(q, t=f, g=u, **rows), full)
     with pytest.raises(ValidationError, match="length"):
         qhit.hunter_ginverse(q, t=u[:-1])

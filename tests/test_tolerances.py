@@ -46,8 +46,10 @@ def _public_callables():
             elif inspect.isclass(obj):
                 for attr in vars(obj):
                     member = getattr(obj, attr)
+                    # callable(): a cached_property is a descriptor that
+                    # isroutine accepts, but it takes no arguments
                     if ((attr == "__init__" or not attr.startswith("_"))
-                            and inspect.isroutine(member)):
+                            and inspect.isroutine(member) and callable(member)):
                         yield f"{module.__name__}.{name}.{attr}", member
 
 

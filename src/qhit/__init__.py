@@ -5,9 +5,11 @@ mean-hitting-time map, and the Kemeny-Snell-Meyer-Hunter kernel built from
 either a Hunter-family g-inverse or the group inverse of the induced
 two-site chain.  On that chain the kernel is the site-0 block D_00 tiled
 whatever the g-inverse G is, so routes 3 and 4 read tau from D_00, and G is
-checked by its own axioms rather than by tau.  Every matrix of those routes
-is real, in the chain's Hermitian basis (``QMC.real``);
-``matrep.vec_form`` gives its vec coordinates.
+checked by its own axioms rather than by tau.  qhit holds every map in one
+basis, the real Hermitian basis of ``matrep.real_form``: a chain's map is
+``QMC.real``, analytic-K's H and K are real forms, and so is every matrix of
+the KSMH routes.  ``matrep.vec_form`` gives a matrix's vec coordinates,
+where the CLI prints it.
 
 Only the series and the final trace depend on the initial state.
 ``tau_channel`` keeps the rest (K, the induced chain, D, the diagnostics,

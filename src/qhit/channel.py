@@ -315,12 +315,12 @@ def check_shapes(S: SuperOp, V: GoalSubspace, rho) -> None:
 
 class _GoalRecord:
     """The work on (S, V) that the routes share, kept read-only, like
-    :class:`_ChannelRecord`: ``QQS`` = Q.Q S (the induced chain's bottom
-    row, :func:`qmc.induce`), built with the record; and, each built on
-    first use, its real form ``M`` (the monitoring series' step and the
-    analytic resolvent's map) and :meth:`site_spectrum`, the nonzero parts
-    of the spectra of Q.Q S and (I - Q.Q) S, the induced chain's principal
-    blocks without site 0 and without site 1.
+    :class:`_ChannelRecord`, each built on first use: ``M``, the real form
+    of Q.Q S (the monitoring series' step, the analytic resolvent's map and
+    the induced chain's bottom row, :func:`qmc.induce`), and
+    :meth:`site_spectrum`, the nonzero parts of the spectra of Q.Q S and
+    (I - Q.Q) S, the induced chain's principal blocks without site 0 and
+    without site 1.
 
     The spectra are read off S in the Hermitian basis of a frame adapted to
     V + V-perp: W, the unitary of one complete QR of V's basis, has V's span
@@ -337,14 +337,14 @@ class _GoalRecord:
 
     def __init__(self, S: SuperOp, V: GoalSubspace):
         self.S, self.V, self._spectra = S, V, {}
-        self.QQS = _owned_read_only(V.sandwich(S.mat))
 
     @cached_property
     def M(self) -> np.ndarray:
         # Q.Q S preserves Hermiticity when S does, which check_channel judges
         # before any reader gets here; judged against its own scale, a
         # Q.Q S that is all roundoff (V the whole space) would be refused
-        return _owned_read_only(_hermitian_form(self.QQS, self.S.dim).real.copy())
+        QQS = self.V.sandwich(self.S.mat)
+        return _owned_read_only(_hermitian_form(QQS, self.S.dim).real.copy())
 
     @cached_property
     def _blocks(self) -> tuple:

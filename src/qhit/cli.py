@@ -28,7 +28,7 @@ from .channel import (GoalSubspace, KrausChannel, assumption_one_holds,
 from .errors import (NoGroupInverseError, NotIrreducibleError, QhitError,
                      SpectralObstructionError, ValidationError)
 from .ksmh import kernel_limit_study, tau_channel
-from .matrep import SuperOp, vec_form
+from .matrep import SuperOp, real_form, vec_form
 from .qmc import induce, induced_group_inverse
 from .tolerances import near_one
 
@@ -288,10 +288,10 @@ def cmd_hitting(args) -> int:
         if rep.detail:
             entry["detail"] = rep.detail
         if args.dump_intermediates:
-            # K is in vec coordinates; D, G and the kernel are Hermitian-basis
-            # forms of the induced chain, printed in vec coordinates too
-            mats = {k: v if k == "K" else vec_form(v, S.dim)
-                    for k, v in rep.artifacts.items() if isinstance(v, np.ndarray)}
+            # every array artifact is a Hermitian-basis form, printed in vec
+            # coordinates
+            mats = {k: vec_form(v, S.dim) for k, v in rep.artifacts.items()
+                    if isinstance(v, np.ndarray)}
             if mats:
                 entry["intermediates"] = mats
         results[name] = entry
@@ -325,7 +325,10 @@ def cmd_ginverse(args) -> int:
     the special form of :func:`ginverse.hunter_special`, with the residuals
     of the check that built it.  Both are formed in the chain's Hermitian
     basis, where the Hunter parameters are read, and printed in vec
-    coordinates (:func:`matrep.vec_form`)."""
+    coordinates (:func:`matrep.vec_form`).  Without a subspace, the group
+    inverse of I - S is taken on S's real form (:func:`matrep.real_form`),
+    so a map that does not preserve Hermiticity exits 2, as in ``validate``,
+    and printed in vec coordinates the same way."""
     spec = load_spec(args.spec)
     S = parse_channel(spec)
     q = induce(S, parse_subspace(spec["subspace"], S.dim)) if "subspace" in spec else None
@@ -336,11 +339,11 @@ def cmd_ginverse(args) -> int:
         if given:
             raise SpecError(f"--{given[0]}",
                             "is a Hunter parameter; --kind group takes none")
-        gs = (ginv.group_inverse(np.eye(S.dim**2) - S.mat) if q is None
-              else induced_group_inverse(q))
+        gs = (ginv.group_inverse(np.eye(S.dim**2) - real_form(S.mat, S.dim))
+              if q is None else induced_group_inverse(q))
         report["index"] = gs.index
         report["residuals"] = gs.residuals
-        report["Asharp"] = gs.Asharp if q is None else vec_form(gs.Asharp, S.dim)
+        report["Asharp"] = vec_form(gs.Asharp, S.dim)
     else:  # hunter
         if q is None:
             raise SpecError("$.subspace",

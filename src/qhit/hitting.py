@@ -1,10 +1,11 @@
 """Analytic hitting maps H and K and the V-side traces read from them.
 
-Both maps are formed in the real Hermitian basis of :func:`matrep.real_form`:
-one real inverse of I - real_form(Q.Q S) and two real products.  tau is read
-there too, as a dot product of real coordinates (:func:`matrep.hermitian_coords`),
-so it is real by construction; the public H and K are mapped back to vec
-coordinates with :func:`matrep.vec_form`.
+Both maps are formed and held in the real Hermitian basis of
+:func:`matrep.real_form`: one real inverse of I - real_form(Q.Q S) and two
+real products.  tau is read there too, as a dot product of real coordinates
+(:func:`matrep.hermitian_coords`), so it is real by construction;
+:func:`matrep.vec_form` gives H and K in vec coordinates, where they are
+printed.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .channel import (GoalSubspace, _goal_record, assumption_one_holds, check_channel,
                       hermitize, is_density)
 from .errors import SpectralObstructionError, ValidationError
-from .matrep import SuperOp, _owned_read_only, hermitian_coords, vec, vec_form
+from .matrep import SuperOp, _owned_read_only, hermitian_coords, vec
 from .tolerances import RESOLVENT_COND_WARN, near_one
 
 
@@ -27,15 +28,14 @@ class HittingMaps:
 
     A V-side trace is read through <vec P|: the trace of the V side
     X - Q X Q of X is Tr(P X), so Tr(K_1j rho) = <vec P|K|vec rho> for rho
-    in V (j = 1) or in V-perp (j = 2).  No block of K is formed.  ``K_real``
-    is K in the Hermitian basis, T K T* (read-only), the array that
-    :func:`tau_from_K` reads.
+    in V (j = 1) or in V-perp (j = 2).  No block of K is formed.  H and K
+    are read-only arrays in the Hermitian basis, T H T* and T K T*
+    (:func:`matrep.real_form`); :func:`tau_from_K` reads K there.
     """
 
-    H: SuperOp
-    K: SuperOp
+    H: np.ndarray
+    K: np.ndarray
     subspace: GoalSubspace
-    K_real: np.ndarray
 
 
 def analytic_HK(S: SuperOp, V: GoalSubspace) -> HittingMaps:
@@ -61,10 +61,8 @@ def analytic_HK(S: SuperOp, V: GoalSubspace) -> HittingMaps:
         warnings.warn("resolvent I - QT is badly conditioned", RuntimeWarning,
                       stacklevel=2)
     M = np.linalg.inv(A)
-    H = S_real @ M
-    K = _owned_read_only(H @ M)
-    return HittingMaps(SuperOp(S.dim, vec_form(H, S.dim)),
-                       SuperOp(S.dim, vec_form(K, S.dim)), V, K)
+    H = _owned_read_only(S_real @ M)
+    return HittingMaps(H, _owned_read_only(H @ M), V)
 
 
 def tau_from_K(maps: HittingMaps, rho) -> float:
@@ -74,11 +72,11 @@ def tau_from_K(maps: HittingMaps, rho) -> float:
     neither is refused with :class:`ValidationError`.  The product is taken
     in the Hermitian basis, between the real coordinates of P, of rho's
     Hermitian part (``is_density`` has judged its Hermiticity) and
-    ``maps.K_real``."""
+    ``maps.K``."""
     if not is_density(rho):
         raise ValidationError("not a density matrix")
     V = maps.subspace
     if not (V.contains_perp(rho) or V.contains(rho)):
         raise ValidationError("density is supported neither in V nor in its complement")
     x = hermitian_coords(vec(hermitize(rho)), V.ambient_dim)
-    return float(hermitian_coords(vec(V.P), V.ambient_dim) @ (maps.K_real @ x))
+    return float(hermitian_coords(vec(V.P), V.ambient_dim) @ (maps.K @ x))

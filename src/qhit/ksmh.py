@@ -7,8 +7,9 @@ Every chain matrix here is in the chain's real Hermitian basis
 (:attr:`qmc.QMC.real`): the site operators K^(i) and D, the g-inverses G of
 :mod:`ginverse` and :func:`qmc.induced_group_inverse`, and the kernel, so
 the KSMH routes run in real arithmetic and read tau as a real dot product.
-They are handed out in that basis, like :attr:`hitting.HittingMaps.K_real`;
-:func:`matrep.vec_form` gives vec coordinates, which the CLI prints.
+They are handed out in that basis, as analytic-K's H and K
+(:class:`hitting.HittingMaps`) are; :func:`matrep.vec_form` gives vec
+coordinates, which the CLI prints.
 
 Site indices are 0-based throughout: for an induced 2-site chain, site 0 is
 the goal subspace V and site 1 its complement.
@@ -319,9 +320,9 @@ def tau_channel(S: SuperOp, V: GoalSubspace, rho, method: str) -> TauReport:
     :class:`NumericalError` (an inverse that fails its axioms, a series
     that does not converge), with the preconditions found so far.  numpy's
     ``LinAlgError`` is not caught.  ``artifacts`` always references the
-    route's results: ``series``; ``K``, in vec coordinates; or ``qmc``, and
-    ``D``, ``G`` and ``kernel`` in the induced chain's Hermitian basis
-    (:func:`matrep.vec_form` maps them to vec coordinates).
+    route's results: ``series``; ``K``, in S's Hermitian basis; or ``qmc``,
+    and ``D``, ``G`` and ``kernel`` in the induced chain's Hermitian basis
+    (:func:`matrep.vec_form` maps each to vec coordinates).
 
     Only the series and the final trace depend on rho.  Everything else
     (K; the induced chain, its site operators D and :func:`channel.diagnose`;
@@ -367,7 +368,7 @@ def tau_channel(S: SuperOp, V: GoalSubspace, rho, method: str) -> TauReport:
             return TauReport(method, None, {"assumption_one": False},
                              exc.with_traceback(None))
         return TauReport(method, tau_from_K(maps, rho), {"assumption_one": True},
-                         artifacts={"K": maps.K.mat})
+                         artifacts={"K": maps.K})
 
     D, availability = record.sites
     pre = {"site0_operator_available": availability[0][0],

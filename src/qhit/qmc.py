@@ -1,15 +1,17 @@
 """Quantum Markov chains: block-operator grids, OQWs and the induced 2-site chain.
 
-A chain is refused unless it is trace preserving, <e_I| Phi = <e_I|; the
-induced chain also refuses a channel that does not preserve Hermiticity.
-A chain holds its map in vec coordinates (:attr:`QMC.rep`) and, built once,
-in the real Hermitian basis of :func:`matrep.real_form` (:attr:`QMC.real`).
-Every computation on a chain reads the real form: its fixed space, the
-group inverse lifted by :func:`induced_group_inverse`, the Hunter members of
-:mod:`ginverse`, and the site operators and kernels of :mod:`ksmh`.  What
-they return is in the chain's Hermitian-basis coordinates;
-:func:`matrep.vec_form` maps a matrix back to vec coordinates.  States stay
-in vec form: :func:`stationary_density` returns one.
+A chain holds its map in one basis, the real Hermitian basis of
+:func:`matrep.real_form` (:attr:`QMC.real`), and is refused unless it is
+trace preserving there, <e_I| Phi = <e_I| with e_I the coordinates of the
+identity on every site (:func:`matrep.identity_coords`).  The induced chain
+also refuses a channel that does not preserve Hermiticity, and an open
+quantum walk takes the real form of its assembled map.  Every computation
+on a chain reads :attr:`QMC.real`: its fixed space, the group inverse lifted
+by :func:`induced_group_inverse`, the Hunter members of :mod:`ginverse`, and
+the site operators and kernels of :mod:`ksmh`.  What they return is in the
+chain's Hermitian-basis coordinates; :func:`matrep.vec_form` maps a matrix
+to vec coordinates.  States stay in vec form: :func:`stationary_density`
+returns one.
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ from . import ginverse
 from .channel import (GoalSubspace, _channel_record, _goal_record, _tp_defect,
                       check_channel)
 from .errors import DimensionError, NotIrreducibleError, ValidationError
-from .matrep import (SuperOp, _owned_read_only, as_complex, conj_kron,
-                     from_hermitian_basis, hermitian_coords, identity_coords,
-                     real_form, vec)
+from .matrep import (SuperOp, _owned_read_only, as_complex, as_matrix, conj_kron,
+                     from_hermitian_basis, identity_coords, real_form)
 from .tolerances import TP_TOL
 
 
@@ -48,25 +49,28 @@ def check_sites(n_sites: int, *sites: int) -> None:
 class QMC:
     """n_sites x n_sites grid of superoperator blocks on k x k internal matrices.
 
-    Stored as the assembled representation matrix of order n_sites * k^2; the
-    per-block view is :meth:`block`.  Raises :class:`ValidationError` unless
-    the chain is trace preserving to ``TP_TOL``.  ``channel`` and
-    ``subspace`` are the map S and the goal subspace V of a chain built by
-    :func:`induce`, whose rep factors as C R with C its column block 0,
-    R = [I I] and R C = S; both are None for any other chain.  ``rep`` is
-    read-only: the chain caches its real form and the cut of its fixed
-    space.
+    ``real`` is the chain's map in the real Hermitian basis of
+    :func:`matrep.real_form`, of order n_sites * k^2, kept read-only: the
+    chain caches the cut of its fixed space.  Site block (i, j) is read
+    through :func:`site_slice`.  Complex or non-finite input is refused
+    with :class:`ValidationError`, as is a chain that is not trace
+    preserving to ``TP_TOL``.  ``channel`` and ``subspace`` are the map S
+    and the goal subspace V of a chain built by :func:`induce`, whose map
+    factors as C R with C its column block 0, R = [I I] and R C = S; both
+    are None for any other chain.
     """
 
-    def __init__(self, n_sites: int, k: int, rep, channel=None, subspace=None):
-        M = as_complex(rep)
+    def __init__(self, n_sites: int, k: int, real, channel=None, subspace=None):
+        M = as_matrix(real)
+        if np.iscomplexobj(M):
+            raise ValidationError("QMC takes the real form of its map, not a complex one")
         N = n_sites * k * k
         if M.shape != (N, N):
             raise DimensionError(f"QMC representation must be {N}x{N}, got {M.shape}")
         self.n_sites, self.k = n_sites, k
-        self.rep = _owned_read_only(M, rep)
+        self.real = _owned_read_only(M, real)
         self.channel, self.subspace = channel, subspace
-        defect = _tp_defect(M, self.identity_vec())
+        defect = _tp_defect(M, identity_coords(k, n_sites))
         if defect > TP_TOL:
             raise ValidationError(f"QMC is not trace preserving (defect {defect:.3e})")
 
@@ -74,31 +78,10 @@ class QMC:
     def dim(self) -> int:
         return self.n_sites * self.k * self.k
 
-    def block(self, i: int, j: int) -> np.ndarray:
-        """k^2 x k^2 representation of the block map Phi_ij."""
-        return self.rep[site_slice(i, self.k), site_slice(j, self.k)]
-
-    def identity_vec(self) -> np.ndarray:
-        """|e_I>: vec(I_k) stacked once per site; <e_I|rho> = Tr(rho)."""
-        return np.tile(vec(np.eye(self.k)), self.n_sites)
-
     def stationary_vec(self) -> np.ndarray:
         """:func:`stationary_density`, read by :mod:`ginverse`, which this
         module imports."""
         return stationary_density(self)
-
-    @functools.cached_property
-    def real(self) -> np.ndarray:
-        """The chain's map in the real Hermitian basis, T rep T*
-        (:func:`matrep.real_form`), read-only.  An induced chain assembles
-        it from the records of S and of (S, V) (:class:`channel._GoalRecord`):
-        [[R - M, R - M], [M, M]], R the real form of S and M that of Q.Q S.
-        Any other chain takes the real form of ``rep``."""
-        if self.channel is None:
-            return _owned_read_only(real_form(self.rep, self.k))
-        M = _goal_record(self.channel, self.subspace).M
-        top = _channel_record(self.channel).real - M
-        return _owned_read_only(np.block([[top, top], [M, M]]))
 
     @functools.cached_property
     def _fixed(self) -> tuple:
@@ -135,16 +118,18 @@ def from_oqw(B) -> QMC:
     k = mats[0][0].shape[0] if mats[0][0].ndim else 0
     if k == 0 or any(M.shape != (k, k) for row in mats for M in row):
         raise DimensionError("blocks of an open quantum walk must all be k x k, k >= 1")
-    return QMC(n, k, np.block([[conj_kron(M) for M in row] for row in mats]))
+    return QMC(n, k, real_form(np.block([[conj_kron(M) for M in row] for row in mats]), k))
 
 
 def induce(S: SuperOp, V: GoalSubspace) -> QMC:
     """The 2-site QMC turning subspace-hitting for S into site-hitting.
 
     Row 1 carries (I - Q.Q) S, row 2 carries Q.Q S, each repeated across
-    both columns; trace preservation is inherited from S.  Q.Q S is one
-    :meth:`GoalSubspace.sandwich` of S, kept in the (S, V) record
-    (:class:`channel._GoalRecord`), and (I - Q.Q) S is S minus it.
+    both columns; trace preservation is inherited from S.  The chain's
+    map is assembled in real form, [[R - M, R - M], [M, M]], from the real
+    form R of S that :func:`channel.check_channel` returns and the real
+    form M of Q.Q S, one :meth:`GoalSubspace.sandwich` of S, both kept in
+    the records of S and of (S, V) (:class:`channel._GoalRecord`).
     The chain records S and V as :attr:`QMC.channel` and
     :attr:`QMC.subspace`, so :func:`ksmh.qmc_hitting_operators` reads its
     sites' spectra from the same record.  Its map is C R with
@@ -156,11 +141,10 @@ def induce(S: SuperOp, V: GoalSubspace) -> QMC:
     """
     if S.dim != V.ambient_dim:
         raise DimensionError("channel and subspace dimensions differ")
-    check_channel(S)
-    bot = _goal_record(S, V).QQS
-    top = S.mat - bot
-    rep = np.block([[top, top], [bot, bot]])
-    return QMC(n_sites=2, k=S.dim, rep=rep, channel=S, subspace=V)
+    R = check_channel(S)
+    M = _goal_record(S, V).M
+    top = R - M
+    return QMC(2, S.dim, np.block([[top, top], [M, M]]), channel=S, subspace=V)
 
 
 def induced_group_inverse(q: QMC) -> ginverse.GroupInverse:
@@ -235,13 +219,19 @@ def fixed_map(q: QMC) -> np.ndarray:
     """Omega = |pi><e_I|, the rank-one map sending every density to the
     stationary one, for a chain with a unique stationary density.
 
-    Uniqueness is read from the chain's one cut of its fixed space
-    (:func:`stationary_density`), at order n^2 for an induced chain.  Omega
-    is real, in the chain's Hermitian-basis coordinates, as the kernels of
-    :func:`ksmh.ksmh_kernel` that it corrects are."""
-    if q._fixed[0] != 1:
+    Uniqueness and pi are read from the chain's one cut of its fixed space
+    (:func:`stationary_density`), made at order n^2 for an induced chain; pi
+    is the unit-trace fixed vector that the cut keeps in Hermitian-basis
+    coordinates.  Omega is real, in those coordinates, as the kernels of
+    :func:`ksmh.ksmh_kernel` that it corrects are.  Raises
+    :class:`NotIrreducibleError` when the fixed space is not
+    one-dimensional, and :class:`ValidationError` when it holds no state of
+    nonzero trace."""
+    dim, pi = q._fixed
+    if dim != 1:
         raise NotIrreducibleError(
             "fixed space is not one-dimensional; use the group-inverse route instead"
         )
-    pi = hermitian_coords(q.stationary_vec(), q.k)
+    if pi is None:
+        raise ValidationError("fixed space holds no state of nonzero trace")
     return np.outer(pi, identity_coords(q.k, q.n_sites))

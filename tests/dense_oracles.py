@@ -100,9 +100,9 @@ def mhtf_tau(Z: SuperOp, maps: HittingMaps, psi, phi) -> float:
     tau(phi -> V) = Tr(K_11 (Z_11 rho_psi - Z_12 rho_phi)) for any psi in V,
     phi in V-perp, read as <vec P|K y> with y = (I - Q.Q) Z (vec rho_psi -
     vec rho_phi).  psi and phi are normalized (:func:`qhit.pure_density`).
-    The trace is taken in complex arithmetic on the vec-coordinate K, apart
-    from the routes' Hermitian-basis reading, and its imaginary part is
-    asserted to be roundoff.
+    The trace is taken in complex arithmetic on K mapped to vec coordinates
+    (:func:`qhit.matrep.vec_form`), apart from the routes' Hermitian-basis
+    reading, and its imaginary part is asserted to be roundoff.
     """
     V = maps.subspace
     if np.size(psi) != V.ambient_dim or np.size(phi) != V.ambient_dim:
@@ -114,6 +114,6 @@ def mhtf_tau(Z: SuperOp, maps: HittingMaps, psi, phi) -> float:
         raise ValidationError("phi must lie in the complement of V")
     x = Z.mat @ (vec(rho_psi) - vec(rho_phi))
     y = x - V.sandwich(x)
-    tau = complex(np.vdot(vec(V.P), maps.K.mat @ y))
+    tau = complex(np.vdot(vec(V.P), vec_form(maps.K, V.ambient_dim) @ y))
     assert abs(tau.imag) <= IMAG_ROUNDOFF * max(1.0, abs(tau.real)), tau
     return tau.real

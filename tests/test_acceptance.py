@@ -27,8 +27,8 @@ def test_criterion_1_worked_example_reproduction(sec5):
     S, V, q = sec5["S"], sec5["V"], sec5["q"]
     errs = {}
     errs["T"] = np.max(np.abs(S.mat - T_REP))
-    errs["K"] = np.max(np.abs(qhit.analytic_HK(S, V).K.mat - K_MAP))
-    errs["Phi"] = np.max(np.abs(q.rep - PHI_QMC))
+    errs["K"] = np.max(np.abs(vec_form(qhit.analytic_HK(S, V).K, 2) - K_MAP))
+    errs["Phi"] = np.max(np.abs(vec_form(q.real, q.k) - PHI_QMC))
     errs["pi"] = np.max(np.abs(q.stationary_vec() - PI_QMC))
     ops = qhit.qmc_hitting_operators(q)
     # D and G are Hermitian-basis forms; e_1 is the same in both coordinates
@@ -54,7 +54,7 @@ def test_criterion_2_randomization_family(rotation):
     V = rotation["V"]
     rho = rotation["rho_phi"]
 
-    k_err = np.max(np.abs(qhit.analytic_HK(T_rot, V).K.mat - K_U))
+    k_err = np.max(np.abs(vec_form(qhit.analytic_HK(T_rot, V).K, 2) - K_U))
 
     grid_ok = True
     worst = 0.0
@@ -68,11 +68,10 @@ def test_criterion_2_randomization_family(rotation):
             grid_ok = grid_ok and err < 1e-8
 
     q0 = qhit.induce(T_rot, V)
-    asharp_err = np.max(np.abs(
-        qhit.group_inverse(np.eye(8) - q0.rep).Asharp - A0_SHARP))
+    asharp0 = qhit.group_inverse(np.eye(8) - q0.real).Asharp
+    asharp_err = np.max(np.abs(vec_form(asharp0, 2) - A0_SHARP))
     ops0 = qhit.qmc_hitting_operators(q0)
-    H0_group = qhit.ksmh_kernel(
-        q0, ops0.D, qhit.group_inverse(np.eye(8) - q0.real).Asharp)
+    H0_group = qhit.ksmh_kernel(q0, ops0.D, asharp0)
     h0_err = np.max(np.abs(vec_form(H0_group, 2) - H0))
 
     study = qhit.kernel_limit_study(make_sec6_T(0.5), T_rot, V,
@@ -97,11 +96,10 @@ def test_criterion_3_hadamard(hadamard):
     a1_bad, _ = qhit.assumption_one_holds(S, Vbad)
 
     tau = qhit.tau_channel(S, V, hadamard["rho_phi"], "ksmh-group").tau
-    A = np.eye(8) - q.rep
-    asharp = qhit.group_inverse(A).Asharp
-    asharp_err = np.max(np.abs(asharp - HADAMARD_ASHARP))
+    asharp = qhit.group_inverse(np.eye(8) - q.real).Asharp
+    asharp_err = np.max(np.abs(vec_form(asharp, 2) - HADAMARD_ASHARP))
     ops = qhit.qmc_hitting_operators(q)
-    kern = qhit.ksmh_kernel(q, ops.D, qhit.group_inverse(np.eye(8) - q.real).Asharp)
+    kern = qhit.ksmh_kernel(q, ops.D, asharp)
     kern_err = np.max(np.abs(vec_form(kern, 2) - HADAMARD_KERNEL))
 
     ok = (a1_good and not a1_bad and abs(tau - 2.0) < 1e-8
@@ -135,7 +133,7 @@ def test_criterion_4_order4_walk(order4):
     basis_taus = [tau_of(v) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
     basis_ok = np.max(np.abs(np.array(basis_taus) - [4, 6, 10])) < 1e-8
 
-    K = qhit.analytic_HK(S, V).K.mat
+    K = vec_form(qhit.analytic_HK(S, V).K, 4)
     blocks_err = max(
         np.max(np.abs(K[:8, :8] - ORDER4_B1)),
         np.max(np.abs(K[:8, 8:] - ORDER4_B2)),
@@ -199,7 +197,7 @@ def test_criterion_6_group_inverse_properties():
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
         V = qhit.GoalSubspace.from_vectors([v / np.linalg.norm(v)])
         q = qhit.induce(S, V)
-        targets.append(np.eye(q.dim) - q.rep)
+        targets.append(np.eye(q.dim) - q.real)
 
         for A in targets:
             N = A.shape[0]

@@ -467,6 +467,42 @@ def _without(name: str, key: str) -> dict:
     return spec
 
 
+def test_channel_scope_group_ginverse_is_the_complex_group_inverse(capsys, monkeypatch,
+                                                                  tmp_path):
+    # without a subspace, A^# of I - S is taken on S's real form and printed
+    # in vec coordinates; the JSON rounds to 12 digits, so the report handed
+    # to emit is compared with the complex group inverse of I - S.mat
+    spec = _without("sec5", "subspace")
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps(spec))
+    reports = []
+
+    def spy(report, as_json, _emit=cli.emit):
+        reports.append(report)
+        _emit(report, as_json)
+
+    monkeypatch.setattr(cli, "emit", spy)
+    code, out = run_cli(capsys, "ginverse", str(path), "--json")
+    assert code == 0 and json.loads(out)["scope"] == "channel"
+    S = cli.parse_channel(spec)
+    ref = ginverse.group_inverse(np.eye(S.dim**2) - S.mat)
+    assert reports[0]["index"] == ref.index
+    assert np.max(np.abs(reports[0]["Asharp"] - ref.Asharp)) <= 1e-12
+
+
+def test_channel_scope_group_ginverse_refuses_a_map_that_does_not_preserve_hermiticity(
+        capsys, tmp_path):
+    # diag(1, i, 1, 1), as in validate: the real form it is inverted on
+    # refuses it, so it exits 2 as validate does
+    superop = [[1, 0, 0, 0], [0, [0, 1], 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    path = tmp_path / "turn.json"
+    path.write_text(json.dumps({"kind": "superop", "superop": superop}))
+    assert main(["ginverse", str(path), "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("validation error: map does not preserve Hermiticity")
+
+
 NOT_FINITE = "expected a finite number or an [re, im] pair"
 
 

@@ -19,7 +19,7 @@ CORPUS = Path(__file__).parent / "corpus"
 
 
 def test_induced_qmc_matches_printed_matrix(sec5):
-    assert np.max(np.abs(sec5["q"].rep - PHI_QMC)) < 1e-12
+    assert np.max(np.abs(vec_form(sec5["q"].real, 2) - PHI_QMC)) < 1e-12
 
 
 def test_induced_qmc_is_trace_preserving():
@@ -27,14 +27,15 @@ def test_induced_qmc_is_trace_preserving():
         S = random_tp_channel(RNG, 3)
         V = qhit.GoalSubspace.from_vectors([np.eye(3)[0]])
         q = qhit.induce(S, V)  # __init__ would raise if TP failed
-        eI = q.identity_vec()
-        assert np.max(np.abs(eI.conj() @ q.rep - eI.conj())) < 1e-10
+        eI = identity_coords(q.k, q.n_sites)
+        assert np.max(np.abs(eI @ q.real - eI)) < 1e-10
 
 
 def test_identity_vec_reads_total_trace(sec5):
     q = sec5["q"]
     blocks = [np.diag([0.25, 0.25]), np.diag([0.5, 0.0])]
-    assert abs(np.vdot(q.identity_vec(), stacked(blocks)) - 1.0) < 1e-12
+    x = hermitian_coords(stacked(blocks), q.k)
+    assert abs(identity_coords(q.k, q.n_sites) @ x - 1.0) < 1e-12
 
 
 def test_stationary_vector_matches_printed(sec5):
@@ -44,8 +45,9 @@ def test_stationary_vector_matches_printed(sec5):
 def test_stationary_density_is_fixed_and_positive(sec5):
     q = sec5["q"]
     pi = qhit.stationary_density(q)
-    assert np.max(np.abs(q.rep @ pi - pi)) < 1e-10
-    assert abs(np.vdot(q.identity_vec(), pi) - 1.0) < 1e-10
+    x = hermitian_coords(pi, q.k)
+    assert np.max(np.abs(q.real @ x - x)) < 1e-10
+    assert abs(identity_coords(q.k, q.n_sites) @ x - 1.0) < 1e-10
     for i in range(2):
         evals = np.linalg.eigvalsh(qhit.unvec(pi[site_slice(i, q.k)], q.k, q.k))
         assert evals.min() > -1e-10
@@ -56,13 +58,6 @@ def test_stacked_state_block_round_trip():
     st = stacked(blocks)
     for i in range(2):
         assert np.array_equal(qhit.unvec(st[site_slice(i, 2)], 2, 2), blocks[i])
-
-
-def test_block_accessor_tiles_the_representation(sec5):
-    q = sec5["q"]
-    assembled = np.block([[q.block(0, 0), q.block(0, 1)],
-                          [q.block(1, 0), q.block(1, 1)]])
-    assert np.allclose(assembled, q.rep)
 
 
 def test_from_oqw_column_condition():
@@ -79,6 +74,10 @@ def test_from_oqw_column_condition():
 
 @pytest.mark.parametrize("build,error", [
     (lambda: qhit.QMC(2, 2, np.eye(4)), r"must be 8x8, got \(4, 4\)"),
+    # a chain takes the real form of its map: complex input is refused even
+    # when its imaginary part is zero, and so is a non-finite entry
+    (lambda: qhit.QMC(1, 2, np.eye(4, dtype=complex)), "not a complex one"),
+    (lambda: qhit.QMC(1, 2, np.diag([1.0, np.nan, 1.0, 1.0])), "NaN or Inf"),
     (lambda: qhit.induce(qhit.identity_superop(2),
                          qhit.GoalSubspace.from_vectors([[1, 0, 0]])),
      "dimensions differ"),
@@ -90,8 +89,8 @@ def test_from_oqw_column_condition():
     (lambda: qhit.from_oqw([[np.eye(2), np.zeros((3, 3))],
                             [np.zeros((3, 3)), np.eye(2)]]), "k x k"),
     (lambda: qhit.from_oqw([[np.ones((2, 3))]]), "k x k"),
-], ids=["qmc-order", "induce-dimensions", "oqw-without-sites", "oqw-one-row-of-two",
-        "oqw-ragged", "oqw-mixed-orders", "oqw-rectangular-block"])
+], ids=["qmc-order", "qmc-complex", "qmc-nan", "induce-dimensions", "oqw-without-sites",
+        "oqw-one-row-of-two", "oqw-ragged", "oqw-mixed-orders", "oqw-rectangular-block"])
 def test_chain_constructors_refuse_malformed_input(build, error):
     with pytest.raises(ValidationError, match=error):
         build()
@@ -101,7 +100,7 @@ def test_fixed_space_dim(sec5, hadamard):
     # the chain's one cut (of S, order n^2) against the rank of the chain's
     # own I - Phi at order 2n^2
     for q, dim in ((sec5["q"], 1), (hadamard["q"], 2)):
-        A = np.eye(q.dim) - real_form(q.rep, q.k)
+        A = np.eye(q.dim) - q.real
         assert q._fixed[0] == q.dim - qhit.ginverse.rank_with_margin(A) == dim
 
 
@@ -154,8 +153,8 @@ def test_induced_group_inverse_matches_chain_group_inverse(case, request):
         V = qhit.GoalSubspace.from_vectors([v / np.linalg.norm(v)])
     q = qhit.induce(S, V)
     # the lift is in the chain's Hermitian basis; the dense reference
-    # inverts the real form of the chain's own rep
-    A = np.eye(q.dim) - real_form(q.rep, q.k)
+    # inverts the chain's own real form
+    A = np.eye(q.dim) - q.real
     lifted = qhit.induced_group_inverse(q)
     dense = qhit.group_inverse(A)
     assert isinstance(lifted, qhit.GroupInverse)
@@ -166,7 +165,6 @@ def test_induced_group_inverse_matches_chain_group_inverse(case, request):
         assert np.max(np.abs(vec_form(lifted.Asharp, q.k) - PRINTED_ASHARP[case])) < 1e-10
     assert lifted.index == dense.index == qhit.index(np.eye(S.dim**2) - S.mat)
     G = lifted.Asharp
-    A = np.eye(q.dim) - q.real
     assert lifted.residuals == {"AGA-A": np.max(np.abs(A @ G @ A - A)),
                                 "GAG-G": np.max(np.abs(G @ A @ G - G)),
                                 "AG-GA": np.max(np.abs(A @ G - G @ A))}
@@ -196,11 +194,11 @@ def test_lifted_stationary_density_matches_chain_fixed_space(case):
     # hadamard and order4)
     S, V = _lift_problem(case)
     q = qhit.induce(S, V)
-    _, dense = qhit.ginverse.fixed_space(real_form(q.rep, q.k), q.k)
+    _, dense = qhit.ginverse.fixed_space(q.real, q.k)
     dense = from_hermitian_basis(dense, q.k)
     lifted = qhit.stationary_density(q)
     assert np.max(np.abs(lifted - dense)) <= 1e-12 * np.max(np.abs(dense))
-    chain_only = qhit.QMC(q.n_sites, q.k, q.rep)  # no channel: the dense path
+    chain_only = qhit.QMC(q.n_sites, q.k, q.real)  # no channel: the dense path
     assert chain_only.channel is None
     assert np.max(np.abs(chain_only.stationary_vec() - dense)) <= 1e-14
 
@@ -212,7 +210,7 @@ def test_lifted_hunter_special_matches_chain_hunter_ginverse(case):
     rng = np.random.default_rng(7)
     u, f = (rng.normal(size=q.dim) + 1j * rng.normal(size=q.dim) for _ in range(2))
     e_I = identity_coords(q.k, q.n_sites)  # Hermitian-basis coordinates, as t, u, f, g
-    chain_only = qhit.QMC(q.n_sites, q.k, q.rep)  # no channel: the dense path
+    chain_only = qhit.QMC(q.n_sites, q.k, q.real)  # no channel: the dense path
     if chain_only._fixed[0] > 1:
         # no rank-one update makes I - Phi invertible: both forms refuse up
         # front, on either path, from the cut that gives the fixed density
@@ -250,7 +248,18 @@ def test_lifted_hunter_special_matches_chain_hunter_ginverse(case):
 
 def test_induced_group_inverse_refuses_a_chain_not_built_by_induce(sec5):
     with pytest.raises(ValidationError, match="induce"):
-        qhit.induced_group_inverse(qhit.QMC(2, 2, sec5["q"].rep))
+        qhit.induced_group_inverse(qhit.QMC(2, 2, sec5["q"].real))
+
+
+def test_a_chain_that_does_not_preserve_hermiticity_is_refused_at_construction():
+    # k = 1: a Hermiticity-preserving chain is real; this one is trace
+    # preserving (columns sum to 1) but not real.  QMC refuses the complex
+    # matrix, and real_form refuses it by its Hermiticity rule
+    rep = [[0.5 + 0.5j, 0.5 - 0.5j], [0.5 - 0.5j, 0.5 + 0.5j]]
+    with pytest.raises(ValidationError, match="not a complex one"):
+        qhit.QMC(2, 1, rep)
+    with pytest.raises(ValidationError, match="Hermiticity"):
+        real_form(rep, 1)
 
 
 def test_induce_refuses_a_map_that_is_not_a_channel(sec5):

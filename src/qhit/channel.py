@@ -95,7 +95,8 @@ def fixed_states(S: SuperOp) -> list:
     """Basis of the fixed space ker(S.mat - I), each returned as a matrix.
 
     The kernel is cut once, by :func:`ginverse.fixed_space` (the rank rule
-    of :func:`ginverse.rank_with_margin`), so the list has
+    of :func:`ginverse.rank_with_margin`) on the one SVD of I - R that
+    :func:`diagnose`'s rank also reads, so the list has
     ``diagnose(S).fixed_space_dim`` elements, all Hermitian.  When the span
     contains a density, the first element is a unit-trace positive fixed
     density.  The cut is kept in S's record (:class:`_ChannelRecord`), in
@@ -142,13 +143,19 @@ def _tp_defect(M, e) -> float:
 
 class _ChannelRecord:
     """The work on S alone that the routes share, each field built on first
-    use and kept, read-only: the real form (:func:`matrep.real_form`, whose
-    build checks Hermiticity preservation) and the one cut ``(kernel, x)``
-    of the fixed space (:func:`ginverse.fixed_space` of the real form, in
-    its Hermitian-basis coordinates).
-    :func:`check_channel`, :func:`diagnose`, :func:`fixed_states` and the
-    fixed space of every chain :func:`qmc.induce` builds from S read it.  A
-    field whose build raises is not kept."""
+    use and kept, read-only: the real form R (:func:`matrep.real_form`,
+    whose build checks Hermiticity preservation), A = I - R, and the one
+    cut ``(kernel, x)`` of the fixed space (:func:`ginverse.fixed_space` of
+    A, in Hermitian-basis coordinates).  A is read-only and owns its data,
+    so :mod:`ginverse` keeps the one SVD of it that decides its rank, its
+    index, the fixed space and the group inverse: :func:`diagnose`'s
+    :func:`ginverse.rank_with_margin` and :func:`ginverse.index`, the cut
+    here and :func:`qmc.induced_group_inverse`'s
+    :func:`ginverse.group_inverse` all pass A, and only the first call
+    factors it.  :func:`check_channel`, :func:`diagnose`,
+    :func:`fixed_states` and the fixed space of every chain
+    :func:`qmc.induce` builds from S read the record.  A field whose build
+    raises is not kept."""
 
     def __init__(self, S: SuperOp):
         self.S = S
@@ -158,9 +165,13 @@ class _ChannelRecord:
         return _owned_read_only(real_form(self.S.mat, self.S.dim))
 
     @cached_property
+    def A(self) -> np.ndarray:
+        return _owned_read_only(np.eye(self.S.dim**2) - self.real)
+
+    @cached_property
     def fixed(self) -> tuple:
-        kernel, x = ginverse.fixed_space(self.real, self.S.dim)
-        return _owned_read_only(kernel), x if x is None else _owned_read_only(x)
+        kernel, x = ginverse.fixed_space(self.A, self.S.dim)
+        return kernel, x if x is None else _owned_read_only(x)
 
 
 # One record per S, keyed by identity (SuperOp compares and hashes by
@@ -190,22 +201,25 @@ def diagnose(S: SuperOp) -> ChannelDiagnostics:
     the fixed density from :func:`fixed_states` is faithful.  The spectrum,
     the rank and the index are taken on the real form of S
     (:func:`matrep.real_form`); a map that does not preserve Hermiticity is
-    refused with :class:`ValidationError`.  The real form and the
+    refused with :class:`ValidationError`.  The real form, I - R and the
     fixed-space cut are read from S's record (:class:`_ChannelRecord`).
+    :func:`ginverse.index` takes the one SVD of I - R, and
+    :func:`ginverse.rank_with_margin` and the fixed-space cut read the
+    singular values and kernel pair it keeps, so the rank, the index and
+    the fixed space are decided on one cut.
     """
     n = S.dim
     tp_defect = _tp_defect(S.mat, vec(np.eye(n)))
     is_tp = tp_defect <= TP_TOL
     is_unital = bool(np.max(np.abs(S(np.eye(n)) - np.eye(n))) <= TP_TOL)
 
-    R = _channel_record(S).real
-    eigvals = np.linalg.eigvals(R)
+    record = _channel_record(S)
+    eigvals = np.linalg.eigvals(record.real)
     peripheral = tuple(complex(lam) for lam in eigvals
                        if abs(abs(lam) - 1.0) < EIG_ONE_TOL)
 
-    A = np.eye(n * n) - R
-    fixed_dim = n * n - ginverse.rank_with_margin(A)
-    jordan_trivial = ginverse.index(A) <= 1
+    jordan_trivial = ginverse.index(record.A) <= 1
+    fixed_dim = n * n - ginverse.rank_with_margin(record.A)
 
     min_eig = None
     irreducible = False
@@ -317,10 +331,13 @@ class _GoalRecord:
     """The work on (S, V) that the routes share, kept read-only, like
     :class:`_ChannelRecord`, each built on first use: ``M``, the real form
     of Q.Q S (the monitoring series' step, the analytic resolvent's map and
-    the induced chain's bottom row, :func:`qmc.induce`), and
-    :meth:`site_spectrum`, the nonzero parts of the spectra of Q.Q S and
-    (I - Q.Q) S, the induced chain's principal blocks without site 0 and
-    without site 1.
+    the induced chain's bottom row, :func:`qmc.induce`); ``resolvent``,
+    (I - M)^{-1}, the one inverse of I - QT that analytic-K
+    (:func:`hitting.analytic_HK`) and site 0 of the induced chain
+    (:func:`ksmh.qmc_hitting_operators`, whose principal block without
+    site 0 is M) both read; and :meth:`site_spectrum`, the nonzero parts of
+    the spectra of Q.Q S and (I - Q.Q) S, the induced chain's principal
+    blocks without site 0 and without site 1.
 
     The spectra are read off S in the Hermitian basis of a frame adapted to
     V + V-perp: W, the unitary of one complete QR of V's basis, has V's span
@@ -345,6 +362,10 @@ class _GoalRecord:
         # Q.Q S that is all roundoff (V the whole space) would be refused
         QQS = self.V.sandwich(self.S.mat)
         return _owned_read_only(_hermitian_form(QQS, self.S.dim).real.copy())
+
+    @cached_property
+    def resolvent(self) -> np.ndarray:
+        return _owned_read_only(np.linalg.inv(np.eye(self.M.shape[0]) - self.M))
 
     @cached_property
     def _blocks(self) -> tuple:

@@ -22,13 +22,13 @@ import sys
 import numpy as np
 
 from . import ginverse as ginv
-from .channel import (GoalSubspace, KrausChannel, assumption_one_holds,
-                      diagnose, is_density, pure_density, randomize, represent,
-                      unitary_superop)
+from .channel import (GoalSubspace, KrausChannel, _channel_record,
+                      assumption_one_holds, diagnose, is_density, pure_density,
+                      randomize, represent, unitary_superop)
 from .errors import (NoGroupInverseError, NotIrreducibleError, QhitError,
                      SpectralObstructionError, ValidationError)
 from .ksmh import kernel_limit_study, tau_channel
-from .matrep import SuperOp, real_form, vec_form
+from .matrep import SuperOp, vec_form
 from .qmc import induce, induced_group_inverse
 from .tolerances import near_one
 
@@ -326,9 +326,11 @@ def cmd_ginverse(args) -> int:
     of the check that built it.  Both are formed in the chain's Hermitian
     basis, where the Hunter parameters are read, and printed in vec
     coordinates (:func:`matrep.vec_form`).  Without a subspace, the group
-    inverse of I - S is taken on S's real form (:func:`matrep.real_form`),
-    so a map that does not preserve Hermiticity exits 2, as in ``validate``,
-    and printed in vec coordinates the same way."""
+    inverse of I - S is taken on I minus S's real form
+    (:func:`matrep.real_form`), the one S's record keeps
+    (:class:`channel._ChannelRecord`), so a map that does not preserve
+    Hermiticity exits 2, as in ``validate``, and printed in vec coordinates
+    the same way."""
     spec = load_spec(args.spec)
     S = parse_channel(spec)
     q = induce(S, parse_subspace(spec["subspace"], S.dim)) if "subspace" in spec else None
@@ -339,8 +341,8 @@ def cmd_ginverse(args) -> int:
         if given:
             raise SpecError(f"--{given[0]}",
                             "is a Hunter parameter; --kind group takes none")
-        gs = (ginv.group_inverse(np.eye(S.dim**2) - real_form(S.mat, S.dim))
-              if q is None else induced_group_inverse(q))
+        gs = (ginv.group_inverse(_channel_record(S).A) if q is None
+              else induced_group_inverse(q))
         report["index"] = gs.index
         report["residuals"] = gs.residuals
         report["Asharp"] = vec_form(gs.Asharp, S.dim)

@@ -2,7 +2,11 @@
 
 The group inverse is the spectral-projector form (A + cE)^{-1} - E/c, with
 E the projector onto ker(A) along range(A) taken from the kernel pair of one
-SVD.  The Hunter g-inverses are returned as plain matrices; the group
+SVD.  That SVD also decides the rank, the index and the fixed space, and the
+cut of a read-only A is kept, so :func:`rank_with_margin`, :func:`index`,
+:func:`fixed_space` and :func:`group_inverse` on S's I - R
+(:class:`channel._ChannelRecord`) share one factorization.  The Hunter
+g-inverses are returned as plain matrices; the group
 inverse as a :class:`GroupInverse` record, which :func:`check_group_axioms`
 builds for both :func:`group_inverse` and :func:`qmc.induced_group_inverse`.
 Each function computes in the dtype of its input (:func:`matrep.as_matrix`),
@@ -46,31 +50,34 @@ def _rank_cut(s) -> int:
 
 
 def rank_with_margin(A) -> int:
-    """Numerical rank via singular values, cut by :func:`_rank_cut`."""
-    return _rank_cut(np.linalg.svd(A, compute_uv=False))
+    """Numerical rank via singular values, cut by :func:`_rank_cut`.  The
+    matrix whose cut :func:`_index_and_rank` keeps is not factored again:
+    its kept singular values are cut."""
+    cut = _kept_cut(A)
+    return _rank_cut(np.linalg.svd(A, compute_uv=False) if cut is None else cut[0])
 
 
-def fixed_space(R, k: int) -> tuple:
-    """Fixed space ker(I - R) of a map on b sites of k x k matrices, given
-    by its real Hermitian-basis form R (:func:`matrep.real_form`), and its
-    fixed vector of unit trace.
+def fixed_space(A, k: int) -> tuple:
+    """Fixed space ker(A) of a map on b sites of k x k matrices, given by
+    A = I - R with R its real Hermitian-basis form
+    (:func:`matrep.real_form`), and its fixed vector of unit trace.
 
-    One full SVD of A = I - R, cut by the rank rule of
-    :func:`rank_with_margin`.  Returns ``(kernel, x)`` in Hermitian-basis
-    coordinates: the columns of ``kernel`` are an orthonormal basis X of
-    ker(I - R), and x is a fixed vector with <e_I|x> = 1 (e_I the
-    identity on every site, :func:`matrep.identity_coords`), or None when
-    the kernel holds no vector of nonzero trace.  On a line x is the null
-    vector itself; on a larger kernel it is E e_I, where E = X (Y* X)^{-1} Y*
-    is the ergodic projector I - A^# A (:func:`_split_projector`) and Y the
-    basis of ker(A*) from the same SVD.  Raises
-    :class:`NoGroupInverseError` when index(A) > 1
-    (:func:`_index_at_most_one`).
+    One full SVD of A (:func:`_index_and_rank`, whose cut of a read-only A
+    is kept), cut by the rank rule of :func:`rank_with_margin`.  Returns
+    ``(kernel, x)`` in Hermitian-basis coordinates: the columns of
+    ``kernel`` are an orthonormal basis X of ker(A), read-only, and x is a
+    fixed vector with <e_I|x> = 1 (e_I the identity on every site,
+    :func:`matrep.identity_coords`), or None when the kernel holds no
+    vector of nonzero trace.  On a line x is the null vector itself; on a
+    larger kernel it is E e_I, where E = X (Y* X)^{-1} Y* is the ergodic
+    projector I - A^# A (:func:`_split_projector`) and Y the basis of
+    ker(A*) from the same SVD.  Raises :class:`NoGroupInverseError` when
+    index(A) > 1 (:func:`_index_at_most_one`).
     """
-    _, _, _, Y, X = _index_at_most_one(np.eye(R.shape[0]) - R)
+    _, _, _, Y, X = _index_at_most_one(A)
     if X.shape[1] == 0:
         return X, None
-    e_I = identity_coords(k, R.shape[0] // (k * k))
+    e_I = identity_coords(k, X.shape[0] // (k * k))
     x = X[:, 0] if X.shape[1] == 1 else _split_projector(Y, X) @ e_I
     total = e_I @ x
     if abs(total) < ZERO_TOL:
@@ -88,39 +95,79 @@ def index(A) -> int:
     singular value of U_0* V_0 (the cosines between ker(A*) and ker(A), both
     spanned by the singular vectors past the cut) exceeds ``RANK_REL_TOL``.
     Squaring A would square its small singular values and push them under
-    the cut; powers of A are formed only once m >= 2 is known.
+    the cut; powers of A are formed only once m >= 2 is known.  A read-only
+    A is factored once: its cut is kept for :func:`rank_with_margin`,
+    :func:`fixed_space` and :func:`group_inverse` (:func:`_index_and_rank`).
     """
     return _index_and_rank(A)[1]
+
+
+# The cut (s, index, rank, Y, X) of the last read-only matrix A that
+# _index_and_rank factored, keyed by the identity of A, as
+# channel._channel_record is keyed by S: ``(A, cut)``, replaced by one
+# assignment, so a thread reads the old entry or the new one whole.  A
+# must own its data, so that no writable view of it can change it while it
+# is held; a writable matrix is never answered from here.  S's record hands
+# its read-only I - R to diagnose, fixed_space and the group inverse, so
+# one problem takes one SVD of it.
+_kept = (None, None)
+
+
+def _kept_cut(A):
+    """The kept cut of A, or None when A is not the kept matrix or has been
+    made writable since."""
+    kept_A, cut = _kept
+    return cut if kept_A is A and not A.flags.writeable else None
 
 
 def _index_and_rank(A) -> tuple:
     """``(A, index(A), rank(A), Y, X)``, all from the one SVD A = U S V* of
     :func:`index`: Y = U_0 and X = V_0, the singular vectors past the rank
-    cut, are orthonormal bases of ker(A*) and ker(A).  A is returned as
-    checked and coerced by :func:`matrep.as_matrix`: real input stays
-    real."""
+    cut, are orthonormal bases of ker(A*) and ker(A), read-only.  A is
+    returned as checked and coerced by :func:`matrep.as_matrix`: real input
+    stays real.  The cut of a read-only A that owns its data is kept
+    (``_kept``), and a second call on the same A reads it."""
+    global _kept
     A = as_matrix(A)
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValidationError("index is defined for square matrices only")
+    cut = _kept_cut(A)
+    if cut is not None:
+        _rank_cut(cut[0])  # the rank rule warns on every decision it makes
+        return (A, *cut[1:])
     U, s, Vh = np.linalg.svd(A)
     rank = _rank_cut(s)
+    # Y stays a view of U: the products that read it sum in its strided
+    # layout, and a contiguous copy would change their last bits.  X is
+    # copied in its own layout, so the cut does not hold V.
     Y = U[:, rank:]
-    X = Vh[rank:].conj().T
+    X = Vh[rank:].conj().T.copy(order="K")
+    for a in (s, Y, X):
+        a.flags.writeable = False
+    cut = s, _index_past_cut(A, rank, Y, X), rank, Y, X
+    if A.flags.owndata and not A.flags.writeable:
+        _kept = A, cut
+    return (A, *cut[1:])
+
+
+def _index_past_cut(A, rank: int, Y, X) -> int:
+    """index(A), given rank(A) and the kernel pair (Y, X) of its SVD."""
+    n = A.shape[0]
     if rank == n:
-        return A, 0, rank, Y, X
+        return 0
     cosines = np.linalg.svd(Y.conj().T @ X, compute_uv=False)
     if cosines[-1] > RANK_REL_TOL:
-        return A, 1, rank, Y, X
+        return 1
     power = A @ A
     prev_rank = rank_with_margin(power)
     for m in range(2, n + 1):
         power = power @ A
         r = rank_with_margin(power)
         if r == prev_rank:
-            return A, m, rank, Y, X
+            return m
         prev_rank = r
-    return A, n, rank, Y, X  # unreachable: ranks strictly decrease at most n times
+    return n  # unreachable: ranks strictly decrease at most n times
 
 
 def _index_at_most_one(A) -> tuple:

@@ -43,10 +43,11 @@ def analytic_HK(S: SuperOp, V: GoalSubspace) -> HittingMaps:
 
     One factorization is reused: K = T M^2 with M = (I - QT)^{-1}, each
     factor in real Hermitian-basis form.  T's real form is the one
-    :func:`channel.check_channel` keeps in S's record; QT's real form, and
-    the spectrum of QT that :func:`channel.assumption_one_holds` tests
-    first, are read from the (S, V) record (:class:`channel._GoalRecord`).
-    The check raises
+    :func:`channel.check_channel` keeps in S's record; M, and the spectrum
+    of QT that :func:`channel.assumption_one_holds` tests first, are read
+    from the (S, V) record (:class:`channel._GoalRecord`), whose one
+    inverse of I - QT site 0 of the induced chain reads too.  The
+    condition number of I - QT is judged on every call.  The check raises
     :class:`ValidationError` unless S is a trace and Hermiticity preserving
     map; 1 in the spectrum raises :class:`SpectralObstructionError`, and a
     badly conditioned I - QT warns at the caller.
@@ -56,11 +57,11 @@ def analytic_HK(S: SuperOp, V: GoalSubspace) -> HittingMaps:
     if not ok:
         raise SpectralObstructionError("1 lies in the spectrum of Q.T",
                                        eigenvalues=near_one(eigvals))
-    A = np.eye(S.dim**2) - _goal_record(S, V).M
-    if np.linalg.cond(A) > RESOLVENT_COND_WARN:
+    record = _goal_record(S, V)
+    if np.linalg.cond(np.eye(S.dim**2) - record.M) > RESOLVENT_COND_WARN:
         warnings.warn("resolvent I - QT is badly conditioned", RuntimeWarning,
                       stacklevel=2)
-    M = np.linalg.inv(A)
+    M = record.resolvent
     H = _owned_read_only(S_real @ M)
     return HittingMaps(H, _owned_read_only(H @ M), V)
 

@@ -46,16 +46,16 @@ def _block(M, n_sites: int, i: int, j: int, k: int) -> np.ndarray:
     return M[site_slice(i, k), site_slice(j, k)]
 
 
-def _hitting_operator(Phi, sl: slice, r, rest) -> np.ndarray:
-    """K^(i) = Phi (I - Q_i Phi)^{-2} from one inverse of order (n_sites - 1) k^2.
+def _hitting_operator(Phi, sl: slice, r, R) -> np.ndarray:
+    """K^(i) = Phi (I - Q_i Phi)^{-2} from one inverse R of order
+    (n_sites - 1) k^2.
 
     With site i (rows and columns ``sl``) ordered first, and ``r`` the indices
-    of the other sites, I - Q_i Phi = [[I, 0], [-Phi_ri, I - Phi_rr]], where
-    Phi_rr is ``rest``.  Its inverse squared is
-    [[I, 0], [(R + R^2) Phi_ri, R^2]] with R = (I - rest)^{-1}, so
-    K[:, i] = Phi[:, i] + Phi[:, r] (R + R^2) Phi_ri and K[:, r] = Phi[:, r] R^2.
+    of the other sites, I - Q_i Phi = [[I, 0], [-Phi_ri, I - Phi_rr]].  Its
+    inverse squared is [[I, 0], [(R + R^2) Phi_ri, R^2]] with
+    R = (I - Phi_rr)^{-1}, so K[:, i] = Phi[:, i] + Phi[:, r] (R + R^2) Phi_ri
+    and K[:, r] = Phi[:, r] R^2.
     """
-    R = np.linalg.inv(np.eye(r.size) - rest)
     R2 = R @ R
     K = np.empty_like(Phi)
     Phi_r = Phi[:, r]
@@ -112,7 +112,10 @@ def qmc_hitting_operators(q: QMC) -> QmcHittingOperators:
 
     The same triangular shape gives K^(i) itself (:func:`_hitting_operator`):
     each available site costs one inverse of order (n_sites - 1) k^2, that
-    principal block's resolvent, and products of that order.  The Abel
+    principal block's resolvent, and products of that order.  On an induced
+    chain site 0's block is M, the real form of Q.Q S, whose resolvent
+    (I - M)^{-1} is read from the (S, V) record, where analytic-K reads it
+    too.  The Abel
     fallback of an unavailable site needs the group inverse of
     B = I - Q_i Phi = [[I, 0], [-Phi_ri, C]], C = I - Phi_rr.  By Meyer and
     Rose (SIAM J. Appl. Math. 33, 1977) it is [[I, 0], [X, C^#]] with
@@ -124,17 +127,20 @@ def qmc_hitting_operators(q: QMC) -> QmcHittingOperators:
     N, Phi = q.dim, q.real
     K_ops, availability, obstructed = {}, {}, {}
     D = np.zeros((N, N))
+    goal = None if q.subspace is None else _goal_record(q.channel, q.subspace)
     for i in sites:
         sl = site_slice(i, q.k)
         r = np.delete(np.arange(N), sl)
         rest = Phi[np.ix_(r, r)]
-        bad = near_one(np.linalg.eigvals(rest) if q.subspace is None
-                       else _goal_record(q.channel, q.subspace).site_spectrum(i))
+        bad = near_one(np.linalg.eigvals(rest) if goal is None
+                       else goal.site_spectrum(i))
         if bad:
             availability[i] = (False, bad)
             obstructed[i] = (sl, r, rest)
             continue
-        K = K_ops[i] = _hitting_operator(Phi, sl, r, rest)
+        R = (goal.resolvent if goal is not None and i == 0
+             else np.linalg.inv(np.eye(r.size) - rest))
+        K = K_ops[i] = _hitting_operator(Phi, sl, r, R)
         availability[i] = (True, [])
         D[sl, sl] = K[sl, sl]
     # A spectrally obstructed site has no plain resolvent K^(i).  Two cases:
@@ -335,12 +341,15 @@ def tau_channel(S: SuperOp, V: GoalSubspace, rho, method: str) -> TauReport:
     on every route.  A field whose build raises is not kept.  Below this
     record, the public functions of every route share two more, in
     :mod:`channel`: S's (its real form, which :func:`channel.check_channel`
-    returns to the series, analytic-K and :func:`qmc.induce`, and the one
-    fixed-space cut read by :func:`channel.diagnose` and the induced chain)
-    and (S, V)'s (Q.Q S, its real form, the step of the series and the map
-    of analytic-K's resolvent, and the sliced spectra of assumption one and
-    both sites).  So the series, which keeps no record of its own, checks
-    only S's trace defect on a second state.  The shape, density and
+    returns to the series, analytic-K and :func:`qmc.induce`; I minus it,
+    whose one SVD, kept by :mod:`ginverse`, gives :func:`channel.diagnose`
+    its rank and index, the fixed-space cut read by the induced chain, and
+    the group inverse the ksmh-group route lifts) and (S, V)'s (Q.Q S, its
+    real form, the step of the series and the map of analytic-K's
+    resolvent; that resolvent, which site 0 of the induced chain reads
+    too; and the sliced spectra of assumption one and both sites).  So
+    the series, which keeps no record of its own, checks only S's trace
+    defect on a second state.  The shape, density and
     support checks on rho run on every call: rho must lie in V-perp here,
     although :func:`hitting.tau_from_K` also reads the return side.
     """

@@ -86,14 +86,14 @@ class QMC:
     @functools.cached_property
     def _fixed(self) -> tuple:
         """``(dimension, x)`` of the chain's fixed space, from the one cut of
-        :func:`ginverse.fixed_space` on :attr:`real`: x is its fixed vector
+        :func:`ginverse.fixed_space` on I - :attr:`real`: x is its fixed vector
         of unit trace in Hermitian-basis coordinates, or None.  An induced
         chain reads the cut of S from S's record
         (:class:`channel._ChannelRecord`), shared with
         :func:`channel.diagnose` and every chain induced from S, and lifts x
         to C x (see :func:`stationary_density`)."""
         if self.channel is None:
-            kernel, x = ginverse.fixed_space(self.real, self.k)
+            kernel, x = ginverse.fixed_space(np.eye(self.dim) - self.real, self.k)
         else:
             kernel, x = _channel_record(self.channel).fixed
             if x is not None:
@@ -169,15 +169,17 @@ def induced_group_inverse(q: QMC) -> ginverse.GroupInverse:
     read from :attr:`QMC.channel`; a chain that :func:`induce` did not build
     raises :class:`ValidationError`.
 
-    Everything is real: Z is I minus the real form of S kept in S's record
-    (:class:`channel._ChannelRecord`), C is column block 0 of
+    Everything is real: Z is I minus the real form of S, kept in S's record
+    (:class:`channel._ChannelRecord`) with the one SVD that decides its
+    rank, index and fixed space, which the group inverse reads; C is column
+    block 0 of
     :attr:`QMC.real`, and the axioms are checked against I - :attr:`QMC.real`,
     so the record's arrays are in the chain's Hermitian-basis coordinates.
     """
     S = q.channel
     if S is None:
         raise ValidationError("chain was not built by induce; it records no channel")
-    gs = ginverse.group_inverse(np.eye(S.dim**2) - _channel_record(S).real)
+    gs = ginverse.group_inverse(_channel_record(S).A)
     CW = q.real[:, site_slice(0, q.k)] @ (gs.Asharp - gs.ergodic_projector)
     X = np.eye(q.dim) + np.hstack([CW, CW])
     return ginverse.check_group_axioms(np.eye(q.dim) - q.real, X, gs.index)

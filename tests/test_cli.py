@@ -59,6 +59,8 @@ CORPUS_CASES = [
     (["sweep", f"{CORPUS}/randomization.json", "--values", "1,0.5,0.1,0.01"],
      "sweep_randomization.txt"),
     (["ginverse", f"{CORPUS}/hadamard.json"], "ginverse_hadamard.txt"),
+    (["validate", f"{CORPUS}/order4.json", "--json"], "validate_order4.json"),
+    (["ginverse", f"{CORPUS}/order4.json", "--json"], "ginverse_order4.json"),
 ]
 
 

@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 import qhit
-from conftest import ROTATION_U, random_tp_channel
+from conftest import ROTATION_U, haar_unitary, random_kraus, random_tp_channel
 from dense_oracles import drazin_limit
 from expected_matrices import A0_SHARP, G_QMC, HADAMARD_ASHARP
 from qhit.errors import NoGroupInverseError, NumericalError, ValidationError
 from qhit.ginverse import (check_group_axioms, fixed_space, rank_with_margin,
                            verify_ginverse)
-from qhit.matrep import from_hermitian_basis, hermitian_coords, real_form, vec_form
+from qhit.matrep import (from_hermitian_basis, hermitian_coords, real_form, unvec,
+                         vec_form)
+from qhit.tolerances import FAITHFUL_TOL
 
 RNG = np.random.default_rng(17)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -110,7 +112,7 @@ def test_fixed_space_rejects_index_two():
     # X -> X + Tr(sigma_x X) sigma_z: I - Phi is nonzero and squares to zero
     rep = np.eye(4) + np.outer(qhit.vec(SZ), qhit.vec(SX))
     with pytest.raises(NoGroupInverseError, match="index 2 > 1"):
-        fixed_space(real_form(rep, 2), 2)
+        fixed_space(np.eye(4) - real_form(rep, 2), 2)
 
 
 def test_a_badly_conditioned_split_warns_at_the_caller():
@@ -129,7 +131,7 @@ def test_a_badly_conditioned_split_warns_at_the_caller():
     # sigma_x direction; e_I lies in the kernel, so x = E e_I is I / 2
     rep = np.eye(4) - np.outer(qhit.vec(SX + eps * SZ), qhit.vec(SZ)) / 2
     with pytest.warns(RuntimeWarning, match="badly conditioned") as caught:
-        kernel, x = fixed_space(real_form(rep, 2), 2)
+        kernel, x = fixed_space(np.eye(4) - real_form(rep, 2), 2)
     assert {w.filename for w in caught} == {__file__}
     assert kernel.shape == (4, 3)
     # x is in Hermitian-basis coordinates
@@ -266,3 +268,161 @@ def test_verify_ginverse_accepts_and_rejects():
     assert verify_ginverse(A, A) < 1e-15  # A is its own g-inverse here
     with pytest.raises(NumericalError):
         verify_ginverse(A, np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def _block_reducible(rng, sizes=(2, 3), rotate=False) -> qhit.SuperOp:
+    """Kraus operators A_i (+) B_i of random channels on the blocks, so the
+    fixed space holds one state per block; conjugated by a Haar unitary
+    when ``rotate``, so that no block is aligned with the basis."""
+    blocks = [random_kraus(rng, m) for m in sizes]
+    n = sum(sizes)
+    U = haar_unitary(rng, n) if rotate else np.eye(n)
+    kraus = []
+    for ops in zip(*blocks):
+        K = np.zeros((n, n), dtype=complex)
+        at = 0
+        for B in ops:
+            K[at:at + len(B), at:at + len(B)] = B
+            at += len(B)
+        kraus.append(U @ K @ U.conj().T)
+    return qhit.represent(qhit.KrausChannel(n, tuple(kraus)))
+
+
+def _near_reducible(rng) -> qhit.SuperOp:
+    """p (q T + (1 - q) Hadamard) + (1 - p) id with q = 1e-6 and p = 0.1: a
+    fixed line that the reducible Hadamard part nearly splits."""
+    H = qhit.unitary_superop(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
+    mix = qhit.randomize(random_tp_channel(rng, 2), H, 1e-6)
+    return qhit.randomize(mix, qhit.identity_superop(2), 0.1)
+
+
+MEMO_CHANNELS = {
+    "random-2": lambda rng: random_tp_channel(rng, 2),
+    "random-4": lambda rng: random_tp_channel(rng, 4),
+    "random-6": lambda rng: random_tp_channel(rng, 6),
+    "block-reducible": _block_reducible,
+    "haar-rotated": lambda rng: _block_reducible(rng, (1, 2, 2), rotate=True),
+    "near-reducible": _near_reducible,
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("kind", sorted(MEMO_CHANNELS))
+def test_the_kept_cut_answers_as_uncached_calls_on_a_copy(monkeypatch, kind, seed):
+    # a fresh S: diagnose takes the one SVD of its record's I - R, and
+    # fixed_states and the lifted group inverse read the kept cut.  The
+    # reference makes the public calls on a writable copy of I - R, which
+    # are never answered from the kept cut, and lifts (I - S)^# itself
+    rng = np.random.default_rng([seed, sorted(MEMO_CHANNELS).index(kind)])
+    S = MEMO_CHANNELS[kind](rng)
+    n = S.dim
+    V = qhit.GoalSubspace.from_vectors([rng.normal(size=n)])
+    factored = []
+
+    def svd(a, *args, _f=np.linalg.svd, **kwargs):
+        factored.append(np.shape(a))
+        return _f(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    d = qhit.diagnose(S)
+    states = qhit.fixed_states(S)
+    q = qhit.induce(S, V)
+    lifted = qhit.induced_group_inverse(q)
+    monkeypatch.undo()
+    assert factored.count((n * n, n * n)) == 1
+
+    A = np.eye(n * n) - real_form(S.mat, n)
+    assert A.flags.writeable
+    assert d.fixed_space_dim == n * n - rank_with_margin(A)
+    assert d.jordan_trivial_at_1 == (qhit.index(A) <= 1)
+    kernel, x = fixed_space(A, n)
+    assert len(states) == kernel.shape[1]
+    assert np.array_equal(qhit.channel._channel_record(S).fixed[0], kernel)
+    faithful = (kernel.shape[1] == 1 and x is not None and np.linalg.eigvalsh(
+        qhit.channel.hermitize(unvec(from_hermitian_basis(x, n), n, n))).min() > FAITHFUL_TOL)
+    assert d.is_irreducible == faithful
+    gs = qhit.group_inverse(A)
+    CW = q.real[:, :n * n] @ (gs.Asharp - gs.ergodic_projector)
+    X = np.eye(q.dim) + np.hstack([CW, CW])
+    assert np.array_equal(lifted.Asharp, X)
+    reference = check_group_axioms(np.eye(q.dim) - q.real, X, gs.index)
+    assert lifted.index == reference.index
+    assert lifted.residuals == reference.residuals
+    assert np.array_equal(lifted.ergodic_projector, reference.ergodic_projector)
+
+
+def test_a_writable_matrix_is_never_answered_from_the_kept_cut():
+    # index 1 (a projector), then mutated in place to a nilpotent block of
+    # index 2: every call on a writable A factors it afresh
+    A = np.array([[1.0, 0.0], [0.0, 0.0]])
+    assert qhit.index(A) == 1
+    assert np.array_equal(qhit.group_inverse(A).Asharp, A)
+    A[:] = [[0.0, 1.0], [0.0, 0.0]]
+    assert qhit.index(A) == 2
+    with pytest.raises(NoGroupInverseError):
+        qhit.group_inverse(A)
+    A[:] = [[2.0, 0.0], [0.0, 4.0]]
+    assert qhit.index(A) == 0
+    assert np.array_equal(qhit.group_inverse(A).Asharp, np.diag([0.5, 0.25]))
+    # a read-only matrix is kept; made writable again and changed, it is not
+    # answered from its old cut
+    B = np.diag([1.0, 0.0])
+    B.flags.writeable = False
+    assert qhit.index(B) == 1
+    assert qhit.ginverse._kept[0] is B
+    B.flags.writeable = True
+    B[:] = [[0.0, 1.0], [0.0, 0.0]]
+    assert qhit.index(B) == 2
+    assert rank_with_margin(B) == 1
+    # a read-only view of a writable array is not kept: its base can change
+    base = np.diag([1.0, 0.0])
+    view = base[:]
+    view.flags.writeable = False
+    assert qhit.index(view) == 1
+    assert qhit.ginverse._kept[0] is not view
+    base[:] = [[0.0, 1.0], [0.0, 0.0]]
+    assert qhit.index(view) == 2
+
+
+def test_a_decision_read_from_the_kept_cut_warns_as_a_fresh_one(monkeypatch):
+    # a singular value next to the rank cut: each decision on the kept
+    # matrix warns once, as each does on a writable copy, factored afresh
+    A = np.diag([1.0, 2e-10])
+    A.flags.writeable = False
+    factored = []
+
+    def svd(a, *args, _f=np.linalg.svd, **kwargs):
+        factored.append(np.shape(a))
+        return _f(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    for M in (A, A.copy()):
+        for decide in (qhit.index, rank_with_margin, qhit.group_inverse):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                decide(M)
+            assert [str(w.message) for w in caught] == [
+                "rank decision is ambiguous: singular value within a factor of "
+                "10 of the threshold"], decide
+    assert factored.count((2, 2)) == 1 + 3
+
+
+def test_equal_channels_each_get_their_own_cut(monkeypatch):
+    # two SuperOps with equal matrices have two records and two I - R; each
+    # is factored once, on its own first call, never matched by value
+    rng = np.random.default_rng(34)
+    S1 = random_tp_channel(rng, 3)
+    S2 = qhit.SuperOp(3, S1.mat.copy())
+    factored = []
+
+    def svd(a, *args, _f=np.linalg.svd, **kwargs):
+        factored.append(a)
+        return _f(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    first, second = qhit.diagnose(S1), qhit.diagnose(S2)
+    A2 = qhit.channel._channel_record(S2).A
+    assert qhit.ginverse._kept[0] is A2
+    again = qhit.diagnose(S2)
+    assert first == second == again
+    factored = [a for a in factored if a.shape == (9, 9)]
+    assert len(factored) == 2
+    assert factored[0] is not factored[1] and factored[1] is A2
+    assert np.array_equal(factored[0], factored[1])

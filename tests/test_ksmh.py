@@ -796,7 +796,11 @@ def test_one_problem_runs_each_factorization_once(monkeypatch):
     # records of S and of (S, V) below it make one eigensolve of each sliced
     # block (assumption one and site 0 read the V-perp block, site 1 its
     # complement) and one of order n^2 (diagnose's peripheral spectrum), one
-    # fixed-space SVD of I - S, and one real form of S, the record's
+    # real form of S, the record's, and one SVD of order n^2, with vectors,
+    # of its I - R: rank_with_margin, index, fixed_space and group_inverse
+    # each run once and share it.  Of the four inverses of order n^2 (the
+    # resolvent of I - M, site 1's, the group inverse's LU and the Hunter
+    # member's W) one is of I - M, which analytic-K and site 0 both read
     counts = Counter()
 
     def count(module, name):
@@ -810,14 +814,25 @@ def test_one_problem_runs_each_factorization_once(monkeypatch):
     for name in ("induce", "analytic_HK", "qmc_hitting_operators", "diagnose",
                  "induced_group_inverse", "ksmh_kernel"):
         count(qhit.ksmh, name)
-    count(qhit.ginverse, "hunter_special")
-    count(qhit.ginverse, "fixed_space")
-    eig_orders = []
+    for name in ("hunter_special", "fixed_space", "rank_with_margin", "index",
+                 "group_inverse"):
+        count(qhit.ginverse, name)
+    eig_orders, svds, inverses = [], [], []
 
     def eigvals(a, _f=np.linalg.eigvals):
         eig_orders.append(np.shape(a)[0])
         return _f(a)
+
+    def svd(a, *args, _f=np.linalg.svd, **kwargs):
+        svds.append((np.shape(a), kwargs.get("compute_uv", True)))
+        return _f(a, *args, **kwargs)
+
+    def inv(a, _f=np.linalg.inv):
+        inverses.append(np.array(a))
+        return _f(a)
     monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(np.linalg, "inv", inv)
     rng = np.random.default_rng(33)
     n = 4
     S = random_tp_channel(rng, n)
@@ -835,9 +850,14 @@ def test_one_problem_runs_each_factorization_once(monkeypatch):
     assert counts == {"induce": 1, "analytic_HK": 1, "qmc_hitting_operators": 1,
                       "diagnose": 1, "hunter_special": 1,
                       "induced_group_inverse": 1, "ksmh_kernel": 2,
-                      "fixed_space": 1}
+                      "fixed_space": 1, "rank_with_margin": 1, "index": 1,
+                      "group_inverse": 1}
     assert sorted(eig_orders) == sorted([(n - 1) ** 2, 2 * n - 1, n * n])
     assert real_forms_of_S == ["qhit.channel"], real_forms_of_S
+    assert [s for s in svds if s[0][0] >= n * n] == [((n * n, n * n), True)]
+    I_M = np.eye(n * n) - qhit.channel._goal_record(S, V).M
+    assert [a.shape for a in inverses if a.shape[0] >= n * n] == [(n * n, n * n)] * 4
+    assert sum(np.array_equal(a, I_M) for a in inverses) == 1
 
 
 def test_a_second_state_forms_no_real_form(monkeypatch):
@@ -1103,13 +1123,14 @@ def test_tau_channel_refuses_a_map_that_is_not_a_channel(sec5, method):
 
 
 def test_spectral_decisions_run_in_real_arithmetic(monkeypatch):
-    # Every eigenvalue problem and condition number, and the SVDs of
-    # fixed_space, rank_with_margin and index, run on the real
-    # Hermitian-basis form, and so do every inverse and the arrays the series
-    # sums.  One SVD is complex: from_vectors', whose input is the n x d
-    # matrix of spanning vectors, not a map.
+    # Every eigenvalue problem and condition number, and the one SVD of
+    # order n^2 that fixed_space, rank_with_margin, index and group_inverse
+    # share, run on the real Hermitian-basis form, and so do every inverse
+    # and the arrays the series sums.  One SVD is complex: from_vectors',
+    # whose input is the n x d matrix of spanning vectors, not a map.
     calls = []
     series_args = []
+    decided = {}
     run_series = qhit.monitor._run_series
 
     def spy(*args):
@@ -1123,8 +1144,17 @@ def test_spectral_decisions_run_in_real_arithmetic(monkeypatch):
             return fn(a, *args, **kwargs)
         return wrapped
 
+    def deciding(name, fn):
+        def wrapped(a, *args):
+            decided.setdefault(name, []).append(a)
+            return fn(a, *args)
+        return wrapped
+
     for name in ("eigvals", "svd", "cond", "inv"):
         monkeypatch.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
+    for name in ("fixed_space", "rank_with_margin", "index", "group_inverse"):
+        monkeypatch.setattr(qhit.ginverse, name,
+                            deciding(name, getattr(qhit.ginverse, name)))
     monkeypatch.setattr(qhit.monitor, "_run_series", spy)
     rng = np.random.default_rng(11)
     S = random_tp_channel(rng, 3)
@@ -1139,11 +1169,17 @@ def test_spectral_decisions_run_in_real_arithmetic(monkeypatch):
         dtypes = [dt for fn, dt, _, _ in calls if fn == name]
         assert dtypes and set(dtypes) == {real}, name
     svds = [(dt, shape, callers) for fn, dt, shape, callers in calls if fn == "svd"]
-    for decision in ("fixed_space", "rank_with_margin", "index"):
-        assert any(decision in callers for _, _, callers in svds), decision
     assert [shape for _, shape, callers in svds if "from_vectors" in callers] == [(3, 1)]
     assert {dt for dt, _, callers in svds if "from_vectors" not in callers} == {real}
-    assert any("group_inverse" in callers for _, _, callers in svds)
+    # the one SVD of order n^2 is of the I - R that S's record keeps, taken
+    # by the first decision, diagnose's index; the other decisions are
+    # passed that same matrix and read the cut it keeps
+    assert [(dt, "index" in callers) for dt, shape, callers in svds
+            if shape == (9, 9)] == [(real, True)]
+    A = qhit.channel._channel_record(S).A
+    assert A.dtype == real
+    for decision in ("fixed_space", "rank_with_margin", "index", "group_inverse"):
+        assert decided.get(decision) and all(a is A for a in decided[decision]), decision
     assert [(dt, shape) for fn, dt, shape, callers in calls
             if fn == "inv" and "analytic_HK" in callers] == [(real, (9, 9))]
     assert {dt for fn, dt, _, _ in calls if fn == "inv"} == {real}

@@ -194,7 +194,7 @@ def test_lifted_stationary_density_matches_chain_fixed_space(case):
     # hadamard and order4)
     S, V = _lift_problem(case)
     q = qhit.induce(S, V)
-    _, dense = qhit.ginverse.fixed_space(q.real, q.k)
+    _, dense = qhit.ginverse.fixed_space(np.eye(q.dim) - q.real, q.k)
     dense = from_hermitian_basis(dense, q.k)
     lifted = qhit.stationary_density(q)
     assert np.max(np.abs(lifted - dense)) <= 1e-12 * np.max(np.abs(dense))
